@@ -7,6 +7,11 @@ Gaussian U with mean -tau delta and covariance Omegabar - delta delta',
 so E[h(Z) zeta1(T)] = E[zeta1(T)] E[h(U)].  The zeta2 analogues each
 need one extra ingredient with no closed form, the a-terms
 E[Z1^p Z2^q zeta1(T)^2], evaluated here by adaptive cubature.
+
+These are the paper's route to the expected information.  Production
+computes it by a Gram rule (`expected_info`); this module and the
+entrywise assembly over it are kept as the oracle that rule is checked
+against.
 """
 
 import math
@@ -178,10 +183,9 @@ def a_terms(dp, tol=None):
 
     The integrands are invariant (odd ones change sign) under jointly
     flipping alpha and z, so integrals are evaluated at a canonical
-    alpha sign and mapped back.  Mirrored parameter points then yield
-    bit-identical magnitudes, which the determinant sweeps rely on.  At
-    alpha = (0, 0) the tilt is constant and the normal-moment closed
-    forms are returned exactly.
+    alpha sign and mapped back, and mirrored parameter points yield
+    bit-identical magnitudes.  At alpha = (0, 0) the tilt is constant
+    and the normal-moment closed forms are returned exactly.
     """
     validate(dp)
     controls = tol or CubatureControls()

@@ -1,24 +1,35 @@
 """Per-observation expected Fisher information and the singularity scans.
 
-The 8x8 matrix is assembled entry by entry from the closed-form and
-cubature expectations of the standardized model; each entry is the
-negative expectation of the matching second derivative of the
-log-likelihood.  Also here: the scalar reparameterization rule, the
-conditional-independence and block-structure predicates, and grid
-sweeps of the determinant used to map where the matrix degenerates.
+The expected information is the Gram matrix I = E[s s'] of the score s,
+so it is computed with a quadrature rule whose weights are all positive:
+I = A'A, where row k of A is sqrt(w_k) s(z_k).  The nodes sit in the
+hidden-truncation coordinates of the standardized model,
+Z = delta V + C^{1/2} W with C = Omegabar - delta delta', where V is
+N(0, 1) truncated to V > -tau (Gauss-Legendre, in panels) and W is
+N_2(0, I) (Gauss-Hermite).  A is folded block by block into its 8x8
+triangular factor R, so I = R'R, and determinants and eigenvalues come
+from the singular values of R: the condition number of I is never
+squared, and a determinant is never negative.
+
+The paper's entry-by-entry assembly from closed-form and cubature
+expectations (`_assemble` over `expectation_set`) is kept as the oracle
+the rule is tested against; it does not run in production.  Also here:
+the scalar reparameterization rule, the conditional-independence and
+block-structure predicates, and grid sweeps of the determinant used to
+map where the matrix degenerates.
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.linalg
 
-from .expectations import CubatureNotConverged, expectation_set
-from .likelihood import InfoMatrix
-from .model import DpParams, _alpha_star_sq, _lam, validate
-from .special_fns import zeta
+from .cubature import CubatureControls
+from .expectations import CubatureNotConverged, _v_entries
+from .likelihood import InfoMatrix, _score_rows
+from .model import DpParams, _alpha_star_sq, _lam, delta_vector, validate
+from .special_fns import LOG_RT2PI, zeta
 
 _SWEEPABLE = ("alpha1", "alpha2", "tau")
 
@@ -237,17 +248,156 @@ def _assemble(dp, es):
     return m
 
 
-def expected_info(dp, tol=None):
-    """Expected information for one observation at dp.
+# the V interval runs from -tau to v_top, v_top^2 = max(-tau, 0)^2 + 80,
+# where phi(v_top) is at most e^-40 times phi at the interval's start;
+# phi itself has its bulk on [-sqrt(80), sqrt(80)]
+_V_SPAN_SQ = 80.0
+# zeta1(T) turns from linear to phi-like within about _KNEE / alpha_star
+# of the truncation point, so the first V panel ends there
+_KNEE = 8.0
+# the first rule has 8 nodes per V panel and per W axis; each later rule
+# has 1.5 times as many
+_FIRST_NODES = 8
+_GROWTH = 1.5
+# nodes folded into the triangular factor at a time
+_BLOCK = 8192
+
+
+def _v_rule(tau, alpha_star, n):
+    """Nodes and log weights for V ~ N(0, 1) truncated to V > -tau.
+
+    Gauss-Legendre with n nodes on each panel.  The first panel ends at
+    the Mills-ratio knee of zeta1(T), and at most at the interval's
+    midpoint.  When the knee lies below -sqrt(80), far from the bulk of
+    phi (tau >> 0), that bulk gets a panel of its own.  The weights
+    phi(v) / Phi(tau) are formed in log space, so a deep truncation
+    (tau << 0) neither underflows nor overflows.
+    """
+    lo = -tau
+    hi = math.sqrt(max(lo, 0.0) ** 2 + _V_SPAN_SQ)
+    mid = 0.5 * (lo + hi)
+    knee = lo + _KNEE / alpha_star if alpha_star * (mid - lo) > _KNEE \
+        else mid
+    edges = sorted({lo, knee, max(knee, -math.sqrt(_V_SPAN_SQ)), hi})
+    x, w = np.polynomial.legendre.leggauss(n)
+    v, log_w = [], []
+    for a, b in zip(edges[:-1], edges[1:]):
+        v.append(0.5 * (a + b) + 0.5 * (b - a) * x)
+        log_w.append(np.log(0.5 * (b - a) * w))
+    v = np.concatenate(v)
+    return v, np.concatenate(log_w) - 0.5 * v * v - LOG_RT2PI - zeta(0, tau)
+
+
+def _gram_factor(dp, v, log_wv, n):
+    """Triangular R with R'R the rule's E[s s'] at dp.
+
+    dp must have alpha at its canonical sign.  The rule is the V nodes v
+    with log weights log_wv times n Gauss-Hermite nodes on each W axis:
+    node (i, j, l) is V node i and W nodes j and l.  Nodes are folded
+    into R _BLOCK at a time by QR of [R; block], so memory does not grow
+    with the node count.
+    """
+    lam = _lam(dp)
+    a1, a2 = dp.alpha1, dp.alpha2
+    astar2 = _alpha_star_sq(lam, a1, a2)
+    d = delta_vector(lam, a1, a2)
+    # Cholesky factor of C = Omegabar - delta delta', whose determinant
+    # is (1 - lam^2) / (1 + alpha_star^2)
+    v11, v12, _ = _v_entries(lam, a1, a2)
+    l11 = math.sqrt(v11)
+    l21 = v12 / l11
+    l22 = math.sqrt((1.0 - lam * lam) / ((1.0 + astar2) * v11))
+
+    x, wx = np.polynomial.hermite_e.hermegauss(n)
+    log_wx = np.log(wx) - LOG_RT2PI
+    o1, o2 = math.sqrt(dp.omega11), math.sqrt(dp.omega22)
+
+    per_v = n * n
+    total = len(v) * per_v
+    r = np.empty((0, 8))
+    for start in range(0, total, _BLOCK):
+        i, jl = np.divmod(np.arange(start, min(start + _BLOCK, total)), per_v)
+        j, l = np.divmod(jl, n)
+        z1 = d.delta1 * v[i] + l11 * x[j]
+        z2 = d.delta2 * v[i] + l21 * x[j] + l22 * x[l]
+        root_w = np.exp(0.5 * (log_wv[i] + log_wx[j] + log_wx[l]))
+        rows = _score_rows(dp, dp.xi1 + o1 * z1, dp.xi2 + o2 * z2)
+        stacked = np.vstack([r, rows * root_w[:, None]])
+        r = scipy.linalg.qr(stacked, mode="r", check_finite=False)[0][:8]
+    return r
+
+
+def _info_factor(dp, tol):
+    """Converged triangular factor R of the expected information at dp.
+
+    The rule runs at the canonical alpha sign (alpha1 > 0, or alpha1 = 0
+    and alpha2 >= 0); the mirror image alpha -> -alpha has information
+    S I S with S = diag(_FLIP_SIGNS), which the caller applies.  Rules
+    grow by _GROWTH until two in a row agree in every entry to within
+    max(abs_tol, rel_tol sqrt(I_ii I_jj)); the finer one is returned.
+
+    Returns
+    -------
+    (ndarray (8, 8), bool)
+        R, and whether dp was mirrored to reach the canonical sign.
 
     Raises
     ------
     CubatureNotConverged
-        When the underlying a-term cubature fails.
+        When the next rule would take the node count past max_evals.
+    """
+    controls = tol or CubatureControls()
+    flip = dp.alpha1 < 0.0 or (dp.alpha1 == 0.0 and dp.alpha2 < 0.0)
+    if flip:
+        dp = replace(dp, alpha1=-dp.alpha1, alpha2=-dp.alpha2)
+    alpha_star = math.sqrt(_alpha_star_sq(_lam(dp), dp.alpha1, dp.alpha2))
+    used = 0
+    prev = None
+    n = _FIRST_NODES
+    while True:
+        v, log_wv = _v_rule(dp.tau, alpha_star, n)
+        nodes = len(v) * n * n
+        if used + nodes > controls.max_evals:
+            raise CubatureNotConverged(
+                f"expected-information rule not converged after {used} "
+                f"nodes; the next rule needs {nodes} more")
+        used += nodes
+        r = _gram_factor(dp, v, log_wv, n)
+        info = r.T @ r
+        if prev is not None:
+            scale = np.sqrt(np.diag(info))
+            bound = np.maximum(controls.abs_tol,
+                               controls.rel_tol * np.outer(scale, scale))
+            if np.all(np.abs(info - prev) <= bound):
+                return r, flip
+        prev = info
+        n = round(n * _GROWTH)
+
+
+def expected_info(dp, tol=None):
+    """Expected information for one observation at dp.
+
+    tol drives the quadrature rule: rel_tol and abs_tol bound the gap
+    between consecutive rules, max_evals the total node count.  The
+    matrix is the rule's R'R, except that I[3, 5] and I[3, 6], which
+    vanish identically at tau = 0, are returned there as exact zeros
+    rather than as the rule's rounding noise.
+
+    Raises
+    ------
+    CubatureNotConverged
+        When the rule does not converge within tol.max_evals nodes.
     """
     validate(dp)
-    es = expectation_set(dp, tol)
-    return InfoMatrix(matrix=_assemble(dp, es), kind="expected")
+    r, flip = _info_factor(dp, tol)
+    m = r.T @ r
+    # InfoMatrix requires exact symmetry, which a matrix product lacks
+    m = np.triu(m) + np.triu(m, 1).T
+    if dp.tau == 0.0:
+        m[3, 5:7] = m[5:7, 3] = 0.0
+    if flip:
+        m = m * np.outer(_FLIP_SIGNS, _FLIP_SIGNS)
+    return InfoMatrix(matrix=m, kind="expected")
 
 
 def reparam_scalar_info(info_value, dpsi_dnu):
@@ -327,73 +477,41 @@ class SweepRow:
     converged: bool
 
 
-def _det_and_mineig(m):
-    """Determinant and smallest eigenvalue of a symmetric matrix.
+def _det_and_mineig(r):
+    """Determinant and smallest eigenvalue of I = R'R, from R alone.
 
     The sweeps walk straight into near-singular territory where the
     determinant ranges over hundreds of orders of magnitude, mostly
-    through row scale.  A raw eigenvalue product cannot sign anything
-    below eps * ||m||^8, so the matrix is symmetrically equilibrated to
-    unit diagonal first: det(m) = det(D m D) * prod|m_ii| with
-    D = diag(1/sqrt|m_ii|), accumulated in log space.
+    through column scale.  So det(I) = det(R D^-1)^2 prod d_j^2, with d_j
+    the column norms of R, accumulated in log space from the singular
+    values of R D^-1; the smallest eigenvalue is sigma_min(R)^2.  Neither
+    can be negative.
     """
-    eigs = np.linalg.eigvalsh(m)
-    min_eig = float(eigs[0])
-    diag = np.diag(m)
-    if np.any(diag == 0.0):
-        # zero diagonal in a PSD-up-to-noise matrix means a zero row
-        return 0.0, min_eig
-    d = np.sqrt(np.abs(diag))
-    scaled = np.linalg.eigvalsh(m / np.outer(d, d))
-    if np.any(scaled == 0.0):
-        return 0.0, min_eig
-    sign = -1.0 if np.count_nonzero(scaled < 0.0) % 2 else 1.0
-    logdet = float(np.sum(np.log(np.abs(scaled)))
-                   + np.sum(np.log(np.abs(diag))))
-    return sign * math.exp(logdet), min_eig
+    norms = np.linalg.norm(r, axis=0)
+    if np.any(norms == 0.0):
+        return 0.0, 0.0
+    sv = np.linalg.svd(r / norms, compute_uv=False)
+    logdet = 2.0 * float(np.sum(np.log(sv)) + np.sum(np.log(norms)))
+    min_eig = float(np.linalg.svd(r, compute_uv=False)[-1]) ** 2
+    return math.exp(logdet), min_eig
 
 
 def _scan_row(spec, value, tol):
-    dp = spec.dp_at(value)
     try:
-        info = expected_info(dp, tol)
+        r, _ = _info_factor(spec.dp_at(value), tol)
     except CubatureNotConverged:
         return SweepRow(param_value=float(value), det=float("nan"),
                         min_eigenvalue=float("nan"), converged=False)
-    m = info.matrix
-    # mirroring alpha flips the sign pattern below but not the spectrum;
-    # conjugating back before the eigensolve makes mirrored sweep points
-    # bit-identical instead of merely equal up to rounding
-    if dp.alpha1 < 0.0 or (dp.alpha1 == 0.0 and dp.alpha2 < 0.0):
-        m = m * np.outer(_FLIP_SIGNS, _FLIP_SIGNS)
-    det, min_eig = _det_and_mineig(m)
+    det, min_eig = _det_and_mineig(r)
     return SweepRow(param_value=float(value), det=det,
                     min_eigenvalue=min_eig, converged=True)
-
-
-def _thread_count(njobs):
-    raw = os.environ.get("ESN2_THREADS", "0").strip()
-    try:
-        requested = int(raw)
-    except ValueError:
-        raise ValueError(f"ESN2_THREADS must be an integer, got {raw!r}")
-    if requested < 0:
-        raise ValueError("ESN2_THREADS must be >= 0")
-    if requested == 0:
-        requested = os.cpu_count() or 1
-    return max(1, min(requested, njobs))
 
 
 def det_scan(spec, tol=None):
     """Determinant and smallest eigenvalue at every grid point.
 
-    Points are independent; ESN2_THREADS > 1 evaluates them in a thread
-    pool (0 means one per core).  Rows always come back in grid order,
-    and a cubature failure marks its row converged=False without
-    stopping the scan.
+    Rows come back in grid order, and a quadrature failure marks its row
+    converged=False without stopping the scan.  Mirrored points
+    (alpha -> -alpha) share one rule, so their rows are bit-identical.
     """
-    workers = _thread_count(len(spec.grid))
-    if workers == 1:
-        return [_scan_row(spec, g, tol) for g in spec.grid]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda g: _scan_row(spec, g, tol), spec.grid))
+    return [_scan_row(spec, g, tol) for g in spec.grid]

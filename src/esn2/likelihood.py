@@ -18,7 +18,7 @@ import scipy.optimize
 
 from .model import (DpParams, _alpha_star_sq, _lam, _log_density_arrays,
                     validate)
-from .special_fns import zeta
+from .special_fns import zeta, zeta1_pair
 
 _INFO_KINDS = ("observed", "expected")
 
@@ -46,6 +46,47 @@ def loglik(dp, data):
     return float(np.sum(_log_density_arrays(dp, data.y1, data.y2)))
 
 
+def _score_rows(dp, y1, y2):
+    """Per-observation score: row k is the gradient of the log density at
+    (y1[k], y2[k]), ordered as theta; dp assumed validated.
+
+    Returns
+    -------
+    ndarray (n, 8)
+        Column-major, so each column is contiguous and sums pairwise.
+    """
+    a1, a2, tau = dp.alpha1, dp.alpha2, dp.tau
+    o1 = math.sqrt(dp.omega11)
+    o2 = math.sqrt(dp.omega22)
+    lam = _lam(dp)
+    u = 1.0 / (1.0 - lam * lam)
+    astar2 = _alpha_star_sq(lam, a1, a2)
+    den = math.sqrt(1.0 + astar2)
+    den_m1 = astar2 / (1.0 + den)
+    z1 = (np.asarray(y1, dtype=float) - dp.xi1) / o1
+    z2 = (np.asarray(y2, dtype=float) - dp.xi2) / o2
+    # the tau score den zeta1(t) - zeta1(tau) vanishes as alpha -> 0, so
+    # both t - tau and the zeta1 difference are formed without cancellation
+    zeta1, zeta1_diff = zeta1_pair(tau, tau * den_m1 + a1 * z1 + a2 * z2)
+
+    w = (z1 ** 2 + z2 ** 2 - 2.0 * z1 * z2 * lam) * lam * u * u
+    s = np.empty((8, len(z1)))
+    s[0] = ((z1 - lam * z2) * u - a1 * zeta1) / o1
+    s[1] = ((z2 - lam * z1) * u - a2 * zeta1) / o2
+    s[2] = (w * lam + (z1 ** 2 - 2.0 * z1 * z2 * lam - 1.0) * u
+            - (a1 * a2 * lam * tau / den + a1 * z1) * zeta1
+            ) / (2.0 * dp.omega11)
+    s[3] = ((lam + z1 * z2) * u - w
+            + a1 * a2 * tau * zeta1 / den) / (o1 * o2)
+    s[4] = (w * lam + (z2 ** 2 - 2.0 * z1 * z2 * lam - 1.0) * u
+            - (a1 * a2 * lam * tau / den + a2 * z2) * zeta1
+            ) / (2.0 * dp.omega22)
+    s[5] = ((a1 + a2 * lam) * tau / den + z1) * zeta1
+    s[6] = ((a2 + a1 * lam) * tau / den + z2) * zeta1
+    s[7] = den_m1 * zeta1 + zeta1_diff
+    return s.T
+
+
 def score(dp, data):
     """Analytic score vector, summed over the dataset.
 
@@ -55,31 +96,7 @@ def score(dp, data):
         Partial derivatives of ``loglik`` ordered as theta.
     """
     validate(dp)
-    a1, a2, tau = dp.alpha1, dp.alpha2, dp.tau
-    o1 = math.sqrt(dp.omega11)
-    o2 = math.sqrt(dp.omega22)
-    lam = _lam(dp)
-    u = 1.0 / (1.0 - lam * lam)
-    den = math.sqrt(1.0 + _alpha_star_sq(lam, a1, a2))
-    z1 = (data.y1 - dp.xi1) / o1
-    z2 = (data.y2 - dp.xi2) / o2
-    zeta1 = zeta(1, tau * den + a1 * z1 + a2 * z2)
-
-    w = (z1 ** 2 + z2 ** 2 - 2.0 * z1 * z2 * lam) * lam * u * u
-    s_xi1 = np.sum((z1 - lam * z2) * u - a1 * zeta1) / o1
-    s_xi2 = np.sum((z2 - lam * z1) * u - a2 * zeta1) / o2
-    s_o11 = np.sum(w * lam + (z1 ** 2 - 2.0 * z1 * z2 * lam - 1.0) * u
-                   - (a1 * a2 * lam * tau / den + a1 * z1) * zeta1
-                   ) / (2.0 * dp.omega11)
-    s_o12 = np.sum((lam + z1 * z2) * u - w
-                   + a1 * a2 * tau * zeta1 / den) / (o1 * o2)
-    s_o22 = np.sum(w * lam + (z2 ** 2 - 2.0 * z1 * z2 * lam - 1.0) * u
-                   - (a1 * a2 * lam * tau / den + a2 * z2) * zeta1
-                   ) / (2.0 * dp.omega22)
-    s_a1 = np.sum(((a1 + a2 * lam) * tau / den + z1) * zeta1)
-    s_a2 = np.sum(((a2 + a1 * lam) * tau / den + z2) * zeta1)
-    s_tau = np.sum(den * zeta1 - zeta(1, tau))
-    return np.array([s_xi1, s_xi2, s_o11, s_o12, s_o22, s_a1, s_a2, s_tau])
+    return _score_rows(dp, data.y1, data.y2).sum(axis=0)
 
 
 def _hessian_terms(dp, y1, y2):

@@ -22,6 +22,19 @@ LOG_RT2PI = 0.5 * math.log(2.0 * math.pi)
 _TAIL_CUT = -10.0
 _TAIL_MAX_TERMS = 40
 
+# zeta1_pair sums the Taylor series of zeta1 about tau for
+# |h| <= _SHIFT_REACH / max(1, |tau|).  Zeta1's poles, the zeros of Phi,
+# are at least 2.8 from the real axis, so 17 terms leave a truncation error
+# below 1e-17 of the leading term.  For tau > 1 zeta1 falls off like
+# exp(-tau h), whose series needs the window narrowed by 1 / tau.  For
+# tau < -1 the recurrence carries the rounding d0 of zeta1(tau) into order
+# k as d0 |tau|^k / k!, since x + 2 zeta1 is about |tau| there, so the
+# series is off by about d0 exp(|tau h|) and the window is narrowed by
+# 1 / |tau| too.  Past the window the plain difference loses at most
+# about eps |zeta1(tau) / h| <= 4 eps tau^2 of its relative accuracy.
+_SHIFT_REACH = 0.25
+_SHIFT_TERMS = 17
+
 
 def _as_finite_array(x, name):
     arr = np.asarray(x, dtype=float)
@@ -161,3 +174,33 @@ def zeta(m, x):
     else:
         out = _zeta2_raw(arr)
     return float(out[0]) if scalar else out
+
+
+def zeta1_pair(tau, h):
+    """zeta(1, tau + h) and zeta(1, tau + h) - zeta(1, tau).
+
+    tau is a scalar and h an ndarray.  The plain difference loses all but
+    |h zeta2 / zeta1| of its relative accuracy as h -> 0, so near tau it is
+    summed instead from the Taylor series of zeta1 about tau.  Its
+    coefficients follow one order at a time from the Riccati equation
+    zeta1' = -zeta1 (x + zeta1).  The recurrence amplifies the rounding of
+    zeta1(tau) by |tau h|^k / k! at order k, so the window shrinks as
+    1 / |tau| on both sides of 0 (see _SHIFT_REACH).
+    """
+    h = np.asarray(h, dtype=float)
+    c = [zeta(1, tau)]
+    for k in range(_SHIFT_TERMS):
+        # order k of x zeta1 + zeta1^2, with x = tau + h
+        rhs = tau * c[k] + sum(c[i] * c[k - i] for i in range(k + 1))
+        if k:
+            rhs += c[k - 1]
+        c.append(-rhs / (k + 1))
+    at = zeta(1, tau + h)
+    diff = at - c[0]
+    near = np.abs(h) <= _SHIFT_REACH / max(1.0, abs(tau))
+    hn = h[near]
+    series = np.zeros_like(hn)
+    for ck in reversed(c[1:]):
+        series = (series + ck) * hn
+    diff[near] = series
+    return at, diff

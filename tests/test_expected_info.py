@@ -1,9 +1,11 @@
-"""Expected information assembly, structural checks, and determinant sweeps.
+"""Expected information, structural checks, and determinant sweeps.
 
 The full reference matrix below was computed at 30-digit precision from
 one-dimensional quadratures of the factorized integrals available when
-omega12 = 0 and alpha2 = 0, a derivation path disjoint from the 2-D
-cubature assembly under test.
+omega12 = 0 and alpha2 = 0, a derivation path disjoint from the Gram rule
+under test.  The paper's closed-form assembly is checked against the rule
+at random points, and two near-singular determinants against a 30-digit
+mpmath evaluation.
 """
 
 import math
@@ -22,9 +24,11 @@ from esn2 import (
     block_structure_check,
     conditional_independence,
     det_scan,
+    expectation_set,
     expected_info,
     reparam_scalar_info,
 )
+from esn2.expected_info import _assemble
 
 SEPARABLE = DpParams(0, 0, 1, 0, 1, 0.5, 0, -2)
 TIGHT = CubatureControls(rel_tol=1e-10, abs_tol=1e-13, max_evals=4_000_000)
@@ -50,6 +54,10 @@ EINFO_ORACLE = {
 }
 
 SINGULAR = DpParams(0, 0, 1, 0, 1, 0, 0, 0)
+SLANTED = DpParams(0, 0, 1, 0.6, 1, 2, 3, 1)
+# criterion 7's tolerance
+SWEEP_TOL = CubatureControls(rel_tol=5e-13, abs_tol=1e-14,
+                             max_evals=40_000_000)
 
 
 def test_expected_info_oracle_matrix():
@@ -157,27 +165,6 @@ def test_det_scan_exact_zero_on_grid():
     assert rows[0].det == rows[2].det
 
 
-def test_det_scan_thread_pool_matches_serial(monkeypatch):
-    base = DpParams(0, 0, 1, 0.4, 1, 1.0, 2.0, 0)
-    spec = SweepSpec("alpha1", (-1.0, 0.0, 1.0, 2.0), base)
-    monkeypatch.delenv("ESN2_THREADS", raising=False)
-    serial = det_scan(spec)
-    monkeypatch.setenv("ESN2_THREADS", "3")
-    threaded = det_scan(spec)
-    assert serial == threaded
-
-
-def test_det_scan_bad_thread_env(monkeypatch):
-    base = DpParams(0, 0, 1, 0, 1, 1, 0, 0)
-    spec = SweepSpec("alpha1", (0.5,), base)
-    monkeypatch.setenv("ESN2_THREADS", "many")
-    with pytest.raises(ValueError):
-        det_scan(spec)
-    monkeypatch.setenv("ESN2_THREADS", "-2")
-    with pytest.raises(ValueError):
-        det_scan(spec)
-
-
 def test_det_scan_records_cubature_failure():
     base = DpParams(0, 0, 1, 0.6, 1, 2, 3, 1)
     spec = SweepSpec("alpha1", (2.0,), base)
@@ -195,3 +182,88 @@ def test_expected_info_random_points_well_conditioned():
         m = expected_info(dp).matrix
         assert np.all(np.isfinite(m))
         assert np.all(np.diag(m) >= 0.0)
+
+
+def test_paper_assembly_matches_gram_rule():
+    # the closed-form expectations and entrywise assembly of the paper no
+    # longer run in production; this keeps them and the rule honest
+    rng = philox(20260815, 43)
+    for dp in [SLANTED] + [random_dp(rng) for _ in range(5)]:
+        want = _assemble(dp, expectation_set(dp, TIGHT))
+        got = expected_info(dp, TIGHT).matrix
+        d = np.sqrt(np.diag(want))
+        assert np.max(np.abs(got - want) / np.outer(d, d)) <= 1e-10, dp
+
+
+def _mp_det(alpha1, tau):
+    """30-digit det of the expected information at (0,0,1,0,1,alpha1,0,tau).
+
+    With omega12 = 0 and alpha2 = 0, Z2 is N(0, 1) and independent of Z1,
+    and the score is quadratic in z2, so a 3-point Gauss-Hermite rule in
+    z2 is exact; z1 follows the univariate extended skew-normal law.
+    """
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(30):
+        return _mp_det_at(mp, alpha1, tau)
+
+
+def _mp_det_at(mp, alpha1, tau):
+    a, t = mp.mpf(alpha1), mp.mpf(tau)
+    den = mp.sqrt(1 + a * a)
+
+    def zeta1(x):
+        return mp.npdf(x) / mp.ncdf(x)
+
+    zeta1_tau = zeta1(t)
+    gh = ((mp.mpf(0), mp.mpf(2) / 3), (mp.sqrt(3), mp.mpf(1) / 6),
+          (-mp.sqrt(3), mp.mpf(1) / 6))
+    cache = {}
+
+    def gram(z1):
+        # every entry's quadrature visits the same z1 nodes
+        if z1 not in cache:
+            arg = t * den + a * z1
+            z = zeta1(arg)
+            m = mp.zeros(8, 8)
+            for z2, w in gh:
+                s = [z1 - a * z, z2, (z1 * z1 - 1 - a * z1 * z) / 2,
+                     z1 * z2, (z2 * z2 - 1) / 2, (a * t / den + z1) * z,
+                     z2 * z, den * z - zeta1_tau]
+                for i in range(8):
+                    for j in range(8):
+                        m[i, j] += w * s[i] * s[j]
+            cache[z1] = m * mp.npdf(z1) * mp.ncdf(arg) / mp.ncdf(t)
+        return cache[z1]
+
+    info = mp.zeros(8, 8)
+    for i in range(8):
+        for j in range(i, 8):
+            info[i, j] = info[j, i] = mp.quad(lambda x: gram(x)[i, j],
+                                               [-mp.inf, 0, mp.inf])
+    return float(mp.det(info))
+
+
+@pytest.mark.parametrize("alpha1, tau, pinned", [
+    (0.02, -2.0, 2.146531685e-39),
+    (0.02, 0.0, 8.346213314e-35),
+])
+def test_det_scan_matches_high_precision(alpha1, tau, pinned):
+    want = _mp_det(alpha1, tau)
+    assert want == pytest.approx(pinned, rel=1e-9)
+    base = DpParams(0, 0, 1, 0, 1, 1, 0, tau)
+    row, = det_scan(SweepSpec("alpha1", (alpha1,), base), tol=SWEEP_TOL)
+    assert row.converged
+    assert abs(row.det / want - 1.0) <= 1e-6
+
+
+def test_extreme_regimes_resolved():
+    # deep truncation with |lam| near 1, and a huge slant where the
+    # truncation has almost no mass
+    for dp in (DpParams(0, 0, 1, 0.95, 1, 30, 2, -8),
+               DpParams(0, 0, 1, -0.95, 1, 1, -3, -8),
+               DpParams(0, 0, 1, 0.4, 1, -30, 2, 10)):
+        assert np.all(np.isfinite(expected_info(dp).matrix))
+        row, = det_scan(SweepSpec("tau", (dp.tau,), dp))
+        assert row.converged, dp
+        assert math.isfinite(row.det) and row.det > 0.0, dp
+        assert row.min_eigenvalue > 0.0, dp

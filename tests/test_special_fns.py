@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from esn2 import std_normal_cdf, std_normal_pdf, zeta
+from esn2.special_fns import zeta1_pair
 
 # Reference values computed with 40-digit arithmetic from the closed forms.
 PDF_TABLE = {
@@ -167,3 +168,36 @@ def test_zeta0_vanishes_right():
     # log Phi(35) is about -1e-268: negative, and utterly negligible
     v = zeta(0, 35.0)
     assert -1e-250 < v <= 0.0
+
+
+# zeta1(tau + h) - zeta1(tau) at 40 digits, for h in ZETA1_SHIFTS
+ZETA1_SHIFTS = (1e-6, -0.01, 0.2, -0.24, 0.26, -1.5)
+ZETA1_DIFF_TABLE = {
+    -100.0: (-9.9990005994905288979e-7, 0.0099990006993706883287,
+             -0.19997997195795032125, 0.2399760717813446777,
+             -0.25997394789216631166, 1.499852304043114468),
+    -10.0: (-9.9055462128114341498e-7, 0.0099056354588630682727,
+            -0.1980745202840029419, 0.23778343519379180146,
+            -0.25748232761998716411, 1.4875953758054604858),
+    -2.0: (-8.8572086990798148716e-7, 0.0088601702306988875499,
+           -0.17590250443695831676, 0.21419552490747943677,
+           -0.22815997751762082819, 1.378175732034858864),
+    0.0: (-6.3661966336075511333e-7, 0.0063770792742138676326,
+          -0.12281138101257339862, 0.15880343638305986873,
+          -0.15781854877564741388, 1.1407926058196778336),
+    2.0: (-1.1354795949120023752e-7, 0.0011447315534278804719,
+          -0.019273096560215760301, 0.0329876761602029027,
+          -0.023841865394429399468, 0.45391257115804352672),
+    10.0: (-7.694560538567612511e-28, 8.0882282009253765365e-24,
+           -6.6738680672758134982e-23, 7.4716375208382510959e-22,
+           -7.1420873272760206039e-23, 8.1662279370709234104e-17),
+}
+
+
+@pytest.mark.parametrize("tau", sorted(ZETA1_DIFF_TABLE))
+def test_zeta1_pair_difference(tau):
+    h = np.array(ZETA1_SHIFTS)
+    at, diff = zeta1_pair(tau, h)
+    assert np.array_equal(at, zeta(1, tau + h))
+    # the plain difference is off by up to 1e-7 here
+    assert_allclose(diff, ZETA1_DIFF_TABLE[tau], rtol=1e-11, atol=0.0)
