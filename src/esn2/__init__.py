@@ -12,11 +12,11 @@ from .expectations import (ATerms, CubatureNotConverged, ExpectationSet,
 from .expected_info import (SweepRow, SweepSpec, block_structure_check,
                             conditional_independence, det_scan, expected_info,
                             reparam_scalar_info)
-from .likelihood import (FitControls, FitResult, InfoMatrix, fit_mle, loglik,
-                         observed_info, score)
+from .likelihood import (FitControls, FitResult, InfoMatrix, density_esn2,
+                         fit_mle, loglik, observed_info, score)
 from .model import (PARAM_NAMES, Dataset, DpParams, NonFiniteParameter,
                     NonPositiveDefiniteScale, cgf_esn2, density_esn1,
-                    density_esn2, moments_esn2, standardize, validate)
+                    moments_esn2, standardize, validate)
 from .special_fns import std_normal_cdf, std_normal_pdf, zeta
 from .validation import (CheckResult, FdControls, FiniteDifferenceError,
                          RngSeed, ValidationConfig, ValidationReport,

@@ -20,9 +20,9 @@ import numpy as np
 
 from .expectations import CubatureNotConverged
 from .expected_info import SweepSpec, det_scan, expected_info
-from .likelihood import FitControls, fit_mle, loglik, observed_info, score
-from .model import (PARAM_NAMES, Dataset, DpParams, density_esn2,
-                    moments_esn2, validate)
+from .likelihood import (FitControls, density_esn2, fit_mle, loglik,
+                         observed_info, score)
+from .model import PARAM_NAMES, Dataset, DpParams, moments_esn2, validate
 from .validation import RngSeed, ValidationConfig, run_validation_suite
 
 

@@ -27,7 +27,7 @@ import scipy.linalg
 
 from .cubature import CubatureControls
 from .expectations import CubatureNotConverged, _v_entries
-from .likelihood import InfoMatrix, _score_rows
+from .likelihood import InfoMatrix, _kernel
 from .model import DpParams, _alpha_star_sq, _lam, delta_vector, validate
 from .special_fns import LOG_RT2PI, zeta
 
@@ -310,7 +310,6 @@ def _gram_factor(dp, v, log_wv, n):
 
     x, wx = np.polynomial.hermite_e.hermegauss(n)
     log_wx = np.log(wx) - LOG_RT2PI
-    o1, o2 = math.sqrt(dp.omega11), math.sqrt(dp.omega22)
 
     per_v = n * n
     total = len(v) * per_v
@@ -321,7 +320,7 @@ def _gram_factor(dp, v, log_wv, n):
         z1 = d.delta1 * v[i] + l11 * x[j]
         z2 = d.delta2 * v[i] + l21 * x[j] + l22 * x[l]
         root_w = np.exp(0.5 * (log_wv[i] + log_wx[j] + log_wx[l]))
-        rows = _score_rows(dp, dp.xi1 + o1 * z1, dp.xi2 + o2 * z2)
+        rows = _kernel(dp, z1, z2, 1)[1]
         stacked = np.vstack([r, rows * root_w[:, None]])
         r = scipy.linalg.qr(stacked, mode="r", check_finite=False)[0][:8]
     return r

@@ -1,4 +1,4 @@
-"""Bivariate extended skew-normal model: parameters, densities, moments.
+"""Bivariate extended skew-normal model: parameters, standardization, moments.
 
 The direct parameter vector is ordered (xi1, xi2, omega11, omega12, omega22,
 alpha1, alpha2, tau): location xi, symmetric positive definite scale matrix
@@ -17,8 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .special_fns import RT2PI, zeta
-
-LOG_2PI = math.log(2.0 * math.pi)
 
 # Omega must be comfortably positive definite relative to its scale
 DET_EPS = 1e-12
@@ -154,43 +152,23 @@ def delta_vector(lam, alpha1, alpha2):
     return DeltaVector((alpha1 + lam * alpha2) / s, (alpha2 + lam * alpha1) / s)
 
 
+def _residuals(dp, y1, y2):
+    """Standardized residuals (y1 - xi1) / omega1 and (y2 - xi2) / omega2,
+    elementwise, with omega_j = sqrt(omega_jj)."""
+    return ((np.asarray(y1, dtype=float) - dp.xi1) / math.sqrt(dp.omega11),
+            (np.asarray(y2, dtype=float) - dp.xi2) / math.sqrt(dp.omega22))
+
+
 def standardize(dp, y1, y2):
     """Standardized residuals and cdf argument for one observation."""
     validate(dp)
     lam = _lam(dp)
     astar2 = _alpha_star_sq(lam, dp.alpha1, dp.alpha2)
     alpha0 = dp.tau * math.sqrt(1.0 + astar2)
-    z1 = (float(y1) - dp.xi1) / math.sqrt(dp.omega11)
-    z2 = (float(y2) - dp.xi2) / math.sqrt(dp.omega22)
+    z1, z2 = (float(z) for z in _residuals(dp, y1, y2))
     t = alpha0 + dp.alpha1 * z1 + dp.alpha2 * z2
     return StandardizedState(z1=z1, z2=z2, lam=lam, alpha_star_sq=astar2,
                              alpha0=alpha0, t=t)
-
-
-def _log_density_arrays(dp, y1, y2):
-    """Vectorized log density; dp assumed validated."""
-    lam = _lam(dp)
-    astar2 = _alpha_star_sq(lam, dp.alpha1, dp.alpha2)
-    alpha0 = dp.tau * math.sqrt(1.0 + astar2)
-    u = 1.0 / (1.0 - lam * lam)
-    z1 = (y1 - dp.xi1) / math.sqrt(dp.omega11)
-    z2 = (y2 - dp.xi2) / math.sqrt(dp.omega22)
-    t = alpha0 + dp.alpha1 * z1 + dp.alpha2 * z2
-    quad = z1 * z1 + z2 * z2 - 2.0 * lam * z1 * z2
-    return (-LOG_2PI
-            - 0.5 * (math.log(dp.omega11) + math.log(dp.omega22)
-                     + math.log1p(-lam * lam))
-            - 0.5 * u * quad
-            + zeta(0, t) - zeta(0, dp.tau))
-
-
-def density_esn2(y1, y2, dp):
-    """Bivariate density at (y1, y2); accepts scalars or ndarrays."""
-    validate(dp)
-    a1 = np.asarray(y1, dtype=float)
-    a2 = np.asarray(y2, dtype=float)
-    out = np.exp(_log_density_arrays(dp, a1, a2))
-    return float(out) if out.ndim == 0 else out
 
 
 def density_esn1(y, xi, omega_sq, alpha, tau):

@@ -22,7 +22,7 @@ LOG_RT2PI = 0.5 * math.log(2.0 * math.pi)
 _TAIL_CUT = -10.0
 _TAIL_MAX_TERMS = 40
 
-# zeta1_pair sums the Taylor series of zeta1 about tau for
+# zeta_pair sums the Taylor series of zeta1 about tau for
 # |h| <= _SHIFT_REACH / max(1, |tau|).  Zeta1's poles, the zeros of Phi,
 # are at least 2.8 from the real axis, so 17 terms leave a truncation error
 # below 1e-17 of the leading term.  For tau > 1 zeta1 falls off like
@@ -89,55 +89,33 @@ def _mills_sums(x):
     return 1.0 + tail, tail
 
 
-def _zeta1_raw(x):
-    out = np.empty_like(x)
+def _ladder(x, order):
+    """[zeta(0, x), ..., zeta(order, x)] for a float array x, in one pass.
+
+    One erfc gives m = Phi(-|x|), so Phi is m or 1 - m, and log Phi is
+    log m or log1p(-m), which keeps its precision where Phi is near 1.
+    These run on x clamped at _TAIL_CUT, where they stay finite; one tail
+    mask then overwrites the left tail from one Mills-ratio sum.
+    """
+    xb = np.maximum(x, _TAIL_CUT)
+    m = 0.5 * erfc(np.abs(xb) / RT2)
+    neg = xb < 0.0
+    cdf = np.where(neg, m, 1.0 - m)
+    out = [np.where(neg, np.log(cdf), np.log1p(-m))]
+    if order >= 1:
+        out.append(np.exp(-0.5 * xb * xb) / RT2PI / cdf)
+    if order == 2:
+        out.append(-out[1] * (xb + out[1]))
     tail = x < _TAIL_CUT
-    if np.any(tail):
-        xt = x[tail]
-        s, _ = _mills_sums(xt)
-        out[tail] = -xt / s
-    rest = ~tail
-    if np.any(rest):
-        xr = x[rest]
-        pdf = np.exp(-0.5 * xr * xr) / RT2PI
-        out[rest] = pdf / (0.5 * erfc(-xr / RT2))
-    return out
-
-
-def _zeta0_raw(x):
-    out = np.empty_like(x)
-    tail = x < _TAIL_CUT
-    if np.any(tail):
-        xt = x[tail]
-        # log Phi = log phi - log zeta1; exact far beyond cdf underflow
-        s, _ = _mills_sums(xt)
-        out[tail] = -0.5 * xt * xt - LOG_RT2PI - np.log(-xt / s)
-    mid = (~tail) & (x < 0)
-    if np.any(mid):
-        xm = x[mid]
-        out[mid] = np.log(0.5 * erfc(-xm / RT2))
-    pos = x >= 0
-    if np.any(pos):
-        # log(1 - Q) through log1p keeps precision when Phi is near 1
-        xp = x[pos]
-        out[pos] = np.log1p(-0.5 * erfc(xp / RT2))
-    return out
-
-
-def _zeta2_raw(x):
-    out = np.empty_like(x)
-    tail = x < _TAIL_CUT
-    if np.any(tail):
-        xt = x[tail]
-        # zeta2 = -zeta1 (x + zeta1) with x + zeta1 = x (S-1)/S, formed from
-        # the tail sum directly so the near-total cancellation never happens
-        s, sm1 = _mills_sums(xt)
-        out[tail] = xt * xt * sm1 / (s * s)
-    rest = ~tail
-    if np.any(rest):
-        xr = x[rest]
-        z1 = _zeta1_raw(xr)
-        out[rest] = -z1 * (xr + z1)
+    xt = x[tail]
+    # Phi(xt) = phi(xt) / zeta1(xt) with zeta1(xt) = -xt / s; zeta2 =
+    # -zeta1 (x + zeta1), where x + zeta1 = x (s - 1) / s is formed from the
+    # tail sum, so the near-total cancellation never happens
+    s, sm1 = _mills_sums(xt)
+    at_tail = (-0.5 * xt * xt - LOG_RT2PI - np.log(-xt / s), -xt / s,
+               xt * xt * sm1 / (s * s))
+    for z, zt in zip(out, at_tail):
+        z[tail] = zt
     return out
 
 
@@ -167,40 +145,48 @@ def zeta(m, x):
     arr = _as_finite_array(x, "x")
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr).astype(float, copy=False)
-    if m == 0:
-        out = _zeta0_raw(arr)
-    elif m == 1:
-        out = _zeta1_raw(arr)
-    else:
-        out = _zeta2_raw(arr)
+    out = _ladder(arr, m)[m]
     return float(out[0]) if scalar else out
 
 
-def zeta1_pair(tau, h):
-    """zeta(1, tau + h) and zeta(1, tau + h) - zeta(1, tau).
+def zeta_pair(tau, h, order):
+    """The ladder at t = tau + h, paired with its differences from tau.
 
-    tau is a scalar and h an ndarray.  The plain difference loses all but
-    |h zeta2 / zeta1| of its relative accuracy as h -> 0, so near tau it is
-    summed instead from the Taylor series of zeta1 about tau.  Its
-    coefficients follow one order at a time from the Riccati equation
+    tau is a scalar and h an ndarray.  Returns (at, diff), two lists of
+    order + 1 arrays: at[k] = zeta(k, t) and diff[k] = zeta(k, t) -
+    zeta(k, tau).  For k >= 1 the plain difference loses all but
+    |h zeta(k + 1) / zeta(k)| of its relative accuracy as h -> 0, so near
+    tau it is summed instead from the Taylor series of zeta1 about tau,
+    or from its derivative for k = 2.  The coefficients after zeta1(tau)
+    and zeta2(tau) follow one order at a time from the Riccati equation
     zeta1' = -zeta1 (x + zeta1).  The recurrence amplifies the rounding of
     zeta1(tau) by |tau h|^k / k! at order k, so the window shrinks as
     1 / |tau| on both sides of 0 (see _SHIFT_REACH).
     """
     h = np.asarray(h, dtype=float)
-    c = [zeta(1, tau)]
-    for k in range(_SHIFT_TERMS):
-        # order k of x zeta1 + zeta1^2, with x = tau + h
-        rhs = tau * c[k] + sum(c[i] * c[k - i] for i in range(k + 1))
-        if k:
-            rhs += c[k - 1]
-        c.append(-rhs / (k + 1))
-    at = zeta(1, tau + h)
-    diff = at - c[0]
+    at = _ladder(tau + h, order)
+    at_tau = [float(v[0]) for v in _ladder(np.array([float(tau)]), 2)]
+    diff = [a - b for a, b in zip(at, at_tau)]
     near = np.abs(h) <= _SHIFT_REACH / max(1.0, abs(tau))
+    if order == 0 or not near.any():
+        return at, diff
+    c = at_tau[1:]
+    for k in range(1, _SHIFT_TERMS):
+        # order k of x zeta1 + zeta1^2, with x = tau + h
+        rhs = (tau * c[k] + sum(c[i] * c[k - i] for i in range(k + 1))
+               + c[k - 1])
+        c.append(-rhs / (k + 1))
     hn = h[near]
-    series = np.zeros_like(hn)
-    for ck in reversed(c[1:]):
-        series = (series + ck) * hn
-    diff[near] = series
+    for j in range(1, order + 1):
+        # zeta(j, t) - zeta(j, tau) is derivative j - 1 of sum c_k h^k
+        series = np.zeros_like(hn)
+        for k in range(_SHIFT_TERMS, j - 1, -1):
+            series = series * hn + math.perm(k, j - 1) * c[k]
+        diff[j][near] = series * hn
     return at, diff
+
+
+def zeta1_pair(tau, h):
+    """zeta(1, tau + h) and zeta(1, tau + h) - zeta(1, tau); see zeta_pair."""
+    at, diff = zeta_pair(tau, h, 1)
+    return at[1], diff[1]

@@ -12,14 +12,15 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats
+from scipy.special import chdtrc
 
 from .cubature import integrate_2d
 from .expectations import lemma4_expectation
 from .expected_info import _FLIP_SIGNS, expected_info
-from .likelihood import _hessian_terms, loglik, observed_info, score
+from .likelihood import (_COL, _kernel, density_esn2, loglik, observed_info,
+                         score)
 from .model import (PARAM_NAMES, Dataset, DpParams, _alpha_star_sq, _lam,
-                    delta_vector, density_esn2, validate)
+                    _residuals, delta_vector, validate)
 from .special_fns import std_normal_cdf, zeta
 
 _CHUNK = 65536
@@ -342,11 +343,11 @@ def _check_lemma4(config):
 
 def _mc_info_sigmas(dp, einfo_block, data, entries):
     """Per-entry |einfo − MC mean| / MC standard error."""
-    terms = _hessian_terms(dp, data.y1, data.y2)
+    rows = _kernel(dp, *_residuals(dp, data.y1, data.y2), 2)[2]
     n = data.n
     sigmas = np.empty(len(entries))
     for k, (r, c) in enumerate(entries):
-        draws = -terms[(min(r, c), max(r, c))]
+        draws = -rows[:, _COL[r, c]]
         mean = float(np.mean(draws))
         se = float(np.std(draws, ddof=1)) / math.sqrt(n)
         diff = einfo_block[(r, c)] - mean
@@ -422,7 +423,7 @@ def sampler_chi2_pvalue(dp, n, seed, cells=50, span=4.0):
     dof = int(np.sum(keep))
     if rest_exp > 0.0:
         stat += (rest_obs - rest_exp) ** 2 / rest_exp
-    return float(stats.chi2.sf(stat, dof)), stat, dof
+    return float(chdtrc(dof, stat)), stat, dof
 
 
 def _check_sampler_chi2(config):

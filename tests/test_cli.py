@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -305,3 +308,12 @@ def test_check_fast(runner):
         "score_vs_fd", "oinfo_vs_fd", "lemma4_vs_cubature",
         "singularity_structure"]
     assert result.stderr.strip().endswith("OK")
+
+
+def test_import_leaves_out_scipy_stats():
+    # scipy.stats costs about 0.4 s of every command's start-up
+    code = "import sys, esn2.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "False"

@@ -2,7 +2,8 @@
 
 Reference numbers come from 50-digit central differences of the exact
 log-density, so they are independent of every closed-form derivative
-implemented here.
+implemented here.  The deep-tail and near-singular checks compute theirs
+the same way with mpmath at run time, and are skipped without it.
 """
 
 import math
@@ -22,6 +23,7 @@ from esn2 import (
     observed_info,
     sample_esn2,
     score,
+    standardize,
 )
 
 POINT_A = DpParams(0, 0, 1, 0.6, 1, 2, 3, 1)
@@ -79,6 +81,8 @@ HESS_B = {
     (5, 7): -1.8174222164650161835, (6, 6): -0.30119193018495100509,
     (6, 7): 1.6973897862303581385, (7, 7): -6.9048898466815773854,
 }
+
+DATA_C = Dataset(np.array([0.3, -0.8, 1.2]), np.array([-0.5, 0.4, 1.1]))
 
 IDENTITY = DpParams(0, 0, 1, 0, 1, 0, 0, 0)
 ORIGIN = Dataset(np.array([0.0]), np.array([0.0]))
@@ -182,3 +186,79 @@ def test_fit_recovers_truth_roughly():
     assert_allclose(result.loglik, loglik(result.dp_hat, data), rtol=1e-12)
     err = np.abs(result.dp_hat.as_array() - truth.as_array())
     assert np.all(err < 0.5)
+
+
+def _mp_loglik(mp, theta, data):
+    """Exact log-likelihood of data at theta, in mpmath arithmetic."""
+    xi1, xi2, o11, o12, o22, a1, a2, tau = theta
+    lam = o12 / mp.sqrt(o11 * o22)
+    den = mp.sqrt(1 + a1 * a1 + a2 * a2 + 2 * a1 * a2 * lam)
+    total = -data.n * (mp.log(2 * mp.pi * mp.ncdf(tau))
+                       + mp.log(o11 * o22 * (1 - lam * lam)) / 2)
+    for y1, y2 in zip(data.y1, data.y2):
+        z1 = (mp.mpf(y1) - xi1) / mp.sqrt(o11)
+        z2 = (mp.mpf(y2) - xi2) / mp.sqrt(o22)
+        quad = (z1 * z1 + z2 * z2 - 2 * lam * z1 * z2) / (1 - lam * lam)
+        total += mp.log(mp.ncdf(tau * den + a1 * z1 + a2 * z2)) - quad / 2
+    return total
+
+
+@pytest.mark.parametrize("dp", [
+    DpParams(0.2, -0.1, 1.5, 0.4, 0.9, 2, 1, -30),
+    DpParams(0.2, -0.1, 1.5, 0.4, 0.9, 5, -1, -12),
+])
+def test_deep_tail_matches_high_precision(dp):
+    # every t here lies in the Mills-series branch of the zeta ladder
+    assert all(standardize(dp, y1, y2).t < -10.0
+               for y1, y2 in zip(DATA_C.y1, DATA_C.y2))
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(50):
+        theta = [mp.mpf(v) for v in dp.as_array()]
+
+        def partial(*wrt):
+            orders = [0] * 8
+            for i in wrt:
+                orders[i] += 1
+            return float(mp.diff(lambda *th: _mp_loglik(mp, th, DATA_C),
+                                 theta, tuple(orders)))
+
+        want_loglik = float(_mp_loglik(mp, theta, DATA_C))
+        want_score = np.array([partial(i) for i in range(8)])
+        want_info = np.empty((8, 8))
+        for r in range(8):
+            for c in range(r, 8):
+                want_info[r, c] = want_info[c, r] = -partial(r, c)
+
+    def rel(got, want):
+        return np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want)))
+
+    assert rel(loglik(dp, DATA_C), want_loglik) < 1e-12
+    assert rel(score(dp, DATA_C), want_score) < 1e-12
+    assert rel(observed_info(dp, DATA_C).matrix, want_info) < 1e-12
+
+
+@pytest.mark.parametrize("tau", [-8.0, -2.0, 0.5, 3.0])
+@pytest.mark.parametrize("alpha1", [1e-6, 1e-4, 1e-2])
+def test_tau_tau_info_near_alpha_zero(alpha1, tau):
+    # den^2 zeta2(t) - zeta2(tau) vanishes as alpha -> 0; as a plain
+    # difference it loses up to 1e-3 of its relative accuracy here
+    dp = DpParams(0.2, -0.1, 1.5, 0.4, 0.9, alpha1, -0.5 * alpha1, tau)
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(50):
+        xi1, xi2, o11, o12, o22, a1, a2, t0 = (mp.mpf(v)
+                                               for v in dp.as_array())
+        lam = o12 / mp.sqrt(o11 * o22)
+        den2 = 1 + a1 * a1 + a2 * a2 + 2 * a1 * a2 * lam
+
+        def zeta2(x):
+            z1 = mp.npdf(x) / mp.ncdf(x)
+            return -z1 * (x + z1)
+
+        want = 0
+        for y1, y2 in zip(DATA_C.y1, DATA_C.y2):
+            t = (t0 * mp.sqrt(den2) + a1 * (mp.mpf(y1) - xi1) / mp.sqrt(o11)
+                 + a2 * (mp.mpf(y2) - xi2) / mp.sqrt(o22))
+            want -= den2 * zeta2(t) - zeta2(t0)
+        want = float(want)
+    got = observed_info(dp, DATA_C).matrix[7, 7]
+    assert abs(got - want) <= 1e-8 * abs(want)
