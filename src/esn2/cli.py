@@ -14,6 +14,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import replace
 
 import click
 import numpy as np
@@ -272,12 +273,24 @@ def _moment_start(data):
                     alphas[0], alphas[1], 0.0)
 
 
+def _default_starts(data):
+    """The moment start, its alpha-mirror, and each of the two at tau = 1.
+
+    From the moment start alone the fit can stop at a lower local
+    maximum, for instance far out along tau < 0; the mirror and the
+    tau = 1 starts reach the other basins.
+    """
+    base = _moment_start(data)
+    mirror = replace(base, alpha1=-base.alpha1, alpha2=-base.alpha2)
+    return (base, mirror, replace(base, tau=1.0), replace(mirror, tau=1.0))
+
+
 @main.command("fit")
 @click.option("--data", "data_path", type=click.Path(exists=True),
               required=True, help="two-column CSV of observations")
 @click.option("--init", "init_tuple", default=None, metavar="T",
               help="starting point, 8 comma-separated values "
-                   "(default: moment-based)")
+                   "(default: the best of four moment-based starts)")
 @click.option("--grad-tol", type=float, default=1e-6, show_default=True)
 @click.option("--max-iter", type=int, default=500, show_default=True)
 @click.pass_context
@@ -287,12 +300,15 @@ def fit_cmd(ctx, data_path, init_tuple, grad_tol, max_iter):
     if data.n < 5:
         raise click.UsageError(
             f"need at least 5 rows to fit, got {data.n}")
+    controls = FitControls(grad_tol=grad_tol, max_iter=max_iter)
     if init_tuple is None:
-        init = _moment_start(data)
+        # the converged fit with the highest log-likelihood; if none
+        # converged, the highest one, reported as unconverged
+        result = max((fit_mle(data, start, controls)
+                      for start in _default_starts(data)),
+                     key=lambda r: (r.converged, r.loglik))
     else:
-        init = _resolve_dp(init_tuple, {})
-    result = fit_mle(data, init,
-                     FitControls(grad_tol=grad_tol, max_iter=max_iter))
+        result = fit_mle(data, _resolve_dp(init_tuple, {}), controls)
 
     std_errors = None
     warning = None

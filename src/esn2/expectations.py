@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cubature import CubatureControls, integrate_2d
-from .model import _alpha_star_sq, _lam, delta_vector, validate
+from .model import _alpha_star_sq, _lam, _v_entries, delta_vector, validate
 from .special_fns import zeta
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -76,17 +76,6 @@ def u_distribution(lam, alpha1, alpha2, tau):
     dvec = np.array([d.delta1, d.delta2])
     omegabar = np.array([[1.0, lam], [lam, 1.0]])
     return UDistribution(mean=-tau * dvec, cov=omegabar - np.outer(dvec, dvec))
-
-
-def _v_entries(lam, alpha1, alpha2):
-    # closed forms for the covariance of U; algebraically equal to
-    # Omegabar - delta delta'
-    one_m = 1.0 - lam * lam
-    denom_sq = 1.0 + _alpha_star_sq(lam, alpha1, alpha2)
-    v11 = (1.0 + alpha2 ** 2 * one_m) / denom_sq
-    v22 = (1.0 + alpha1 ** 2 * one_m) / denom_sq
-    v12 = (lam - alpha1 * alpha2 * one_m) / denom_sq
-    return v11, v12, v22
 
 
 @dataclass(frozen=True)

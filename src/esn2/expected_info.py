@@ -26,9 +26,10 @@ import numpy as np
 import scipy.linalg
 
 from .cubature import CubatureControls
-from .expectations import CubatureNotConverged, _v_entries
+from .expectations import CubatureNotConverged
 from .likelihood import InfoMatrix, _kernel
-from .model import DpParams, _alpha_star_sq, _lam, delta_vector, validate
+from .model import (DpParams, _alpha_star_sq, _conditional_factor, _lam,
+                    validate)
 from .special_fns import LOG_RT2PI, zeta
 
 _SWEEPABLE = ("alpha1", "alpha2", "tau")
@@ -297,17 +298,7 @@ def _gram_factor(dp, v, log_wv, n):
     into R _BLOCK at a time by QR of [R; block], so memory does not grow
     with the node count.
     """
-    lam = _lam(dp)
-    a1, a2 = dp.alpha1, dp.alpha2
-    astar2 = _alpha_star_sq(lam, a1, a2)
-    d = delta_vector(lam, a1, a2)
-    # Cholesky factor of C = Omegabar - delta delta', whose determinant
-    # is (1 - lam^2) / (1 + alpha_star^2)
-    v11, v12, _ = _v_entries(lam, a1, a2)
-    l11 = math.sqrt(v11)
-    l21 = v12 / l11
-    l22 = math.sqrt((1.0 - lam * lam) / ((1.0 + astar2) * v11))
-
+    d, l11, l21, l22 = _conditional_factor(_lam(dp), dp.alpha1, dp.alpha2)
     x, wx = np.polynomial.hermite_e.hermegauss(n)
     log_wx = np.log(wx) - LOG_RT2PI
 

@@ -152,6 +152,30 @@ def delta_vector(lam, alpha1, alpha2):
     return DeltaVector((alpha1 + lam * alpha2) / s, (alpha2 + lam * alpha1) / s)
 
 
+def _v_entries(lam, alpha1, alpha2):
+    # closed forms for the entries of C = Omegabar - delta delta', the
+    # covariance of U in expectations.u_distribution
+    one_m = 1.0 - lam * lam
+    denom_sq = 1.0 + _alpha_star_sq(lam, alpha1, alpha2)
+    v11 = (1.0 + alpha2 ** 2 * one_m) / denom_sq
+    v22 = (1.0 + alpha1 ** 2 * one_m) / denom_sq
+    v12 = (lam - alpha1 * alpha2 * one_m) / denom_sq
+    return v11, v12, v22
+
+
+def _conditional_factor(lam, alpha1, alpha2):
+    """delta and the Cholesky entries (l11, l21, l22) of C = Omegabar -
+    delta delta', so that Z = delta V + (l11 W1, l21 W1 + l22 W2) with V
+    the hidden variable and W standard normal.  det C is
+    (1 - lam^2) / (1 + alpha_star^2).
+    """
+    v11, v12, _ = _v_entries(lam, alpha1, alpha2)
+    l11 = math.sqrt(v11)
+    l22 = math.sqrt((1.0 - lam * lam)
+                    / ((1.0 + _alpha_star_sq(lam, alpha1, alpha2)) * v11))
+    return delta_vector(lam, alpha1, alpha2), l11, v12 / l11, l22
+
+
 def _residuals(dp, y1, y2):
     """Standardized residuals (y1 - xi1) / omega1 and (y2 - xi2) / omega2,
     elementwise, with omega_j = sqrt(omega_jj)."""

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from esn2 import Dataset, DpParams, observed_info, sample_esn2, score
+from esn2 import (Dataset, DpParams, fit_mle, observed_info, sample_esn2,
+                  score)
 from esn2.cli import CubatureFailure, main
 
 IDENTITY = "0,0,1,0,1,0,0,0"
@@ -264,6 +265,9 @@ def test_fit_recovers_parameters(runner, tmp_path):
     hat = payload["dp_hat"]
     assert abs(hat["xi1"]) < 0.6
     assert abs(hat["alpha1"] - 1.5) < 2.0
+    # no lower maximum than a fit from criterion 10's start
+    crit10 = fit_mle(y, DpParams(0.2, -0.2, 1.3, 0.3, 0.8, 1.0, -0.5, 0.1))
+    assert payload["loglik"] >= crit10.loglik - 1e-6
 
 
 def test_fit_singular_estimate_warns(runner, tmp_path):

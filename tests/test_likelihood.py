@@ -184,8 +184,11 @@ def test_fit_recovers_truth_roughly():
     assert result.converged
     assert result.final_score_norm < 1e-6
     assert_allclose(result.loglik, loglik(result.dp_hat, data), rtol=1e-12)
-    err = np.abs(result.dp_hat.as_array() - truth.as_array())
-    assert np.all(err < 0.5)
+    # the likelihood-ratio statistic against the truth, not a box around
+    # it: at n = 2000 the maximum can lie more than 1 from the truth in
+    # alpha1 and tau.  58.3 is the chi-square(8) quantile at 1 - 1e-9.
+    lr = 2.0 * (result.loglik - loglik(truth, data))
+    assert -1e-6 <= lr <= 58.3
 
 
 def _mp_loglik(mp, theta, data):

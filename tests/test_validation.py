@@ -1,7 +1,8 @@
-"""Finite differences, the rejection sampler, and the check suite."""
+"""Finite differences, the exact sampler, and the check suite."""
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from esn2 import (
     sampler_chi2_pvalue,
     score,
 )
+from esn2.validation import _truncated_normal
 
 
 def test_fd_gradient_linear_exact():
@@ -118,6 +120,23 @@ def test_sampler_prefix_stable():
     assert np.array_equal(long.y2[:1000], short.y2)
 
 
+def test_sampler_prefix_stable_across_blocks():
+    # rows come in blocks of 65536; the second block must not depend on n
+    dp = DpParams(0, 0, 1, 0.5, 1, 1.5, -1, -2)
+    short = sample_esn2(dp, 70_000, 9)
+    long = sample_esn2(dp, 140_000, 9)
+    assert np.array_equal(long.y1[:70_000], short.y1)
+    assert np.array_equal(long.y2[:70_000], short.y2)
+
+
+@pytest.mark.parametrize("tau", [-300.0, 0.0, 40.0])
+def test_truncated_normal_edges(tau):
+    # log Phi(40) rounds to -0.0, where u = 0 alone would give -inf
+    v = _truncated_normal(np.array([0.0, 1.0 - 2.0 ** -53]), tau)
+    assert np.all(np.isfinite(v))
+    assert np.all(v >= -tau)
+
+
 def test_sampler_gaussian_case_moments():
     dp = DpParams(0.5, -1.0, 2.0, 0.6, 1.5, 0.0, 0.0, 0.0)
     n = 100_000
@@ -156,10 +175,23 @@ def test_sampler_marginal_normal_when_unlinked():
     assert stat < 1.94947 / math.sqrt(n)
 
 
-def test_sampler_deep_tail_rejected():
-    dp = DpParams(0, 0, 1, 0, 1, 1, 0, -6.0)
-    with pytest.raises(ValueError, match="tail"):
-        sample_esn2(dp, 100, 1)
+@pytest.mark.parametrize("tau", [-30.0, -8.0, -2.0, 1.0])
+def test_sampler_any_tau(tau):
+    # xi is minus the mean, so the mass lies inside the chi-square grid
+    base = DpParams(0, 0, 1, 0.5, 1, 1.5, -1, tau)
+    mean, _ = moments_esn2(base)
+    dp = replace(base, xi1=-mean[0], xi2=-mean[1])
+    n = 200_000
+    mean, cov = moments_esn2(dp)
+    y = sample_esn2(dp, n, 81)
+    for j, col in enumerate((y.y1, y.y2)):
+        se = math.sqrt(cov[j, j] / n)
+        assert abs(float(np.mean(col)) - mean[j]) < 3.5 * se
+        w = (col - mean[j]) ** 2
+        se_v = float(np.std(w, ddof=1)) / math.sqrt(n)
+        assert abs(float(np.var(col, ddof=1)) - cov[j, j]) < 3.5 * se_v
+    p, _, _ = sampler_chi2_pvalue(dp, n, 81)
+    assert p > 1e-3
 
 
 def test_sampler_chi2_pvalue():
