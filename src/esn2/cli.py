@@ -300,7 +300,10 @@ def fit_cmd(ctx, data_path, init_tuple, grad_tol, max_iter):
     if data.n < 5:
         raise click.UsageError(
             f"need at least 5 rows to fit, got {data.n}")
-    controls = FitControls(grad_tol=grad_tol, max_iter=max_iter)
+    try:
+        controls = FitControls(grad_tol=grad_tol, max_iter=max_iter)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from None
     if init_tuple is None:
         # the converged fit with the highest log-likelihood; if none
         # converged, the highest one, reported as unconverged

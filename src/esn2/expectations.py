@@ -8,10 +8,10 @@ so E[h(Z) zeta1(T)] = E[zeta1(T)] E[h(U)].  The zeta2 analogues each
 need one extra ingredient with no closed form, the a-terms
 E[Z1^p Z2^q zeta1(T)^2], evaluated here by adaptive cubature.
 
-These are the paper's route to the expected information.  Production
-computes it by a Gram rule (`expected_info`); this module and the
-entrywise assembly over it are kept as the oracle that rule is checked
-against.
+These are the paper's route to the expected information, which they reach
+through the kernel's hessian coefficients as E[-H] (expected_info._assemble).
+Production takes it by a Gram rule over the score rows (`expected_info`);
+this module and the assembly are kept as the oracle that rule is checked by.
 """
 
 import math

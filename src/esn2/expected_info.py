@@ -11,9 +11,10 @@ triangular factor R, so I = R'R, and determinants and eigenvalues come
 from the singular values of R: the condition number of I is never
 squared, and a determinant is never negative.
 
-The paper's entry-by-entry assembly from closed-form and cubature
-expectations (`_assemble` over `expectation_set`) is kept as the oracle
-the rule is tested against; it does not run in production.  Also here:
+The paper's route, closed-form and cubature expectations
+(`expectation_set`) applied to the kernel's hessian coefficients as
+E[-H] (`_assemble`), is kept as the oracle the rule's E[s s'] is tested
+against; it does not run in production.  Also here:
 the scalar reparameterization rule, the conditional-independence and
 block-structure predicates, and grid sweeps of the determinant used to
 map where the matrix degenerates.
@@ -27,7 +28,7 @@ import scipy.linalg
 
 from .cubature import CubatureControls
 from .expectations import CubatureNotConverged
-from .likelihood import InfoMatrix, _kernel
+from .likelihood import _COL, InfoMatrix, _hessian_coefficients, _kernel
 from .model import (DpParams, _alpha_star_sq, _conditional_factor, _lam,
                     validate)
 from .special_fns import LOG_RT2PI, zeta
@@ -40,213 +41,18 @@ _FLIP_SIGNS = np.array([-1.0, -1.0, 1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
 
 
 def _assemble(dp, es):
-    """Fill the information matrix from an expectation set."""
-    o11, o22 = dp.omega11, dp.omega22
-    o1, o2 = math.sqrt(o11), math.sqrt(o22)
-    rt11, rt22 = o11 * o1, o22 * o2
-    lam = _lam(dp)
-    u = 1.0 / (1.0 - lam * lam)
-    a1, a2, tau = dp.alpha1, dp.alpha2, dp.tau
-    astar2 = _alpha_star_sq(lam, a1, a2)
-    den = math.sqrt(1.0 + astar2)
-
-    ez1, ez2 = es.e_zeta1, es.e_zeta2
-    mz1, mz2 = es.e_z1, es.e_z2
-    mz1q, mz2q, mz12 = es.e_z1sq, es.e_z2sq, es.e_z1z2
-    z1_zeta1, z2_zeta1 = es.e_z1_zeta1, es.e_z2_zeta1
-    z1_zeta2, z2_zeta2 = es.e_z1_zeta2, es.e_z2_zeta2
-    z1q_zeta2, z2q_zeta2 = es.e_z1sq_zeta2, es.e_z2sq_zeta2
-    z12_zeta2 = es.e_z1z2_zeta2
-
-    m = np.empty((8, 8))
-
-    m[0, 0] = (u - a1 ** 2 * ez2) / o11
-    m[0, 1] = -(lam * u + a1 * a2 * ez2) / (o1 * o2)
-    m[0, 2] = (-(lam * mz2 - mz1) * u ** 2 / rt11
-               - (a1 / (2.0 * rt11))
-               * ((a1 * a2 * lam * tau / den) * ez2 + a1 * z1_zeta2)
-               - (a1 / (2.0 * rt11)) * ez1)
-    m[0, 3] = (2.0 * lam * (lam * mz2 - mz1) * u ** 2 / (o11 * o2)
-               + mz2 * u / (o11 * o2)
-               + (a1 ** 2 * a2 * tau / (o11 * o2 * den)) * ez2)
-    m[0, 4] = (-lam * (mz2 - mz1 * lam) * u ** 2 / (o22 * o1)
-               - (a1 / (2.0 * o22 * o1))
-               * ((a1 * a2 * lam * tau / den) * ez2 + a2 * z2_zeta2))
-    m[0, 5] = ((a1 / o1)
-               * (((a1 + lam * a2) * tau / den) * ez2 + z1_zeta2)
-               + ez1 / o1)
-    m[0, 6] = (a1 / o1) * (((a2 + lam * a1) * tau / den) * ez2 + z2_zeta2)
-    m[0, 7] = (a1 * den / o1) * ez2
-
-    m[1, 1] = (u - a2 ** 2 * ez2) / o22
-    m[1, 2] = (-lam * (mz1 - mz2 * lam) * u ** 2 / (o11 * o2)
-               - (a2 / (2.0 * o11 * o2))
-               * ((a1 * a2 * lam * tau / den) * ez2 + a1 * z1_zeta2))
-    m[1, 3] = (2.0 * lam * (lam * mz1 - mz2) * u ** 2 / (o22 * o1)
-               + mz1 * u / (o22 * o1)
-               + (a2 ** 2 * a1 * tau / (o22 * o1 * den)) * ez2)
-    m[1, 4] = (-(lam * mz1 - mz2) * u ** 2 / rt22
-               - (a2 / (2.0 * rt22))
-               * ((a1 * a2 * lam * tau / den) * ez2 + a2 * z2_zeta2)
-               - (a2 / (2.0 * rt22)) * ez1)
-    m[1, 5] = (a2 / o2) * (((a1 + lam * a2) * tau / den) * ez2 + z1_zeta2)
-    m[1, 6] = ((a2 / o2)
-               * (((a2 + lam * a1) * tau / den) * ez2 + z2_zeta2)
-               + ez1 / o2)
-    m[1, 7] = (a2 * den / o2) * ez2
-
-    m[2, 2] = (-(lam ** 2 - mz1q + 2.0 * mz12 * lam) * u / o11 ** 2
-               - (4.0 * lam ** 3 * mz12 - 2.0 * lam ** 2 * mz1q
-                  - lam ** 2 * mz2q) * u ** 2 / o11 ** 2
-               + lam ** 4 * (mz1q + mz2q - 2.0 * mz12 * lam)
-               * u ** 3 / o11 ** 2
-               - 0.5 / o11 ** 2
-               - lam ** 4 * u ** 2 / (2.0 * o11 ** 2)
-               - (1.0 / (4.0 * o11 ** 2))
-               * ((3.0 * a1 * a2 * tau * lam / den) * ez1
-                  - (a1 ** 2 * a2 ** 2 * tau * lam ** 2 / den ** 3) * ez1
-                  + 3.0 * a1 * z1_zeta1)
-               - (1.0 / (4.0 * o11 ** 2))
-               * ((a1 ** 2 * a2 ** 2 * tau ** 2 * lam ** 2 / den ** 2) * ez2
-                  + a1 ** 2 * z1q_zeta2
-                  + (2.0 * a1 ** 2 * a2 * tau * lam / den) * z1_zeta2))
-    m[2, 3] = ((lam + mz12) * u / (rt11 * o2)
-               - (2.0 * lam * mz1q + lam * mz2q - 5.0 * lam ** 2 * mz12
-                  - lam ** 3) * u ** 2 / (rt11 * o2)
-               - 2.0 * lam ** 3 * (mz1q + mz2q - 2.0 * mz12 * lam)
-               * u ** 3 / (rt11 * o2)
-               - (a1 ** 2 * a2 ** 2 * tau * lam
-                  / (2.0 * rt11 * o2 * den ** 3)
-                  - a1 * a2 * tau / (2.0 * rt11 * o2 * den)) * ez1
-               + (a1 * a2 * tau / (2.0 * rt11 * o2 * den))
-               * ((a1 * a2 * lam * tau / den) * ez2 + a1 * z1_zeta2))
-    m[2, 4] = (-(lam ** 4 + 6.0 * lam ** 3 * mz12 - 2.0 * lam ** 2 * mz1q
-                 - 2.0 * lam ** 2 * mz2q) * u ** 2 / (2.0 * o11 * o22)
-               - lam ** 2 * u / (2.0 * o11 * o22)
-               - lam * mz12 * u / (o11 * o22)
-               + lam ** 4 * (mz1q + mz2q - 2.0 * mz12 * lam)
-               * u ** 3 / (o11 * o22)
-               - (a1 * a2 * lam * tau / (4.0 * o11 * o22 * den))
-               * (1.0 - a1 * a2 * lam / (1.0 + astar2)) * ez1
-               - (a1 * a2 / (4.0 * o11 * o22))
-               * ((a1 * a2 * lam ** 2 * tau ** 2 / den ** 2) * ez2
-                  + (a2 * lam * tau / den) * z2_zeta2
-                  + (a1 * lam * tau / den) * z1_zeta2
-                  + z12_zeta2))
-    m[2, 5] = (-(1.0 / (2.0 * o11))
-               * ((a1 * a2 * lam * (a2 * lam + a1) * tau / den ** 3) * ez1
-                  - (a2 * lam * tau / den) * ez1
-                  - z1_zeta1)
-               + (1.0 / (2.0 * o11))
-               * ((a1 * a2 * lam * tau ** 2 * (a2 * lam + a1) / den ** 2)
-                  * ez2
-                  + (a1 * a2 * lam * tau / den) * z1_zeta2
-                  + (a1 * (a2 * lam + a1) * tau / den) * z1_zeta2
-                  + a1 * z1q_zeta2))
-    m[2, 6] = (-(1.0 / (2.0 * o11))
-               * (a1 * a2 * lam * (a1 * lam + a2) * tau / den ** 3
-                  - a1 * lam * tau / den) * ez1
-               + (1.0 / (2.0 * o11))
-               * ((a1 * a2 * lam * tau ** 2 * (a2 + a1 * lam) / den ** 2)
-                  * ez2
-                  + (a1 * a2 * lam * tau / den) * z2_zeta2
-                  + (a1 * (a2 + a1 * lam) * tau / den) * z1_zeta2
-                  + a1 * z12_zeta2))
-    m[2, 7] = ((a1 * a2 * lam / (2.0 * o11 * den)) * ez1
-               + (den / (2.0 * o11))
-               * ((a1 * a2 * lam * tau / den) * ez2 + a1 * z1_zeta2))
-
-    m[3, 3] = (-u / (o11 * o22)
-               - (6.0 * lam * mz12 - mz1q - mz2q + 2.0 * lam ** 2)
-               * u ** 2 / (o11 * o22)
-               + 4.0 * lam ** 2 * (mz1q + mz2q - 2.0 * mz12 * lam)
-               * u ** 3 / (o11 * o22)
-               - (a1 ** 2 * a2 ** 2 * tau / (o11 * o22 * den ** 2))
-               * (tau * ez2 - ez1 / den))
-    m[3, 4] = ((lam + mz12) * u / (rt22 * o1)
-               - (2.0 * lam * mz2q + lam * mz1q - 5.0 * lam ** 2 * mz12
-                  - lam ** 3) * u ** 2 / (rt22 * o1)
-               - 2.0 * lam ** 3 * (mz1q + mz2q - 2.0 * mz12 * lam)
-               * u ** 3 / (rt22 * o1)
-               - (a1 ** 2 * a2 ** 2 * tau * lam
-                  / (2.0 * rt22 * o1 * den ** 3)
-                  - a1 * a2 * tau / (2.0 * rt22 * o1 * den)) * ez1
-               + (a1 * a2 * tau / (2.0 * rt22 * o1 * den))
-               * ((a1 * a2 * lam * tau / den) * ez2 + a2 * z2_zeta2))
-    m[3, 5] = (-(a2 * tau / (o1 * o2 * den))
-               * (1.0 - a1 * (a2 * lam + a1) / den ** 2) * ez1
-               - (a1 * a2 * tau / (o1 * o2 * den))
-               * (((a1 + lam * a2) * tau / den) * ez2 + z1_zeta2))
-    m[3, 6] = (-(a1 * tau / (o1 * o2 * den))
-               * (1.0 - a2 * (a1 * lam + a2) / den ** 2) * ez1
-               - (a1 * a2 * tau / (o1 * o2 * den))
-               * (((a2 + lam * a1) * tau / den) * ez2 + z2_zeta2))
-    m[3, 7] = -(a1 * a2 / (o1 * o2)) * (ez1 / den + tau * ez2)
-
-    m[4, 4] = (-(lam ** 2 - mz2q + 2.0 * mz12 * lam) * u / o22 ** 2
-               - (4.0 * lam ** 3 * mz12 - 2.0 * lam ** 2 * mz2q
-                  - lam ** 2 * mz1q) * u ** 2 / o22 ** 2
-               + lam ** 4 * (mz1q + mz2q - 2.0 * mz12 * lam)
-               * u ** 3 / o22 ** 2
-               - 0.5 / o22 ** 2
-               - lam ** 4 * u ** 2 / (2.0 * o22 ** 2)
-               - (1.0 / (4.0 * o22 ** 2))
-               * ((3.0 * a1 * a2 * tau * lam / den) * ez1
-                  - (a1 ** 2 * a2 ** 2 * tau * lam ** 2 / den ** 3) * ez1
-                  + 3.0 * a2 * z2_zeta1)
-               - (1.0 / (4.0 * o22 ** 2))
-               * ((a1 ** 2 * a2 ** 2 * tau ** 2 * lam ** 2 / den ** 2) * ez2
-                  + a2 ** 2 * z2q_zeta2
-                  + (2.0 * a1 * a2 ** 2 * tau * lam / den) * z2_zeta2))
-    m[4, 5] = (-(1.0 / (2.0 * o22))
-               * (a1 * a2 * lam * (a2 * lam + a1) * tau / den ** 3
-                  - a2 * lam * tau / den) * ez1
-               + (1.0 / (2.0 * o22))
-               * ((a1 * a2 * lam * tau ** 2 * (a1 + a2 * lam) / den ** 2)
-                  * ez2
-                  + (a1 * a2 * lam * tau / den) * z1_zeta2
-                  + (a2 * (a1 + a2 * lam) * tau / den) * z2_zeta2
-                  + a2 * z12_zeta2))
-    m[4, 6] = (-(1.0 / (2.0 * o22))
-               * ((a1 * a2 * lam * (a1 * lam + a2) * tau / den ** 3) * ez1
-                  - (a1 * lam * tau / den) * ez1
-                  - z2_zeta1)
-               + (1.0 / (2.0 * o22))
-               * ((a1 * a2 * lam * tau ** 2 * (a1 * lam + a2) / den ** 2)
-                  * ez2
-                  + (a1 * a2 * lam * tau / den) * z2_zeta2
-                  + (a2 * (a1 * lam + a2) * tau / den) * z2_zeta2
-                  + a2 * z2q_zeta2))
-    m[4, 7] = ((a1 * a2 * lam / (2.0 * o22 * den)) * ez1
-               + (den / (2.0 * o22))
-               * ((a1 * a2 * lam * tau / den) * ez2 + a2 * z2_zeta2))
-
-    m[5, 5] = (-(tau / den - (a2 * lam + a1) ** 2 * tau / den ** 3) * ez1
-               - ((a1 + lam * a2) ** 2 * tau ** 2 / den ** 2) * ez2
-               - z1q_zeta2
-               - (2.0 * (a1 + lam * a2) * tau / den) * z1_zeta2)
-    m[5, 6] = (-(lam * tau / den
-                 - (a2 + lam * a1) * (a1 + lam * a2) * tau / den ** 3) * ez1
-               - ((a1 + lam * a2) * (a2 + lam * a1) * tau ** 2 / den ** 2)
-               * ez2
-               - ((a1 + lam * a2) * tau / den) * z2_zeta2
-               - ((a2 + lam * a1) * tau / den) * z1_zeta2
-               - z12_zeta2)
-    m[5, 7] = (-((a1 + lam * a2) / den) * ez1
-               - (((a1 + lam * a2) * tau / den) * ez2 + z1_zeta2) * den)
-
-    m[6, 6] = (-(tau / den - (a1 * lam + a2) ** 2 * tau / den ** 3) * ez1
-               - ((a2 + lam * a1) ** 2 * tau ** 2 / den ** 2) * ez2
-               - z2q_zeta2
-               - (2.0 * (a2 + lam * a1) * tau / den) * z2_zeta2)
-    m[6, 7] = (-((a2 + lam * a1) / den) * ez1
-               - (((a2 + lam * a1) * tau / den) * ez2 + z2_zeta2) * den)
-
-    m[7, 7] = -(1.0 + astar2) * ez2 + zeta(2, tau)
-
-    iu = np.triu_indices(8, k=1)
-    m[(iu[1], iu[0])] = m[iu]
-    return m
+    """The paper's expected information -E[h] from an expectation set: the
+    kernel's hessian coefficients applied to E[1, Z, Z Z'], E[(1, Z)
+    zeta1(T)] and E[(1, Z)(1, Z)' zeta2(T)]."""
+    lin, grad_t = _hessian_coefficients(dp)
+    e_lin = [1.0, es.e_z1, es.e_z2, es.e_z1sq, es.e_z2sq, es.e_z1z2,
+             es.e_zeta1, es.e_z1_zeta1, es.e_z2_zeta1]
+    e_zeta2 = np.array([[es.e_zeta2, es.e_z1_zeta2, es.e_z2_zeta2],
+                        [es.e_z1_zeta2, es.e_z1sq_zeta2, es.e_z1z2_zeta2],
+                        [es.e_z2_zeta2, es.e_z1z2_zeta2, es.e_z2sq_zeta2]])
+    m = -((lin @ e_lin)[_COL] + grad_t @ e_zeta2 @ grad_t.T)
+    m[7, 7] += zeta(2, dp.tau)
+    return np.triu(m) + np.triu(m, 1).T
 
 
 # the V interval runs from -tau to v_top, v_top^2 = max(-tau, 0)^2 + 80,

@@ -7,6 +7,12 @@ density_esn2, loglik, score, observed_info and fit_mle sum or exponentiate
 its output; the Gram rule of expected_info and the Monte Carlo oracle in
 validation read its rows.
 
+The hessian rows are H_N + zeta1(t) grad^2 t + zeta2(t) grad t grad t',
+H_N the bivariate normal part, with coefficients from
+`_hessian_coefficients`.  The paper's expectations reach the expected
+information through the same ones (expected_info._assemble), and a test
+holds that E[-H] to the Gram rule's E[s s'], read from the score rows.
+
 All derivatives are taken with respect to the direct parameter vector
 theta = (xi1, xi2, omega11, omega12, omega22, alpha1, alpha2, tau).  The
 observed information is the hessian of the log-likelihood with the sign
@@ -17,6 +23,7 @@ alpha_star^2), t = alpha0 + alpha1 z1 + alpha2 z2 = tau + h, and quad =
 z1^2 + z2^2 - 2 lam z1 z2.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -36,6 +43,12 @@ _INFO_KINDS = ("observed", "expected")
 # took about twice as long per row as blocks of this size, mostly in page
 # faults on them, and blocks of 8192 paid more in per-call overhead
 _ROWS = 32768
+
+# rows per pass of the kernel's order-2 terms, whose temporaries (33 values
+# a row) then stay small next to the 36 hessian rows.  Over whole blocks they
+# made the allocator hand the heap back after every call: observed_info over
+# 1e6 rows took 1.7 times as long on a 2-core Xeon, in page faults
+_PASS = 2048
 
 # the 36 hessian entries (r, c), r <= c, as kernel columns: _COL[r, c] and
 # _COL[c, r] both index entry (r, c), so h[_COL] is the symmetric matrix
@@ -59,6 +72,89 @@ class InfoMatrix:
         # built symmetric entry by entry; anything else is a programming error
         assert np.array_equal(m, m.T)
         object.__setattr__(self, "matrix", m)
+
+
+def _sym(a, b):
+    return np.outer(a, b) + np.outer(b, a)
+
+
+@functools.lru_cache(maxsize=4)
+def _hessian_coefficients(dp):
+    """Coefficients of the per-observation hessian, which depend on dp only.
+
+    The log density is l_N(z; Omega) + zeta0(t) - zeta0(tau), so its hessian
+    is H_N + zeta1(t) grad^2 t + zeta2(t) grad t grad t', less zeta2(tau) at
+    tau-tau.  t = tau den + alpha1 z1 + alpha2 z2 is differentiated by the
+    chain rule through lam, alpha_star^2 and z.  The result is cached and
+    read-only, as chunked callers ask for one dp once per chunk.
+
+    Returns
+    -------
+    lin : ndarray (36, 9)
+        The hessian less zeta2(t) grad t grad t', in the kernel's columns, on
+        the basis 1, z1, z2, z1^2, z2^2, z1 z2 (H_N) and zeta1, z1 zeta1,
+        z2 zeta1 (zeta1 grad^2 t).
+    grad_t : ndarray (8, 3)
+        grad t = grad_t @ (1, z1, z2).
+    """
+    var = np.array([dp.omega11, dp.omega22])
+    o = np.sqrt(var)
+    a = np.array([dp.alpha1, dp.alpha2])
+    lam = _lam(dp)
+    den = math.sqrt(1.0 + _alpha_star_sq(lam, *a))
+    e = np.eye(8)
+    coef = np.zeros((9, 8, 8))
+
+    # H_N, with P = Omega^-1 and dOmega / d omega_k = E_k: -P at xi-xi,
+    # -P E_k P r at xi-omega_k, and tr(P E_k P E_l) / 2 - r' P E_k P E_l P r
+    # at omega_k-omega_l
+    c = -lam / (o[0] * o[1])
+    p = np.array([[1.0 / var[0], c], [c, 1.0 / var[1]]]) / (1.0 - lam * lam)
+    pe = p @ np.array([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]],
+                       [[0.0, 0.0], [0.0, 1.0]]])
+    coef[0, :2, :2] = -p
+    coef[0, 2:5, 2:5] = 0.5 * np.einsum("kij,lji->kl", pe, pe)
+    # [k, i, j]: coefficient of z_j at (xi_i, omega_k)
+    xi_om = -(pe @ p) * o
+    coef[1:3, :2, 2:5] = xi_om.transpose(2, 1, 0)
+    coef[1:3, 2:5, :2] = xi_om.transpose(2, 0, 1)
+    # [k, l, i, j]: coefficient of z_i z_j at (omega_k, omega_l)
+    om_om = -(pe[:, None] @ pe[None] @ p) * np.outer(o, o)
+    coef[3, 2:5, 2:5] = om_om[..., 0, 0]
+    coef[4, 2:5, 2:5] = om_om[..., 1, 1]
+    coef[5, 2:5, 2:5] = om_om[..., 0, 1] + om_om[..., 1, 0]
+
+    # lam = omega12 exp(w), with w = -log(omega11 omega22) / 2
+    dw = np.zeros(8)
+    dw[[2, 4]] = -0.5 / var
+    d_lam = e[3] / (o[0] * o[1]) + lam * dw
+    h_lam = (_sym(e[3], dw) / (o[0] * o[1])
+             + lam * (np.outer(dw, dw) + np.diag(2.0 * dw * dw)))
+    # alpha_star^2 = alpha1^2 + alpha2^2 + 2 lam alpha1 alpha2
+    d_as = 2.0 * a[0] * a[1] * d_lam
+    d_as[5:7] += 2.0 * (a + lam * a[::-1])
+    h_as = 2.0 * (a[0] * a[1] * h_lam + a[1] * _sym(e[5], d_lam)
+                  + a[0] * _sym(e[6], d_lam))
+    h_as[5:7, 5:7] += 2.0 * np.array([[1.0, lam], [lam, 1.0]])
+    d_den = d_as / (2.0 * den)
+    h_den = h_as / (2.0 * den) - np.outer(d_as, d_as) / (4.0 * den ** 3)
+
+    # grad z_j = -e_xi_j / omega_j - z_j e_omega_jj / (2 omega_jj), and
+    # alpha_j z_j adds alpha_j grad z_j + z_j e_alpha_j to grad t
+    grad_t = np.zeros((8, 3))
+    grad_t[:, 0] = dp.tau * d_den + den * e[7]
+    coef[6] = dp.tau * h_den + _sym(e[7], d_den)
+    for j in (0, 1):
+        xi, om, al = e[j], e[2 + 2 * j], e[5 + j]
+        dz0, dz1 = -xi / o[j], -om / (2.0 * var[j])
+        grad_t[:, 0] += a[j] * dz0
+        grad_t[:, 1 + j] = al + a[j] * dz1
+        coef[6] += _sym(al, dz0) + a[j] * _sym(xi, om) / (2.0 * var[j] * o[j])
+        coef[7 + j] = (_sym(al, dz1)
+                       + a[j] * np.outer(om, om) * (0.75 / var[j] ** 2))
+    lin = np.ascontiguousarray(coef[:, _UPPER[0], _UPPER[1]].T)
+    lin.flags.writeable = grad_t.flags.writeable = False
+    return lin, grad_t
 
 
 def _kernel(dp, z1, z2, order):
@@ -119,135 +215,22 @@ def _kernel(dp, z1, z2, order):
         return out
 
     zeta2 = at[2]
-    # products with zeta2 that several entries share
-    w1z, w2z, d1z, d2z = w1 * zeta2, w2 * zeta2, d1 * zeta2, d2 * zeta2
-    o12 = o1 * o2
-    rt11 = O11 * o1
-    rt22 = O22 * o2
+    lin, grad_t = _hessian_coefficients(dp)
     h = np.empty((36, len(z1)))
-    k = _COL
-    h[k[0, 0]] = (-1.0 / O11) * (u - a1 ** 2 * zeta2)
-    h[k[0, 1]] = (1.0 / o12) * (lam * u + a1 * a2 * zeta2)
-    h[k[0, 2]] = ((lam * z2 - z1) * u * u / rt11
-                  + (a1 / (2.0 * rt11)) * w1z
-                  + (a1 / (2.0 * rt11)) * zeta1)
-    h[k[0, 3]] = (-2.0 * lam * (lam * z2 - z1) * u * u / (O11 * o2)
-                  - z2 * u / (O11 * o2)
-                  - (a1 ** 2 * a2 * tau / (O11 * o2 * den)) * zeta2)
-    h[k[0, 4]] = (lam * (z2 - z1 * lam) * u * u / (O22 * o1)
-                  + (a1 / (2.0 * O22 * o1)) * w2z)
-    h[k[0, 5]] = -(a1 / o1) * d1z - zeta1 / o1
-    h[k[0, 6]] = -(a1 / o1) * d2z
-    h[k[0, 7]] = -(a1 * den / o1) * zeta2
-
-    h[k[1, 1]] = (-1.0 / O22) * (u - a2 ** 2 * zeta2)
-    h[k[1, 2]] = (lam * (z1 - z2 * lam) * u * u / (O11 * o2)
-                  + (a2 / (2.0 * O11 * o2)) * w1z)
-    h[k[1, 3]] = (-2.0 * lam * (lam * z1 - z2) * u * u / (O22 * o1)
-                  - z1 * u / (O22 * o1)
-                  - (a2 ** 2 * a1 * tau / (O22 * o1 * den)) * zeta2)
-    h[k[1, 4]] = ((lam * z1 - z2) * u * u / rt22
-                  + (a2 / (2.0 * rt22)) * w2z
-                  + (a2 / (2.0 * rt22)) * zeta1)
-    h[k[1, 5]] = -(a2 / o2) * d1z
-    h[k[1, 6]] = -(a2 / o2) * d2z - zeta1 / o2
-    h[k[1, 7]] = -(a2 * den / o2) * zeta2
-
-    h[k[2, 2]] = ((lam ** 2 - z1sq + 2.0 * z12 * lam) * u / O11 ** 2
-                  + (4.0 * lam ** 3 * z12 - 2.0 * lam ** 2 * z1sq
-                     - lam ** 2 * z2sq) * u * u / O11 ** 2
-                  - lam ** 4 * quad * u ** 3 / O11 ** 2
-                  + 1.0 / (2.0 * O11 ** 2)
-                  + lam ** 4 * u * u / (2.0 * O11 ** 2)
-                  + (1.0 / (4.0 * O11 ** 2))
-                  * (3.0 * a1 * a2 * tau * lam / den
-                     - a1 ** 2 * a2 ** 2 * tau * lam ** 2 / den ** 3
-                     + 3.0 * a1 * z1) * zeta1
-                  + (1.0 / (4.0 * O11 ** 2)) * w1 * w1z)
-    h[k[2, 3]] = (-(lam + z12) * u / (rt11 * o2)
-                  + (2.0 * lam * z1sq + lam * z2sq
-                     - 5.0 * lam ** 2 * z12 - lam ** 3)
-                  * u * u / (rt11 * o2)
-                  + 2.0 * lam ** 3 * quad * u ** 3 / (rt11 * o2)
-                  + (a1 ** 2 * a2 ** 2 * tau * lam
-                     / (2.0 * rt11 * o2 * den ** 3)
-                     - a1 * a2 * tau / (2.0 * rt11 * o2 * den)) * zeta1
-                  - (a1 * a2 * tau / (2.0 * rt11 * o2 * den)) * w1z)
-    h[k[2, 4]] = (lam ** 2 * (6.0 * lam * z12 - 2.0 * z1sq
-                              - 2.0 * z2sq + lam ** 2) * u * u
-                  / (2.0 * O11 * O22)
-                  + (2.0 * z12 * lam + lam ** 2) * u / (2.0 * O11 * O22)
-                  - lam ** 4 * quad * u ** 3 / (O11 * O22)
-                  + (a1 * a2 * lam * tau / (4.0 * O11 * O22 * den))
-                  * (1.0 - a1 * a2 * lam / (1.0 + astar2)) * zeta1
-                  + (1.0 / (4.0 * O11 * O22)) * w1 * w2z)
-    h[k[2, 5]] = ((1.0 / (2.0 * O11))
-                  * (a1 * a2 * lam * (a2 * lam + a1) * tau / den ** 3
-                     - a2 * lam * tau / den - z1) * zeta1
-                  - (1.0 / (2.0 * O11)) * w1 * d1z)
-    h[k[2, 6]] = ((1.0 / (2.0 * O11))
-                  * (a1 * a2 * lam * (a1 * lam + a2) * tau / den ** 3
-                     - a1 * lam * tau / den) * zeta1
-                  - (1.0 / (2.0 * O11)) * w1 * d2z)
-    h[k[2, 7]] = (-(a1 * a2 * lam / (2.0 * O11 * den)) * zeta1
-                  - (den / (2.0 * O11)) * w1z)
-
-    h[k[3, 3]] = (u / (O11 * O22)
-                  + (6.0 * lam * z12 - z1sq - z2sq
-                     + 2.0 * lam ** 2) * u * u / (O11 * O22)
-                  - 4.0 * lam ** 2 * quad * u ** 3 / (O11 * O22)
-                  + (a1 ** 2 * a2 ** 2 * tau / (O11 * O22 * den ** 2))
-                  * (tau * zeta2 - zeta1 / den))
-    h[k[3, 4]] = (-(lam + z12) * u / (rt22 * o1)
-                  + (2.0 * lam * z2sq + lam * z1sq
-                     - 5.0 * lam ** 2 * z12 - lam ** 3)
-                  * u * u / (rt22 * o1)
-                  + 2.0 * lam ** 3 * quad * u ** 3 / (rt22 * o1)
-                  + (a1 ** 2 * a2 ** 2 * tau * lam
-                     / (2.0 * rt22 * o1 * den ** 3)
-                     - a1 * a2 * tau / (2.0 * rt22 * o1 * den)) * zeta1
-                  - (a1 * a2 * tau / (2.0 * rt22 * o1 * den)) * w2z)
-    h[k[3, 5]] = ((a2 * tau / (o12 * den))
-                  * (1.0 - a1 * (a2 * lam + a1) / den ** 2) * zeta1
-                  + (a1 * a2 * tau / (o12 * den)) * d1z)
-    h[k[3, 6]] = ((a1 * tau / (o12 * den))
-                  * (1.0 - a2 * (a1 * lam + a2) / den ** 2) * zeta1
-                  + (a1 * a2 * tau / (o12 * den)) * d2z)
-    h[k[3, 7]] = (a1 * a2 / o12) * (zeta1 / den + tau * zeta2)
-
-    h[k[4, 4]] = ((lam ** 2 - z2sq + 2.0 * z12 * lam) * u / O22 ** 2
-                  + (4.0 * lam ** 3 * z12 - 2.0 * lam ** 2 * z2sq
-                     - lam ** 2 * z1sq) * u * u / O22 ** 2
-                  - lam ** 4 * quad * u ** 3 / O22 ** 2
-                  + 1.0 / (2.0 * O22 ** 2)
-                  + lam ** 4 * u * u / (2.0 * O22 ** 2)
-                  + (1.0 / (4.0 * O22 ** 2))
-                  * (3.0 * a1 * a2 * tau * lam / den
-                     - a1 ** 2 * a2 ** 2 * tau * lam ** 2 / den ** 3
-                     + 3.0 * a2 * z2) * zeta1
-                  + (1.0 / (4.0 * O22 ** 2)) * w2 * w2z)
-    h[k[4, 5]] = ((1.0 / (2.0 * O22))
-                  * (a1 * a2 * lam * (a2 * lam + a1) * tau / den ** 3
-                     - a2 * lam * tau / den) * zeta1
-                  - (1.0 / (2.0 * O22)) * w2 * d1z)
-    h[k[4, 6]] = ((1.0 / (2.0 * O22))
-                  * (a1 * a2 * lam * (a1 * lam + a2) * tau / den ** 3
-                     - a1 * lam * tau / den - z2) * zeta1
-                  - (1.0 / (2.0 * O22)) * w2 * d2z)
-    h[k[4, 7]] = (-(a1 * a2 * lam / (2.0 * O22 * den)) * zeta1
-                  - (den / (2.0 * O22)) * w2z)
-
-    h[k[5, 5]] = ((tau / den - (a2 * lam + a1) ** 2 * tau / den ** 3) * zeta1
-                  + d1 * d1z)
-    h[k[5, 6]] = ((lam * tau / den
-                   - (a2 + lam * a1) * (a1 + lam * a2) * tau / den ** 3)
-                  * zeta1 + d1 * d2z)
-    h[k[5, 7]] = ((a1 + lam * a2) / den) * zeta1 + den * d1z
-    h[k[6, 6]] = ((tau / den - (a1 * lam + a2) ** 2 * tau / den ** 3) * zeta1
-                  + d2 * d2z)
-    h[k[6, 7]] = ((a2 + lam * a1) / den) * zeta1 + den * d2z
+    for lo in range(0, len(z1), _PASS):
+        r = slice(lo, lo + _PASS)
+        basis = np.stack([np.ones_like(z1[r]), z1[r], z2[r], z1sq[r],
+                          z2sq[r], z12[r], zeta1[r], z1[r] * zeta1[r],
+                          z2[r] * zeta1[r]])
+        hr = np.matmul(lin, basis, out=h[:, r])
+        # zeta2 g_i g_j from the rows of g = grad t, not expanded in z, where
+        # (c + a z)^2 can cancel; entries (i, i..7) are contiguous columns
+        g = grad_t @ basis[:3]
+        gz = g * zeta2[r]
+        for i in range(8):
+            hr[_COL[i, i]:_COL[i, 7] + 1] += gz[i] * g[i:]
     # den^2 zeta2(t) - zeta2(tau), which also vanishes as alpha -> 0
-    h[k[7, 7]] = astar2 * zeta2 + diff[2]
+    h[_COL[7, 7]] = astar2 * zeta2 + diff[2]
     out.append(h.T)
     return out
 
@@ -297,6 +280,13 @@ def observed_info(dp, data):
 class FitControls:
     grad_tol: float = 1e-6
     max_iter: int = 500
+
+    def __post_init__(self):
+        # a fit under these could never report convergence
+        if not (math.isfinite(self.grad_tol) and self.grad_tol > 0.0):
+            raise ValueError(f"grad_tol {self.grad_tol} is not finite and > 0")
+        if self.max_iter < 0:
+            raise ValueError(f"max_iter {self.max_iter} is negative")
 
 
 @dataclass(frozen=True)

@@ -303,6 +303,20 @@ def test_fit_nonconvergence_exits_4(runner, tmp_path):
     assert payload["converged"] is False
 
 
+@pytest.mark.parametrize("flags", [
+    ["--grad-tol", "-1"], ["--grad-tol", "0"], ["--grad-tol", "nan"],
+    ["--max-iter", "-3"],
+])
+def test_fit_rejects_unreachable_controls(runner, tmp_path, flags):
+    # no fit can meet these, so they are bad flags, not a non-convergence
+    y = sample_esn2(DpParams(0, 0, 1, 0.5, 1, 1.5, -1, 0.5), 50, 33)
+    data = write_csv(tmp_path / "d.csv", y.y1, y.y2)
+    result = runner.invoke(main, ["fit", "--data", data, "--init",
+                                  "0,0,1,0,1,1,1,0", *flags])
+    assert result.exit_code == 2
+    assert flags[0].lstrip("-").replace("-", "_") in result.stderr
+
+
 def test_check_fast(runner):
     result = runner.invoke(main, ["check", "--level", "fast"])
     assert result.exit_code == 0

@@ -2,16 +2,19 @@
 
 Reference numbers come from 50-digit central differences of the exact
 log-density, so they are independent of every closed-form derivative
-implemented here.  The deep-tail and near-singular checks compute theirs
-the same way with mpmath at run time, and are skipped without it.
+implemented here.  The deep-tail, extreme-regime and near-singular checks
+compute theirs the same way with mpmath at run time, and are skipped
+without it.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import philox, random_dp
 from esn2 import (
     Dataset,
     DpParams,
@@ -25,6 +28,7 @@ from esn2 import (
     score,
     standardize,
 )
+from esn2.expected_info import _FLIP_SIGNS
 
 POINT_A = DpParams(0, 0, 1, 0.6, 1, 2, 3, 1)
 DATA_A = Dataset(np.array([0.7, -0.4, 1.1]), np.array([-1.2, 0.5, 0.9]))
@@ -176,6 +180,19 @@ def test_fit_controls_defaults():
     assert fc.max_iter == 500
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"grad_tol": -1.0}, {"grad_tol": 0.0}, {"grad_tol": math.nan},
+    {"grad_tol": math.inf}, {"max_iter": -3},
+])
+def test_fit_controls_reject_unreachable_targets(kwargs):
+    with pytest.raises(ValueError):
+        FitControls(**kwargs)
+
+
+def test_fit_controls_accept_zero_iterations():
+    assert FitControls(max_iter=0).max_iter == 0
+
+
 def test_fit_recovers_truth_roughly():
     truth = DpParams(0, 0, 1, 0.5, 1, 1.5, -1, 0.5)
     data = sample_esn2(truth, 2000, 7)
@@ -206,14 +223,9 @@ def _mp_loglik(mp, theta, data):
     return total
 
 
-@pytest.mark.parametrize("dp", [
-    DpParams(0.2, -0.1, 1.5, 0.4, 0.9, 2, 1, -30),
-    DpParams(0.2, -0.1, 1.5, 0.4, 0.9, 5, -1, -12),
-])
-def test_deep_tail_matches_high_precision(dp):
-    # every t here lies in the Mills-series branch of the zeta ladder
-    assert all(standardize(dp, y1, y2).t < -10.0
-               for y1, y2 in zip(DATA_C.y1, DATA_C.y2))
+def _assert_matches_high_precision(dp):
+    """loglik, score and observed_info on DATA_C within 1e-12 (floor 1)
+    of 50-digit derivatives of the exact log-likelihood."""
     mp = pytest.importorskip("mpmath").mp
     with mp.workdps(50):
         theta = [mp.mpf(v) for v in dp.as_array()]
@@ -238,6 +250,43 @@ def test_deep_tail_matches_high_precision(dp):
     assert rel(loglik(dp, DATA_C), want_loglik) < 1e-12
     assert rel(score(dp, DATA_C), want_score) < 1e-12
     assert rel(observed_info(dp, DATA_C).matrix, want_info) < 1e-12
+
+
+@pytest.mark.parametrize("dp", [
+    DpParams(0.2, -0.1, 1.5, 0.4, 0.9, 2, 1, -30),
+    DpParams(0.2, -0.1, 1.5, 0.4, 0.9, 5, -1, -12),
+])
+def test_deep_tail_matches_high_precision(dp):
+    # every t here lies in the Mills-series branch of the zeta ladder
+    assert all(standardize(dp, y1, y2).t < -10.0
+               for y1, y2 in zip(DATA_C.y1, DATA_C.y2))
+    _assert_matches_high_precision(dp)
+
+
+@pytest.mark.parametrize("dp", [
+    DpParams(0, 0, 1, 0.95, 1, 30, 2, -8),
+    DpParams(0, 0, 1, -0.95, 1, 1, -3, -8),
+    DpParams(0, 0, 1, 0.4, 1, -30, 2, 10),
+])
+def test_extreme_regimes_match_high_precision(dp):
+    # the points of test_extreme_regimes_resolved: |lam| near 1 under a
+    # deep truncation, and |alpha| = 30
+    _assert_matches_high_precision(dp)
+
+
+def test_observed_info_mirror_invariance():
+    # with xi = 0, (alpha, y) -> (-alpha, -y) leaves every t unchanged and
+    # flips the sign of the xi and alpha coordinates
+    rng = philox(20260815, 44)
+    signs = np.outer(_FLIP_SIGNS, _FLIP_SIGNS)
+    for _ in range(20):
+        dp = replace(random_dp(rng), xi1=0.0, xi2=0.0)
+        y = rng.normal(size=(2, 25)) * 2.0
+        flipped = replace(dp, alpha1=-dp.alpha1, alpha2=-dp.alpha2)
+        m = observed_info(dp, Dataset(y[0], y[1])).matrix
+        mf = observed_info(flipped, Dataset(-y[0], -y[1])).matrix
+        assert np.max(np.abs(mf - m * signs)
+                      / np.maximum(1.0, np.abs(m))) <= 1e-13, dp
 
 
 @pytest.mark.parametrize("tau", [-8.0, -2.0, 0.5, 3.0])
