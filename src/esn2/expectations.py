@@ -240,11 +240,6 @@ class ExpectationSet:
     e_zeta1: float
     e_z1_zeta1: float
     e_z2_zeta1: float
-    e_z1sq_zeta1: float
-    e_z2sq_zeta1: float
-    e_t_zeta1: float
-    e_z1t_zeta1: float
-    e_z2t_zeta1: float
     e_zeta2: float
     e_z1_zeta2: float
     e_z2_zeta2: float
@@ -291,8 +286,6 @@ def expectation_set(dp, tol=None):
     e_zeta1 = z1_tau / den
     e_z1_zeta1 = -tau * d1 * e_zeta1
     e_z2_zeta1 = -tau * d2 * e_zeta1
-    e_z1sq_zeta1 = (tau ** 2 * d1 ** 2 + v11) * e_zeta1
-    e_z2sq_zeta1 = (tau ** 2 * d2 ** 2 + v22) * e_zeta1
     # first and second moments of T under the tilt, via alpha0 + alpha'U
     e_t_zeta1 = (alpha0 - tau * (a1 * d1 + a2 * d2)) * e_zeta1
     e_z1t_zeta1 = (-alpha0 * tau * d1
@@ -335,9 +328,7 @@ def expectation_set(dp, tol=None):
     moment_shift = z2_tau + z1_tau ** 2
     return ExpectationSet(
         e_zeta1=e_zeta1, e_z1_zeta1=e_z1_zeta1, e_z2_zeta1=e_z2_zeta1,
-        e_z1sq_zeta1=e_z1sq_zeta1, e_z2sq_zeta1=e_z2sq_zeta1,
-        e_t_zeta1=e_t_zeta1, e_z1t_zeta1=e_z1t_zeta1,
-        e_z2t_zeta1=e_z2t_zeta1, e_zeta2=e_zeta2,
+        e_zeta2=e_zeta2,
         e_z1_zeta2=e_z1_zeta2, e_z2_zeta2=e_z2_zeta2,
         e_z1sq_zeta2=e_z1sq_zeta2, e_z2sq_zeta2=e_z2sq_zeta2,
         e_z1z2_zeta2=e_z1z2_zeta2,

@@ -14,7 +14,9 @@ squared, and a determinant is never negative.
 The paper's route, closed-form and cubature expectations
 (`expectation_set`) applied to the kernel's hessian coefficients as
 E[-H] (`_assemble`), is kept as the oracle the rule's E[s s'] is tested
-against; it does not run in production.  Also here:
+against; it does not run in production.  It is the contraction that
+observed_info applies to sample sums, through the one helper
+likelihood._hessian_from_moments.  Also here:
 the scalar reparameterization rule, the conditional-independence and
 block-structure predicates, and grid sweeps of the determinant used to
 map where the matrix degenerates.
@@ -28,7 +30,7 @@ import scipy.linalg
 
 from .cubature import CubatureControls
 from .expectations import CubatureNotConverged
-from .likelihood import _COL, InfoMatrix, _hessian_coefficients, _kernel
+from .likelihood import InfoMatrix, _hessian_from_moments, _kernel
 from .model import (DpParams, _alpha_star_sq, _conditional_factor, _lam,
                     validate)
 from .special_fns import LOG_RT2PI, zeta
@@ -42,17 +44,17 @@ _FLIP_SIGNS = np.array([-1.0, -1.0, 1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
 
 def _assemble(dp, es):
     """The paper's expected information -E[h] from an expectation set: the
-    kernel's hessian coefficients applied to E[1, Z, Z Z'], E[(1, Z)
-    zeta1(T)] and E[(1, Z)(1, Z)' zeta2(T)]."""
-    lin, grad_t = _hessian_coefficients(dp)
+    kernel's hessian coefficients contracted with E[1, Z, Z Z'], E[(1, Z)
+    zeta1(T)] and E[(1, Z)(1, Z)' zeta2(T)], as observed_info contracts
+    them with sample sums."""
     e_lin = [1.0, es.e_z1, es.e_z2, es.e_z1sq, es.e_z2sq, es.e_z1z2,
              es.e_zeta1, es.e_z1_zeta1, es.e_z2_zeta1]
     e_zeta2 = np.array([[es.e_zeta2, es.e_z1_zeta2, es.e_z2_zeta2],
                         [es.e_z1_zeta2, es.e_z1sq_zeta2, es.e_z1z2_zeta2],
                         [es.e_z2_zeta2, es.e_z1z2_zeta2, es.e_z2sq_zeta2]])
-    m = -((lin @ e_lin)[_COL] + grad_t @ e_zeta2 @ grad_t.T)
+    m = -_hessian_from_moments(dp, e_lin, e_zeta2)
     m[7, 7] += zeta(2, dp.tau)
-    return np.triu(m) + np.triu(m, 1).T
+    return m
 
 
 # the V interval runs from -tau to v_top, v_top^2 = max(-tau, 0)^2 + 80,

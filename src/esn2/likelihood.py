@@ -2,16 +2,19 @@
 
 Every per-observation quantity comes from one kernel, `_kernel`.  It takes
 the standardized residuals, runs the zeta ladder once, and returns the log
-density, score rows and hessian rows, as far as the order asked for.
-density_esn2, loglik, score, observed_info and fit_mle sum or exponentiate
-its output; the Gram rule of expected_info and the Monte Carlo oracle in
-validation read its rows.
+density, score rows and hessian rows, as far as the order asked for.  The
+rows serve the callers that need each observation: density_esn2, the Gram
+rule of expected_info and the Monte Carlo oracle in validation.
 
-The hessian rows are H_N + zeta1(t) grad^2 t + zeta2(t) grad t grad t',
-H_N the bivariate normal part, with coefficients from
-`_hessian_coefficients`.  The paper's expectations reach the expected
-information through the same ones (expected_info._assemble), and a test
-holds that E[-H] to the Gram rule's E[s s'], read from the score rows.
+loglik, score, observed_info and fit_mle go through `_sums` instead.  It
+sums the log density per row as the kernel forms it, and the derivatives
+from per-block moments of (1, z1, z2), zeta1(t) and zeta2(t), without
+forming a derivative row.  The hessian is H_N + zeta1(t) grad^2 t +
+zeta2(t) grad t grad t', H_N the bivariate normal part, with coefficients
+from `_hessian_coefficients`; `_hessian_from_moments` contracts them with
+sample sums here and with the paper's expectations in
+expected_info._assemble, and a test holds that E[-H] to the Gram rule's
+E[s s'], read from the score rows.
 
 All derivatives are taken with respect to the direct parameter vector
 theta = (xi1, xi2, omega11, omega12, omega22, alpha1, alpha2, tau).  The
@@ -38,10 +41,10 @@ LOG_2PI = math.log(2.0 * math.pi)
 
 _INFO_KINDS = ("observed", "expected")
 
-# rows per kernel call when only row sums are wanted.  Bounded blocks keep
-# the kernel's temporaries small: on a 2-core Xeon, one call over 2e5 rows
-# took about twice as long per row as blocks of this size, mostly in page
-# faults on them, and blocks of 8192 paid more in per-call overhead
+# rows per block of _sums.  Bounded blocks keep the ladder's temporaries
+# small: on a 2-core Xeon, one call over 2e5 rows took about twice as long
+# per row as blocks of this size, mostly in page faults on them, and blocks
+# of 8192 paid more in per-call overhead
 _ROWS = 32768
 
 # rows per pass of the kernel's order-2 terms, whose temporaries (33 values
@@ -96,6 +99,10 @@ def _hessian_coefficients(dp):
         z2 zeta1 (zeta1 grad^2 t).
     grad_t : ndarray (8, 3)
         grad t = grad_t @ (1, z1, z2).
+    gauss : ndarray (8, 6)
+        The gradient of H_N's log density on 1, z1, z2, z1^2, z2^2, z1 z2,
+        so the score is gauss @ those + zeta1(t) grad t, less zeta1(tau) at
+        tau.
     """
     var = np.array([dp.omega11, dp.omega22])
     o = np.sqrt(var)
@@ -114,8 +121,17 @@ def _hessian_coefficients(dp):
                        [[0.0, 0.0], [0.0, 1.0]]])
     coef[0, :2, :2] = -p
     coef[0, 2:5, 2:5] = 0.5 * np.einsum("kij,lji->kl", pe, pe)
+    # the gradient of H_N's log density: P r at xi and, with [k, i, j] the
+    # coefficient of z_i z_j, r' P E_k P r / 2 - tr(P E_k) / 2 at omega_k
+    pep = pe @ p
+    gauss = np.zeros((8, 6))
+    gauss[:2, 1:3] = p * o
+    gauss[2:5, 0] = -0.5 * np.trace(pe, axis1=1, axis2=2)
+    gauss[2:5, 3] = 0.5 * pep[:, 0, 0] * var[0]
+    gauss[2:5, 4] = 0.5 * pep[:, 1, 1] * var[1]
+    gauss[2:5, 5] = pep[:, 0, 1] * (o[0] * o[1])
     # [k, i, j]: coefficient of z_j at (xi_i, omega_k)
-    xi_om = -(pe @ p) * o
+    xi_om = -pep * o
     coef[1:3, :2, 2:5] = xi_om.transpose(2, 1, 0)
     coef[1:3, 2:5, :2] = xi_om.transpose(2, 0, 1)
     # [k, l, i, j]: coefficient of z_i z_j at (omega_k, omega_l)
@@ -154,44 +170,65 @@ def _hessian_coefficients(dp):
                        + a[j] * np.outer(om, om) * (0.75 / var[j] ** 2))
     lin = np.ascontiguousarray(coef[:, _UPPER[0], _UPPER[1]].T)
     lin.flags.writeable = grad_t.flags.writeable = False
-    return lin, grad_t
+    gauss.flags.writeable = False
+    return lin, grad_t, gauss
+
+
+def _constants(dp):
+    """lam, u = 1 / (1 - lam^2), alpha_star^2, den and den - 1 at dp."""
+    lam = _lam(dp)
+    astar2 = _alpha_star_sq(lam, dp.alpha1, dp.alpha2)
+    den = math.sqrt(1.0 + astar2)
+    return lam, 1.0 / (1.0 - lam * lam), astar2, den, astar2 / (1.0 + den)
+
+
+def _log_density(dp, z1, z2, order):
+    """What _kernel and _sums both form per row.
+
+    Returns the log density (n,); the zeta ladder at t and its differences
+    from tau to the given order (see zeta_pair); and z1^2, z2^2, z1 z2 and
+    quad.  The tau derivatives vanish as alpha -> 0, so t - tau and the
+    zeta differences across it are formed without cancellation.
+    """
+    lam, u, _, _, den_m1 = _constants(dp)
+    at, diff = zeta_pair(dp.tau, dp.tau * den_m1 + dp.alpha1 * z1
+                         + dp.alpha2 * z2, order)
+    z1sq, z2sq, z12 = z1 * z1, z2 * z2, z1 * z2
+    quad = z1sq + z2sq - 2.0 * lam * z12
+    log_f = (-LOG_2PI
+             - 0.5 * (math.log(dp.omega11) + math.log(dp.omega22)
+                      + math.log1p(-lam * lam))
+             - 0.5 * u * quad + diff[0])
+    return log_f, at, diff, (z1sq, z2sq, z12, quad)
 
 
 def _kernel(dp, z1, z2, order):
     """Per-observation log density and, by order, its derivatives.
 
     z1 and z2 are 1-d arrays of standardized residuals (see
-    ``model._residuals``); dp is assumed validated.  t and h = t - tau are
-    formed once, and the zeta ladder runs once over them.
+    ``model._residuals``); dp is assumed validated.  The rows serve the
+    callers that need each observation: density_esn2 (order 0), the Gram
+    rule of expected_info (order 1) and the Monte Carlo oracle in
+    validation (order 2), which needs the spread of each entry.  Sums over
+    data come from _sums, which forms no derivative rows.
 
     Returns
     -------
     list of ndarray
         The log density (n,); with order >= 1 the score rows (n, 8),
         ordered as theta; with order 2 the hessian rows (n, 36), column
-        _COL[r, c] holding entry (r, c).  Columns are contiguous, so each
-        sums pairwise.
+        _COL[r, c] holding entry (r, c).
     """
+    log_f, at, diff, (z1sq, z2sq, z12, quad) = _log_density(dp, z1, z2, order)
+    out = [log_f]
+    if order == 0:
+        return out
+
     a1, a2, tau = dp.alpha1, dp.alpha2, dp.tau
     O11, O22 = dp.omega11, dp.omega22
     o1 = math.sqrt(O11)
     o2 = math.sqrt(O22)
-    lam = _lam(dp)
-    u = 1.0 / (1.0 - lam * lam)
-    astar2 = _alpha_star_sq(lam, a1, a2)
-    den = math.sqrt(1.0 + astar2)
-    den_m1 = astar2 / (1.0 + den)
-    # the tau derivatives vanish as alpha -> 0, so t - tau and the zeta
-    # differences across it are formed without cancellation
-    at, diff = zeta_pair(tau, tau * den_m1 + a1 * z1 + a2 * z2, order)
-    z1sq, z2sq, z12 = z1 * z1, z2 * z2, z1 * z2
-    quad = z1sq + z2sq - 2.0 * lam * z12
-    out = [-LOG_2PI
-           - 0.5 * (math.log(O11) + math.log(O22) + math.log1p(-lam * lam))
-           - 0.5 * u * quad + diff[0]]
-    if order == 0:
-        return out
-
+    lam, u, astar2, den, den_m1 = _constants(dp)
     zeta1 = at[1]
     w = quad * lam * u * u
     w1 = a1 * a2 * lam * tau / den + a1 * z1
@@ -215,7 +252,7 @@ def _kernel(dp, z1, z2, order):
         return out
 
     zeta2 = at[2]
-    lin, grad_t = _hessian_coefficients(dp)
+    lin, grad_t, _ = _hessian_coefficients(dp)
     h = np.empty((36, len(z1)))
     for lo in range(0, len(z1), _PASS):
         r = slice(lo, lo + _PASS)
@@ -235,13 +272,97 @@ def _kernel(dp, z1, z2, order):
     return out
 
 
+def _hessian_from_moments(dp, m_lin, m_zeta2, centre=(0.0, 0.0)):
+    """The hessian summed over rows, or in expectation, from moments.
+
+    m_lin holds the sums (or expectations) of the basis of `lin`, and
+    m_zeta2 those of zeta2 B B' with B = (1, z1 - centre1, z2 - centre2).
+    So the zeta2 term is G m_zeta2 G', G being grad_t moved to the centre.
+    The tau-tau entry is the caller's, which knows its zeta2(tau) term.
+
+    Returns
+    -------
+    ndarray (8, 8)
+        Symmetric.
+    """
+    lin, grad_t, _ = _hessian_coefficients(dp)
+    g = np.array(grad_t)
+    g[:, 0] += grad_t[:, 1:] @ centre
+    h = (lin @ m_lin)[_COL] + g @ m_zeta2 @ g.T
+    return np.triu(h) + np.triu(h, 1).T
+
+
+def _pool(acc, block):
+    """Pool two (weight, mean, centred sum of squares) triples of zeta2 by
+    the weighted update of Chan, Golub & LeVeque (1983).  The weights are
+    zeta2 sums, so both are <= 0, and the block's is not 0."""
+    w_a, mean_a, cov_a = acc
+    w_b, mean_b, cov_b = block
+    w = w_a + w_b
+    shift = mean_b - mean_a
+    return (w, mean_a + shift * (w_b / w),
+            cov_a + cov_b + np.outer(shift, shift) * (w_a * w_b / w))
+
+
 def _sums(dp, data, order):
-    """The kernel's outputs at dp, summed over data, _ROWS rows a call."""
+    """Log-likelihood and, by order, score (8,) and hessian (8, 8) at dp.
+
+    The log density is formed per row as the kernel forms it and summed,
+    _ROWS rows at a time.  The derivatives are never formed per row: each
+    block adds its sums of B = (1, z1, z2) as B B' and B zeta1(t), and of
+    the zeta differences from tau; for order 2 also its sum of zeta2(t)
+    B B', taken about the block's zeta2-weighted mean of z so that
+    (c + a z)^2 does not cancel where z sits near -c / a, and pooled with
+    _pool.  One contraction with `_hessian_coefficients` follows.
+    """
     z1, z2 = _residuals(dp, data.y1, data.y2)
-    blocks = [[r.sum(axis=0) for r in _kernel(dp, z1[lo:lo + _ROWS],
-                                              z2[lo:lo + _ROWS], order)]
-              for lo in range(0, data.n, _ROWS)]
-    return [sum(parts) for parts in zip(*blocks)]
+    value = 0.0
+    m_lin = np.zeros(9)
+    diff1 = diff2 = 0.0
+    zeta2_moments = (0.0, np.zeros(2), np.zeros((2, 2)))
+    for lo in range(0, data.n, _ROWS):
+        b1, b2 = z1[lo:lo + _ROWS], z2[lo:lo + _ROWS]
+        log_f, at, diff, sq = _log_density(dp, b1, b2, order)
+        value += log_f.sum()
+        if order == 0:
+            continue
+        zeta1 = at[1]
+        m_lin += [len(b1), b1.sum(), b2.sum(), sq[0].sum(), sq[1].sum(),
+                  sq[2].sum(), zeta1.sum(), (b1 * zeta1).sum(),
+                  (b2 * zeta1).sum()]
+        diff1 += diff[1].sum()
+        if order == 2:
+            diff2 += diff[2].sum()
+            zeta2 = at[2]
+            w = zeta2.sum()
+            # zeta2 underflows to 0 where t > 38 or so
+            if w != 0.0:
+                mean = np.array([(zeta2 * b1).sum(), (zeta2 * b2).sum()]) / w
+                c1, c2 = b1 - mean[0], b2 - mean[1]
+                e1, e2 = zeta2 * c1, zeta2 * c2
+                s12 = (e1 * c2).sum()
+                cov = np.array([[(e1 * c1).sum(), s12],
+                                [s12, (e2 * c2).sum()]])
+                zeta2_moments = _pool(zeta2_moments, (w, mean, cov))
+    if order == 0:
+        return [value]
+
+    _, grad_t, gauss = _hessian_coefficients(dp)
+    _, _, astar2, _, den_m1 = _constants(dp)
+    grad = gauss @ m_lin[:6] + grad_t @ m_lin[6:]
+    # den zeta1(t) - zeta1(tau), as the kernel forms it
+    grad[7] = den_m1 * m_lin[6] + diff1
+    if order == 1:
+        return [value, grad]
+
+    w, mean, cov = zeta2_moments
+    m_zeta2 = np.zeros((3, 3))
+    m_zeta2[0, 0] = w
+    m_zeta2[1:, 1:] = cov
+    hess = _hessian_from_moments(dp, m_lin, m_zeta2, mean)
+    # den^2 zeta2(t) - zeta2(tau)
+    hess[7, 7] = astar2 * w + diff2
+    return [value, grad, hess]
 
 
 def density_esn2(y1, y2, dp):
@@ -273,7 +394,7 @@ def score(dp, data):
 def observed_info(dp, data):
     """Observed information (negated hessian) summed over the dataset."""
     validate(dp)
-    return InfoMatrix(matrix=-_sums(dp, data, 2)[2][_COL], kind="observed")
+    return InfoMatrix(matrix=-_sums(dp, data, 2)[2], kind="observed")
 
 
 @dataclass(frozen=True)
@@ -362,7 +483,7 @@ def fit_mle(data, init, controls=FitControls()):
         options={"maxiter": controls.max_iter,
                  "gtol": 0.01 * controls.grad_tol})
 
-    # an iterate's value, score and hessian come from the one kernel call
+    # an iterate's value, score and hessian come from the one _sums call
     # that tried its point in the line search
     dp = validate(_from_internal(best["psi"]))
     value, grad, hess = _sums(dp, data, 2)
@@ -371,7 +492,7 @@ def fit_mle(data, init, controls=FitControls()):
         if norm < controls.grad_tol:
             break
         try:
-            step = np.linalg.solve(-hess[_COL], grad)
+            step = np.linalg.solve(-hess, grad)
         except np.linalg.LinAlgError:
             break
         scale = 1.0

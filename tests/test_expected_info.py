@@ -29,6 +29,8 @@ from esn2 import (
     reparam_scalar_info,
 )
 from esn2.expected_info import _assemble
+from esn2.likelihood import _hessian_coefficients
+from esn2.special_fns import zeta
 
 SEPARABLE = DpParams(0, 0, 1, 0, 1, 0.5, 0, -2)
 TIGHT = CubatureControls(rel_tol=1e-10, abs_tol=1e-13, max_evals=4_000_000)
@@ -193,6 +195,25 @@ def test_paper_assembly_matches_gram_rule():
         got = expected_info(dp, TIGHT).matrix
         d = np.sqrt(np.diag(want))
         assert np.max(np.abs(got - want) / np.outer(d, d)) <= 1e-10, dp
+
+
+@pytest.mark.parametrize("p", [
+    (0.0, 0.0, 1.0, 0.5, 1.0, 1.5, -1.0, 0.5),
+    (0.0, 0.0, 1.0, 0.6, 1.0, 2.0, 3.0, 1.0),
+    (0.3, -0.2, 1.5, -0.4, 0.8, -1.0, 2.0, -0.7),
+    (0.0, 0.0, 1.0, 0.5, 1.0, 1.5, -1.0, -2.0),
+])
+def test_expected_score_vanishes(p):
+    # the Gaussian score coefficients and grad t, contracted with the
+    # closed-form E[1, Z, Z Z'] and E[(1, Z) zeta1(T)]: E[s] = 0 without
+    # sampling
+    dp = DpParams(*p)
+    es = expectation_set(dp)
+    _, grad_t, gauss = _hessian_coefficients(dp)
+    e_s = (gauss @ [1.0, es.e_z1, es.e_z2, es.e_z1sq, es.e_z2sq, es.e_z1z2]
+           + grad_t @ [es.e_zeta1, es.e_z1_zeta1, es.e_z2_zeta1])
+    e_s[7] -= zeta(1, dp.tau)
+    assert np.max(np.abs(e_s)) <= 1e-13
 
 
 def _mp_det(alpha1, tau):

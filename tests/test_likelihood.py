@@ -29,6 +29,8 @@ from esn2 import (
     standardize,
 )
 from esn2.expected_info import _FLIP_SIGNS
+from esn2.likelihood import _ROWS, _UPPER, _kernel
+from esn2.model import _residuals
 
 POINT_A = DpParams(0, 0, 1, 0.6, 1, 2, 3, 1)
 DATA_A = Dataset(np.array([0.7, -0.4, 1.1]), np.array([-1.2, 0.5, 0.9]))
@@ -314,3 +316,48 @@ def test_tau_tau_info_near_alpha_zero(alpha1, tau):
         want = float(want)
     got = observed_info(dp, DATA_C).matrix[7, 7]
     assert abs(got - want) <= 1e-8 * abs(want)
+
+
+def test_observed_info_centred_against_cancellation():
+    # here z1 sits near 30, so g = z1 + tau d(den)/d(alpha1) cancels; the
+    # zeta2 moments about the origin lose about 2 digits more than this
+    mp = pytest.importorskip("mpmath").mp
+    dp = DpParams(0, 0, 1, 0.6, 1, 30, 2, -30)
+    for seed in (1, 2):
+        data = sample_esn2(dp, 40, seed)
+        with mp.workdps(40):
+            theta = [mp.mpf(v) for v in dp.as_array()]
+            want = -float(mp.diff(lambda *th: _mp_loglik(mp, th, data),
+                                  theta, (0, 0, 0, 0, 0, 2, 0, 0)))
+        got = observed_info(dp, data).matrix[5, 5]
+        assert abs(got - want) <= 1e-12 * abs(want), seed
+
+
+def test_sums_match_kernel_rows():
+    # loglik, score and observed_info contract moment sums; the kernel's
+    # rows, summed in the same blocks, are the reference
+    rng = philox(20260815, 45)
+    points = [random_dp(rng) for _ in range(20)] + [
+        DpParams(0.2, -0.1, 1.5, 0.4, 0.9, 2, 1, -30),
+        DpParams(0.2, -0.1, 1.5, 0.4, 0.9, 5, -1, -12),
+        DpParams(0, 0, 1, 0.95, 1, 30, 2, -8),
+        DpParams(0, 0, 1, -0.95, 1, 1, -3, -8),
+        DpParams(0, 0, 1, 0.4, 1, -30, 2, 10),
+        DpParams(0.2, -0.1, 1.5, 0.4, 0.9, 1e-6, -5e-7, -8),
+        DpParams(0.2, -0.1, 1.5, 0.4, 0.9, 1e-6, -5e-7, 3),
+        IDENTITY,
+    ]
+    for k, dp in enumerate(points):
+        # one dataset crosses a block boundary
+        n = 70_000 if k == 0 else 300
+        data = sample_esn2(dp, n, k + 1)
+        z1, z2 = _residuals(dp, data.y1, data.y2)
+        blocks = [_kernel(dp, z1[lo:lo + _ROWS], z2[lo:lo + _ROWS], 2)
+                  for lo in range(0, n, _ROWS)]
+        assert loglik(dp, data) == float(sum(b[0].sum() for b in blocks))
+        for got, rows in ((score(dp, data), [b[1] for b in blocks]),
+                          (-observed_info(dp, data).matrix[_UPPER],
+                           [b[2] for b in blocks])):
+            rows = np.vstack(rows)
+            bound = 1e-12 * np.abs(rows).sum(axis=0)
+            assert np.all(np.abs(got - rows.sum(axis=0)) <= bound), (k, dp)
