@@ -51,7 +51,12 @@ class NonFiniteIntegrand(ValueError):
 
 @dataclass(frozen=True)
 class CubatureControls:
-    """Stopping rules for integrate_2d."""
+    """Stopping rules for integrate_2d and the expected-information rule.
+
+    For integrate_2d, max_evals counts integrand evaluations; for the
+    Gram rule of expected_info and det_scan it counts rule nodes, summed
+    over the rules tried.
+    """
     rel_tol: float = 1e-6
     abs_tol: float = 1e-12
     max_evals: int = 1_000_000

@@ -4,9 +4,14 @@ The expected information is the Gram matrix I = E[s s'] of the score s,
 so it is computed with a quadrature rule whose weights are all positive:
 I = A'A, where row k of A is sqrt(w_k) s(z_k).  The nodes sit in the
 hidden-truncation coordinates of the standardized model,
-Z = delta V + C^{1/2} W with C = Omegabar - delta delta', where V is
+Z = delta V + L W with L L' = C = Omegabar - delta delta', where V is
 N(0, 1) truncated to V > -tau (Gauss-Legendre, in panels) and W is
-N_2(0, I) (Gauss-Hermite).  A is folded block by block into its 8x8
+N_2(0, I).  The score depends on Z nonlinearly only through
+t = tau den + alpha'Z, and t sees W only along q = L'alpha / |L'alpha|.
+So W is rotated into W1' = q'W, which carries all of zeta1(t) and gets a
+Gauss-Hermite rule that grows with the V rule, and the orthogonal W2',
+along which s is a polynomial of degree <= 2: three Gauss-Hermite nodes
+integrate s s' there exactly.  A is folded block by block into its 8x8
 triangular factor R, so I = R'R, and determinants and eigenvalues come
 from the singular values of R: the condition number of I is never
 squared, and a determinant is never negative.
@@ -22,6 +27,7 @@ block-structure predicates, and grid sweeps of the determinant used to
 map where the matrix degenerates.
 """
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -32,7 +38,7 @@ from .cubature import CubatureControls
 from .expectations import CubatureNotConverged
 from .likelihood import InfoMatrix, _hessian_from_moments, _kernel
 from .model import (DpParams, _alpha_star_sq, _conditional_factor, _lam,
-                    validate)
+                    delta_vector, validate)
 from .special_fns import LOG_RT2PI, zeta
 
 _SWEEPABLE = ("alpha1", "alpha2", "tau")
@@ -64,12 +70,35 @@ _V_SPAN_SQ = 80.0
 # zeta1(T) turns from linear to phi-like within about _KNEE / alpha_star
 # of the truncation point, so the first V panel ends there
 _KNEE = 8.0
-# the first rule has 8 nodes per V panel and per W axis; each later rule
-# has 1.5 times as many
+# the first rule has 8 nodes per V panel and 16 on W1'; each later rule
+# has 1.5 times as many.  W1' carries all of zeta1(t)'s variation: with
+# as many nodes as a V panel, the second fit truth of bench/points.py
+# kept 8.5 digits by the default tolerance, against 11.2 with twice as many
 _FIRST_NODES = 8
+_W1_PER_V = 2
 _GROWTH = 1.5
+# at fixed (V, W1'), s s' is a polynomial of degree <= 4 in W2', which the
+# 3-node Gauss-Hermite rule integrates exactly
+_W2_NODES = 3
 # nodes folded into the triangular factor at a time
 _BLOCK = 8192
+
+
+@functools.lru_cache(maxsize=32)
+def _legendre(n):
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1]."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+@functools.lru_cache(maxsize=32)
+def _hermite(n):
+    """Read-only Gauss-Hermite nodes and log weights for N(0, 1)."""
+    x, w = np.polynomial.hermite_e.hermegauss(n)
+    log_w = np.log(w) - LOG_RT2PI
+    x.flags.writeable = log_w.flags.writeable = False
+    return x, log_w
 
 
 def _v_rule(tau, alpha_star, n):
@@ -88,7 +117,7 @@ def _v_rule(tau, alpha_star, n):
     knee = lo + _KNEE / alpha_star if alpha_star * (mid - lo) > _KNEE \
         else mid
     edges = sorted({lo, knee, max(knee, -math.sqrt(_V_SPAN_SQ)), hi})
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _legendre(n)
     v, log_w = [], []
     for a, b in zip(edges[:-1], edges[1:]):
         v.append(0.5 * (a + b) + 0.5 * (b - a) * x)
@@ -97,28 +126,52 @@ def _v_rule(tau, alpha_star, n):
     return v, np.concatenate(log_w) - 0.5 * v * v - LOG_RT2PI - zeta(0, tau)
 
 
-def _gram_factor(dp, v, log_wv, n):
+def _w_rule(dp, m, k):
+    """The W part of the rule: the offsets L W of Z, and log weights.
+
+    W is rotated to W1' = q'W and W2' = q_perp'W, with q = L'alpha /
+    |L'alpha| (e1 when alpha = 0) and q_perp = (-q2, q1).  Then
+    alpha'L W = |L'alpha| W1', so t does not vary along W2'.  W1' gets m
+    Gauss-Hermite nodes and W2' gets k; node j k + l is W1' node j and
+    W2' node l.
+
+    Returns
+    -------
+    (ndarray, ndarray, ndarray)
+        The offsets of z1 and of z2, and the log weights, each (m k,).
+    """
+    _, l11, l21, l22 = _conditional_factor(_lam(dp), dp.alpha1, dp.alpha2)
+    c1 = l11 * dp.alpha1 + l21 * dp.alpha2
+    c2 = l22 * dp.alpha2
+    norm = math.hypot(c1, c2)
+    q1, q2 = (c1 / norm, c2 / norm) if norm > 0.0 else (1.0, 0.0)
+    x, log_wx = _hermite(m)
+    y, log_wy = _hermite(k)
+    x = x[:, None]
+    dz1 = l11 * q1 * x - l11 * q2 * y
+    dz2 = (l21 * q1 + l22 * q2) * x + (l22 * q1 - l21 * q2) * y
+    return dz1.ravel(), dz2.ravel(), (log_wx[:, None] + log_wy).ravel()
+
+
+def _gram_factor(dp, v, log_wv, w_rule):
     """Triangular R with R'R the rule's E[s s'] at dp.
 
     dp must have alpha at its canonical sign.  The rule is the V nodes v
-    with log weights log_wv times n Gauss-Hermite nodes on each W axis:
-    node (i, j, l) is V node i and W nodes j and l.  Nodes are folded
-    into R _BLOCK at a time by QR of [R; block], so memory does not grow
-    with the node count.
+    with log weights log_wv times the W nodes w_rule of _w_rule: node
+    (i, j) is V node i and W node j, at Z = delta v_i + (L W)_j.  Nodes
+    are folded into R _BLOCK at a time by QR of [R; block], so memory
+    does not grow with the node count.
     """
-    d, l11, l21, l22 = _conditional_factor(_lam(dp), dp.alpha1, dp.alpha2)
-    x, wx = np.polynomial.hermite_e.hermegauss(n)
-    log_wx = np.log(wx) - LOG_RT2PI
-
-    per_v = n * n
+    d = delta_vector(_lam(dp), dp.alpha1, dp.alpha2)
+    dz1, dz2, log_ww = w_rule
+    per_v = len(log_ww)
     total = len(v) * per_v
     r = np.empty((0, 8))
     for start in range(0, total, _BLOCK):
-        i, jl = np.divmod(np.arange(start, min(start + _BLOCK, total)), per_v)
-        j, l = np.divmod(jl, n)
-        z1 = d.delta1 * v[i] + l11 * x[j]
-        z2 = d.delta2 * v[i] + l21 * x[j] + l22 * x[l]
-        root_w = np.exp(0.5 * (log_wv[i] + log_wx[j] + log_wx[l]))
+        i, j = np.divmod(np.arange(start, min(start + _BLOCK, total)), per_v)
+        z1 = d.delta1 * v[i] + dz1[j]
+        z2 = d.delta2 * v[i] + dz2[j]
+        root_w = np.exp(0.5 * (log_wv[i] + log_ww[j]))
         rows = _kernel(dp, z1, z2, 1)[1]
         stacked = np.vstack([r, rows * root_w[:, None]])
         r = scipy.linalg.qr(stacked, mode="r", check_finite=False)[0][:8]
@@ -154,13 +207,14 @@ def _info_factor(dp, tol):
     n = _FIRST_NODES
     while True:
         v, log_wv = _v_rule(dp.tau, alpha_star, n)
-        nodes = len(v) * n * n
+        m = _W1_PER_V * n
+        nodes = len(v) * m * _W2_NODES
         if used + nodes > controls.max_evals:
             raise CubatureNotConverged(
                 f"expected-information rule not converged after {used} "
                 f"nodes; the next rule needs {nodes} more")
         used += nodes
-        r = _gram_factor(dp, v, log_wv, n)
+        r = _gram_factor(dp, v, log_wv, _w_rule(dp, m, _W2_NODES))
         info = r.T @ r
         if prev is not None:
             scale = np.sqrt(np.diag(info))

@@ -22,8 +22,8 @@ from scipy.special import chdtrc, log_ndtr, ndtri_exp
 from .cubature import integrate_2d
 from .expectations import lemma4_expectation
 from .expected_info import _FLIP_SIGNS, expected_info
-from .likelihood import (_COL, _kernel, density_esn2, loglik, observed_info,
-                         score)
+from .likelihood import (_COL, _ROWS, _kernel, density_esn2, loglik,
+                         observed_info, score)
 from .model import (PARAM_NAMES, Dataset, DpParams, _alpha_star_sq,
                     _conditional_factor, _lam, _residuals, delta_vector,
                     validate)
@@ -348,18 +348,40 @@ def _check_lemma4(config):
                        f"{config.lemma4_points} random points, |tau| <= 2")
 
 
+def _pool_entries(acc, block):
+    """Pool two (count, mean, centred sum of squares) triples, entry by
+    entry, by the update likelihood._pool applies to zeta2 moments."""
+    n_a, mean_a, sq_a = acc
+    n_b, mean_b, sq_b = block
+    n = n_a + n_b
+    shift = mean_b - mean_a
+    return n, mean_a + shift * (n_b / n), sq_a + sq_b + shift ** 2 * (
+        n_a * n_b / n)
+
+
 def _mc_info_sigmas(dp, einfo_block, data, entries):
-    """Per-entry |einfo − MC mean| / MC standard error."""
-    rows = _kernel(dp, *_residuals(dp, data.y1, data.y2), 2)[2]
-    n = data.n
+    """Per-entry |einfo − MC mean| / MC standard error.
+
+    The hessian rows are formed _ROWS at a time and each block's means and
+    centred sums of squares pooled, so memory does not grow with the
+    sample.
+    """
+    z1, z2 = _residuals(dp, data.y1, data.y2)
+    cols = [_COL[r, c] for r, c in entries]
+    acc = (0, 0.0, 0.0)
+    for lo in range(0, data.n, _ROWS):
+        hess = _kernel(dp, z1[lo:lo + _ROWS], z2[lo:lo + _ROWS], 2)[2][:, cols]
+        mean = hess.mean(axis=0)
+        hess -= mean
+        acc = _pool_entries(
+            acc, (len(hess), -mean, np.einsum("ij,ij->j", hess, hess)))
+    n, mean, sq = acc
+    se = np.sqrt(sq / (n - 1) / n)
     sigmas = np.empty(len(entries))
-    for k, (r, c) in enumerate(entries):
-        draws = -rows[:, _COL[r, c]]
-        mean = float(np.mean(draws))
-        se = float(np.std(draws, ddof=1)) / math.sqrt(n)
-        diff = einfo_block[(r, c)] - mean
-        sigmas[k] = 0.0 if (se == 0.0 and diff == 0.0) else (
-            math.inf if se == 0.0 else abs(diff) / se)
+    for k, rc in enumerate(entries):
+        diff = einfo_block[rc] - mean[k]
+        sigmas[k] = 0.0 if (se[k] == 0.0 and diff == 0.0) else (
+            math.inf if se[k] == 0.0 else abs(diff) / se[k])
     return sigmas
 
 

@@ -28,8 +28,9 @@ from esn2 import (
     expected_info,
     reparam_scalar_info,
 )
-from esn2.expected_info import _assemble
+from esn2.expected_info import _assemble, _gram_factor, _v_rule, _w_rule
 from esn2.likelihood import _hessian_coefficients
+from esn2.model import _alpha_star_sq, _lam
 from esn2.special_fns import zeta
 
 SEPARABLE = DpParams(0, 0, 1, 0, 1, 0.5, 0, -2)
@@ -60,6 +61,23 @@ SLANTED = DpParams(0, 0, 1, 0.6, 1, 2, 3, 1)
 # criterion 7's tolerance
 SWEEP_TOL = CubatureControls(rel_tol=5e-13, abs_tol=1e-14,
                              max_evals=40_000_000)
+# the benchmark's fit truths and Monte Carlo points
+FIT_MC_POINTS = [
+    (0.0, 0.0, 1.0, 0.5, 1.0, 1.5, -1.0, 0.5),
+    (0.0, 0.0, 1.0, 0.6, 1.0, 2.0, 3.0, 1.0),
+    (0.3, -0.2, 1.5, -0.4, 0.8, -1.0, 2.0, -0.7),
+    (0.0, 0.0, 1.0, 0.5, 1.0, 1.5, -1.0, -2.0),
+]
+EXTREME_POINTS = [
+    (0.0, 0.0, 1.0, 0.95, 1.0, 30.0, 2.0, -8.0),
+    (0.0, 0.0, 1.0, -0.95, 1.0, 1.0, -3.0, -8.0),
+    (0.0, 0.0, 1.0, 0.4, 1.0, -30.0, 2.0, 10.0),
+]
+
+
+def _scaled(m, ref):
+    d = np.sqrt(np.diag(ref))
+    return np.abs(m - ref) / np.outer(d, d)
 
 
 def test_expected_info_oracle_matrix():
@@ -197,12 +215,7 @@ def test_paper_assembly_matches_gram_rule():
         assert np.max(np.abs(got - want) / np.outer(d, d)) <= 1e-10, dp
 
 
-@pytest.mark.parametrize("p", [
-    (0.0, 0.0, 1.0, 0.5, 1.0, 1.5, -1.0, 0.5),
-    (0.0, 0.0, 1.0, 0.6, 1.0, 2.0, 3.0, 1.0),
-    (0.3, -0.2, 1.5, -0.4, 0.8, -1.0, 2.0, -0.7),
-    (0.0, 0.0, 1.0, 0.5, 1.0, 1.5, -1.0, -2.0),
-])
+@pytest.mark.parametrize("p", FIT_MC_POINTS)
 def test_expected_score_vanishes(p):
     # the Gaussian score coefficients and grad t, contracted with the
     # closed-form E[1, Z, Z Z'] and E[(1, Z) zeta1(T)]: E[s] = 0 without
@@ -214,6 +227,36 @@ def test_expected_score_vanishes(p):
            + grad_t @ [es.e_zeta1, es.e_z1_zeta1, es.e_z2_zeta1])
     e_s[7] -= zeta(1, dp.tau)
     assert np.max(np.abs(e_s)) <= 1e-13
+
+
+@pytest.mark.parametrize("p", FIT_MC_POINTS + EXTREME_POINTS)
+def test_w2_axis_rule_is_exact(p):
+    # t does not vary along W2', where s s' is a quartic: 3 Gauss-Hermite
+    # nodes there give the same R'R as 9
+    dp = DpParams(*p)
+    if dp.alpha1 < 0.0:
+        dp = replace(dp, alpha1=-dp.alpha1, alpha2=-dp.alpha2)
+    m = 24
+    dz1, dz2, _ = _w_rule(dp, m, 9)
+    t_w = (dp.alpha1 * dz1 + dp.alpha2 * dz2).reshape(m, 9)
+    size = (np.abs(dp.alpha1 * dz1) + np.abs(dp.alpha2 * dz2)).reshape(m, 9)
+    assert np.all(np.ptp(t_w, axis=1) <= 16 * np.finfo(float).eps
+                  * size.max(axis=1))
+
+    alpha_star = math.sqrt(_alpha_star_sq(_lam(dp), dp.alpha1, dp.alpha2))
+    v, log_wv = _v_rule(dp.tau, alpha_star, m // 2)
+    r3, r9 = (_gram_factor(dp, v, log_wv, _w_rule(dp, m, k)) for k in (3, 9))
+    info9 = r9.T @ r9
+    assert np.max(_scaled(r3.T @ r3, info9)) <= 1e-13
+
+
+@pytest.mark.parametrize("p", FIT_MC_POINTS)
+def test_default_tolerance_accuracy(p):
+    # the default rule against criterion 7's, entrywise on the diagonal
+    # scale sqrt(I_ii I_jj)
+    dp = DpParams(*p)
+    want = expected_info(dp, SWEEP_TOL).matrix
+    assert np.max(_scaled(expected_info(dp).matrix, want)) <= 1e-10
 
 
 def _mp_det(alpha1, tau):
@@ -280,9 +323,7 @@ def test_det_scan_matches_high_precision(alpha1, tau, pinned):
 def test_extreme_regimes_resolved():
     # deep truncation with |lam| near 1, and a huge slant where the
     # truncation has almost no mass
-    for dp in (DpParams(0, 0, 1, 0.95, 1, 30, 2, -8),
-               DpParams(0, 0, 1, -0.95, 1, 1, -3, -8),
-               DpParams(0, 0, 1, 0.4, 1, -30, 2, 10)):
+    for dp in (DpParams(*p) for p in EXTREME_POINTS):
         assert np.all(np.isfinite(expected_info(dp).matrix))
         row, = det_scan(SweepSpec("tau", (dp.tau,), dp))
         assert row.converged, dp

@@ -25,9 +25,12 @@ from esn2 import (
     run_validation_suite,
     sample_esn2,
     sampler_chi2_pvalue,
+    expected_info,
     score,
 )
-from esn2.validation import _truncated_normal
+from esn2.likelihood import _COL, _ROWS, _kernel
+from esn2.model import _residuals
+from esn2.validation import _UPPER_36, _mc_info_sigmas, _truncated_normal
 
 
 def test_fd_gradient_linear_exact():
@@ -192,6 +195,26 @@ def test_sampler_any_tau(tau):
         assert abs(float(np.var(col, ddof=1)) - cov[j, j]) < 3.5 * se_v
     p, _, _ = sampler_chi2_pvalue(dp, n, 81)
     assert p > 1e-3
+
+
+def test_mc_sigmas_stream_matches_all_rows():
+    # the oracle pools blocks of hessian rows; the reference forms them all
+    # at once, over two full blocks and a part.  A sigma is the difference
+    # of einfo / se and mean / se, so it is compared relative to those
+    dp = DpParams(0.3, -0.2, 1.5, -0.4, 0.8, -1.0, 2.0, -0.7)
+    data = sample_esn2(dp, 2 * _ROWS + 4465, RngSeed(7))
+    einfo = expected_info(dp).matrix
+    block = {rc: einfo[rc] for rc in _UPPER_36}
+    rows = _kernel(dp, *_residuals(dp, data.y1, data.y2), 2)[2]
+    want = np.empty(len(_UPPER_36))
+    scale = np.empty(len(_UPPER_36))
+    for k, (r, c) in enumerate(_UPPER_36):
+        draws = -rows[:, _COL[r, c]]
+        se = np.std(draws, ddof=1) / math.sqrt(data.n)
+        want[k] = abs(block[(r, c)] - np.mean(draws)) / se
+        scale[k] = (abs(block[(r, c)]) + abs(np.mean(draws))) / se
+    got = _mc_info_sigmas(dp, block, data, _UPPER_36)
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
 
 def test_sampler_chi2_pvalue():
