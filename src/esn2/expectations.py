@@ -6,12 +6,16 @@ E[.  zeta1(T)] has a closed form: zeta1 tilts the law of Z into a
 Gaussian U with mean -tau delta and covariance Omegabar - delta delta',
 so E[h(Z) zeta1(T)] = E[zeta1(T)] E[h(U)].  The zeta2 analogues each
 need one extra ingredient with no closed form, the a-terms
-E[Z1^p Z2^q zeta1(T)^2], evaluated here by adaptive cubature.
+E[Z1^p Z2^q zeta1(T)^2].  They are the entries of the Gram matrix
+E[zeta1(T)^2 B B'], B = (1, Z1, Z2), integrated here by the same
+positive-weight rule that gives the expected information.
 
 These are the paper's route to the expected information, which they reach
 through the kernel's hessian coefficients as E[-H] (expected_info._assemble).
 Production takes it by a Gram rule over the score rows (`expected_info`);
 this module and the assembly are kept as the oracle that rule is checked by.
+The a-terms share the rule's nodes but not its integrand, so the check
+still sets the closed forms and the assembly against the score rows.
 """
 
 import math
@@ -19,18 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cubature import CubatureControls, integrate_2d
+from .cubature import _gram_rule
 from .model import _alpha_star_sq, _lam, _v_entries, delta_vector, validate
 from .special_fns import zeta
 
-LOG_2PI = math.log(2.0 * math.pi)
-
-_WIDEN_STEP = 2.0
-_WIDEN_ROUNDS = 8
-
 
 class CubatureNotConverged(RuntimeError):
-    """An a-term integral could not reach its error tolerance."""
+    """A quadrature rule could not reach its error tolerance."""
 
 
 @dataclass(frozen=True)
@@ -80,11 +79,13 @@ def u_distribution(lam, alpha1, alpha2, tau):
 
 @dataclass(frozen=True)
 class ATerms:
-    """The six cubature integrals E[Z1^p Z2^q zeta1(T)^2].
+    """The six integrals E[Z1^p Z2^q zeta1(T)^2].
 
-    converged is False when any integral hit its budget above tolerance
-    or the integration box failed the mass check; values are then best
-    estimates, and consumers decide whether to raise.
+    converged is False when the rule ran out of budget before two rules
+    agreed; values are then the finest rule's (NaN when the budget admits
+    no rule), and consumers decide whether to raise.  error_estimate is
+    the largest gap between the last two rules (inf before two have run),
+    and evals the rule nodes summed over the rules tried.
     """
     a0: float
     a_1_1: float
@@ -101,137 +102,40 @@ class ATerms:
                 self.a_1_2, self.a_2_2, self.a_12)
 
 
-def _std_log_density(lam, alpha1, alpha2, tau):
-    """Log density of Z as a vectorized callable of (z1, z2) arrays."""
-    u = 1.0 / (1.0 - lam * lam)
-    alpha0 = tau * math.sqrt(1.0 + _alpha_star_sq(lam, alpha1, alpha2))
-    const = -LOG_2PI - 0.5 * math.log1p(-lam * lam) - zeta(0, tau)
-
-    def log_f(z1, z2):
-        q = z1 * z1 + z2 * z2 - 2.0 * lam * z1 * z2
-        return const - 0.5 * u * q + zeta(0, alpha0 + alpha1 * z1
-                                          + alpha2 * z2)
-    return log_f
-
-
-def _tail_halfwidth(rel_tol):
-    """Half-width multiplier whose Gaussian tail is below the tolerance.
-
-    Truncating a second-moment integrand at mean +- L sd discards about
-    2 (L^2 + 1) phi(L) of its value, an error the interior refinement
-    loop can never see, so L has to grow as the tolerance shrinks.
-    """
-    target = 0.01 * max(rel_tol, 1e-15)
-    width = 6.0
-    while width < 12.0:
-        tail = 2.0 * (width * width + 1.0) * math.exp(
-            -0.5 * width * width - 0.5 * LOG_2PI)
-        if tail <= target:
-            break
-        width += 0.25
-    return width
-
-
-def _integration_box(lam, alpha1, alpha2, tau, controls):
-    """Box holding essentially all the mass of Z.
-
-    Each marginal of Z has mean zeta1(tau) delta_j and variance
-    1 + zeta2(tau) delta_j^2, so the box covers mean +- L sd per
-    coordinate with L set by the tolerance, then is verified to hold
-    nearly all the mass, widening further if the check fails.
-    """
-    d = delta_vector(lam, alpha1, alpha2)
-    width = _tail_halfwidth(controls.rel_tol)
-    z1_tau, z2_tau = zeta(1, tau), zeta(2, tau)
-    lower = np.empty(2)
-    upper = np.empty(2)
-    for j, dj in enumerate((d.delta1, d.delta2)):
-        mean = z1_tau * dj
-        sd = math.sqrt(1.0 + z2_tau * dj * dj)
-        lower[j] = mean - width * sd
-        upper[j] = mean + width * sd
-
-    log_f = _std_log_density(lam, alpha1, alpha2, tau)
-
-    def density(z1, z2):
-        return np.exp(log_f(z1, z2))
-
-    mass_floor = 1.0 - max(min(1e-6, controls.rel_tol), 1e-12)
-    for _ in range(_WIDEN_ROUNDS):
-        mass = integrate_2d(density, lower, upper, controls)
-        if mass.converged and mass.value >= mass_floor:
-            return lower, upper
-        lower -= _WIDEN_STEP
-        upper += _WIDEN_STEP
-    raise CubatureNotConverged(
-        f"integration box mass check failed; last box {lower} .. {upper}")
+def _zeta1_rows(dp, z1, z2):
+    """zeta1(T) (1, Z1, Z2), one row per node: the Gram rule's b for the
+    a-terms."""
+    alpha0 = dp.tau * math.sqrt(
+        1.0 + _alpha_star_sq(_lam(dp), dp.alpha1, dp.alpha2))
+    z = zeta(1, alpha0 + dp.alpha1 * z1 + dp.alpha2 * z2)
+    return np.column_stack([z, z * z1, z * z2])
 
 
 def a_terms(dp, tol=None):
-    """The six a-term integrals for dp, with a convergence flag.
+    """The six a-terms for dp, with a convergence flag.
 
-    The integrands are invariant (odd ones change sign) under jointly
-    flipping alpha and z, so integrals are evaluated at a canonical
-    alpha sign and mapped back, and mirrored parameter points yield
-    bit-identical magnitudes.  At alpha = (0, 0) the tilt is constant
-    and the normal-moment closed forms are returned exactly.
+    They are the entries of the Gram matrix E[zeta1(T)^2 B B'],
+    B = (1, Z1, Z2), which the Gram rule integrates as it does E[s s'].
+    The rule runs at the canonical alpha sign, where mirrored parameter
+    points meet, so their a-terms are bit-identical up to the sign of the
+    odd ones.  At alpha = (0, 0) the tilt is constant and the
+    normal-moment closed forms are returned exactly.
     """
     validate(dp)
-    controls = tol or CubatureControls()
-    lam = _lam(dp)
-    a1, a2, tau = dp.alpha1, dp.alpha2, dp.tau
-
-    if a1 == 0.0 and a2 == 0.0:
-        z1_sq = zeta(1, tau) ** 2
+    if dp.alpha1 == 0.0 and dp.alpha2 == 0.0:
+        z1_sq = zeta(1, dp.tau) ** 2
         return ATerms(a0=z1_sq, a_1_1=0.0, a_2_1=0.0, a_1_2=z1_sq,
-                      a_2_2=z1_sq, a_12=z1_sq * lam,
+                      a_2_2=z1_sq, a_12=z1_sq * _lam(dp),
                       converged=True, error_estimate=0.0, evals=0)
 
-    flip = a1 < 0.0 or (a1 == 0.0 and a2 < 0.0)
-    if flip:
-        a1, a2 = -a1, -a2
-
-    lower, upper = _integration_box(lam, a1, a2, tau, controls)
-    log_f = _std_log_density(lam, a1, a2, tau)
-    alpha0 = tau * math.sqrt(1.0 + _alpha_star_sq(lam, a1, a2))
-
-    def weight(z1, z2):
-        return zeta(1, alpha0 + a1 * z1 + a2 * z2) ** 2 \
-            * np.exp(log_f(z1, z2))
-
-    # The odd and cross moments are recovered from shifted and rotated
-    # squares so that every integrand is nonnegative; a sign-changing
-    # integrand can cancel to a spurious zero plateau on coarse regions.
-    integrands = (weight,
-                  lambda x, y: x * x * weight(x, y),
-                  lambda x, y: y * y * weight(x, y),
-                  lambda x, y: (1.0 + x) ** 2 * weight(x, y),
-                  lambda x, y: (1.0 + y) ** 2 * weight(x, y),
-                  lambda x, y: (x + y) ** 2 * weight(x, y),
-                  lambda x, y: (x - y) ** 2 * weight(x, y))
-    vals = []
-    errs = []
-    evals = 0
-    converged = True
-    for g in integrands:
-        res = integrate_2d(g, lower, upper, controls)
-        vals.append(res.value)
-        errs.append(res.error_estimate)
-        evals += res.evals
-        converged = converged and res.converged
-    a0, a_1_2, a_2_2, shift1, shift2, rot_p, rot_m = vals
-    a_1_1 = 0.5 * (shift1 - a0 - a_1_2)
-    a_2_1 = 0.5 * (shift2 - a0 - a_2_2)
-    a_12 = 0.25 * (rot_p - rot_m)
-    if flip:
-        a_1_1, a_2_1 = -a_1_1, -a_2_1
-    worst = max(errs[0], errs[1], errs[2],
-                0.5 * (errs[3] + errs[0] + errs[1]),
-                0.5 * (errs[4] + errs[0] + errs[2]),
-                0.25 * (errs[5] + errs[6]))
-    return ATerms(a0=a0, a_1_1=a_1_1, a_2_1=a_2_1,
-                  a_1_2=a_1_2, a_2_2=a_2_2, a_12=a_12,
-                  converged=converged, error_estimate=worst, evals=evals)
+    rule = _gram_rule(dp, _zeta1_rows, tol)
+    r = rule.factor if rule.factor is not None else np.full((3, 3), np.nan)
+    m = (r.T @ r).tolist()
+    odd = -1.0 if rule.flipped else 1.0
+    return ATerms(a0=m[0][0], a_1_1=odd * m[0][1], a_2_1=odd * m[0][2],
+                  a_1_2=m[1][1], a_2_2=m[2][2], a_12=m[1][2],
+                  converged=rule.converged, error_estimate=rule.gap,
+                  evals=rule.nodes)
 
 
 @dataclass(frozen=True)
@@ -260,19 +164,19 @@ class ExpectationSet:
 
 
 def expectation_set(dp, tol=None):
-    """All closed-form expectations plus the cubature a-terms.
+    """All closed-form expectations plus the a-terms.
 
     Raises
     ------
     CubatureNotConverged
-        If any a-term integral is flagged unconverged.
+        If the a-term rule is flagged unconverged.
     """
     validate(dp)
     terms = a_terms(dp, tol)
     if not terms.converged:
         raise CubatureNotConverged(
-            "a-term cubature did not converge; error estimate "
-            f"{terms.error_estimate:g} after {terms.evals} evaluations")
+            "a-term rule did not converge; gap "
+            f"{terms.error_estimate:g} after {terms.evals} nodes")
     lam = _lam(dp)
     a1, a2, tau = dp.alpha1, dp.alpha2, dp.tau
     den = math.sqrt(1.0 + _alpha_star_sq(lam, a1, a2))

@@ -28,7 +28,8 @@ from esn2 import (
     expected_info,
     reparam_scalar_info,
 )
-from esn2.expected_info import _assemble, _gram_factor, _v_rule, _w_rule
+from esn2.cubature import _gram_factor, _v_rule, _w_rule
+from esn2.expected_info import _assemble, _score_rows
 from esn2.likelihood import _hessian_coefficients
 from esn2.model import _alpha_star_sq, _lam
 from esn2.special_fns import zeta
@@ -208,11 +209,23 @@ def test_paper_assembly_matches_gram_rule():
     # the closed-form expectations and entrywise assembly of the paper no
     # longer run in production; this keeps them and the rule honest
     rng = philox(20260815, 43)
-    for dp in [SLANTED] + [random_dp(rng) for _ in range(5)]:
+    for dp in ([SLANTED] + [random_dp(rng) for _ in range(5)]
+               + [DpParams(*p) for p in FIT_MC_POINTS]):
         want = _assemble(dp, expectation_set(dp, TIGHT))
         got = expected_info(dp, TIGHT).matrix
         d = np.sqrt(np.diag(want))
         assert np.max(np.abs(got - want) / np.outer(d, d)) <= 1e-10, dp
+
+
+@pytest.mark.parametrize("p", EXTREME_POINTS)
+def test_paper_assembly_matches_gram_rule_extremes(p):
+    # deep truncation and huge slant, where the a-terms carry little mass
+    # (a0 is about 2e-24 at the last point) in a corner of the plane; the
+    # assembly is scaled by the rule's diagonal, which is never negative
+    dp = DpParams(*p)
+    want = expected_info(dp, TIGHT).matrix
+    got = _assemble(dp, expectation_set(dp, TIGHT))
+    assert np.max(_scaled(got, want)) <= 1e-7
 
 
 @pytest.mark.parametrize("p", FIT_MC_POINTS)
@@ -245,7 +258,8 @@ def test_w2_axis_rule_is_exact(p):
 
     alpha_star = math.sqrt(_alpha_star_sq(_lam(dp), dp.alpha1, dp.alpha2))
     v, log_wv = _v_rule(dp.tau, alpha_star, m // 2)
-    r3, r9 = (_gram_factor(dp, v, log_wv, _w_rule(dp, m, k)) for k in (3, 9))
+    r3, r9 = (_gram_factor(dp, _score_rows, v, log_wv, _w_rule(dp, m, k))
+              for k in (3, 9))
     info9 = r9.T @ r9
     assert np.max(_scaled(r3.T @ r3, info9)) <= 1e-13
 
