@@ -7,11 +7,13 @@ rows serve the callers that need each observation: density_esn2, the Gram
 rule of expected_info and the Monte Carlo oracle in validation.
 
 loglik, score, observed_info and fit_mle go through `_sums` instead.  It
-sums the log density per row as the kernel forms it, and the derivatives
-from per-block moments of (1, z1, z2), zeta1(t) and zeta2(t), without
-forming a derivative row.  The hessian is H_N + zeta1(t) grad^2 t +
-zeta2(t) grad t grad t', H_N the bivariate normal part, with coefficients
-from `_hessian_coefficients`; `_hessian_from_moments` contracts them with
+sums the log density per row as the kernel forms it, and the per-block
+moments of b = (1, z1, z2, z1^2, z2^2, z1 z2, zeta1(t), z1 zeta1(t),
+z2 zeta1(t)) and of zeta2(t), without forming a derivative row.  Both
+apply the one coefficient set of `_hessian_coefficients`: the score is
+s_coef @ b, per row or summed, and the hessian H_N + zeta1(t) grad^2 t +
+zeta2(t) grad t grad t', H_N the bivariate normal part, is lin @ b plus
+the zeta2 term.  `_hessian_from_moments` contracts the coefficients with
 sample sums here and with the paper's expectations in
 expected_info._assemble, and a test holds that E[-H] to the Gram rule's
 E[s s'], read from the score rows.
@@ -31,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .model import DpParams, _alpha_star_sq, _lam, _residuals, validate
 # zeta is not called here; bench/ reads it as esn2.likelihood.zeta
@@ -97,12 +98,11 @@ def _hessian_coefficients(dp):
         The hessian less zeta2(t) grad t grad t', in the kernel's columns, on
         the basis 1, z1, z2, z1^2, z2^2, z1 z2 (H_N) and zeta1, z1 zeta1,
         z2 zeta1 (zeta1 grad^2 t).
-    grad_t : ndarray (8, 3)
-        grad t = grad_t @ (1, z1, z2).
-    gauss : ndarray (8, 6)
-        The gradient of H_N's log density on 1, z1, z2, z1^2, z2^2, z1 z2,
-        so the score is gauss @ those + zeta1(t) grad t, less zeta1(tau) at
-        tau.
+    s_coef : ndarray (8, 9)
+        The score on the same basis: the gradient of H_N's log density in
+        the first six columns and grad t, the coefficient of zeta1, in the
+        last three, so grad t = s_coef[:, 6:] @ (1, z1, z2).  The tau entry
+        is den zeta1(t), which the caller forms less zeta1(tau).
     """
     var = np.array([dp.omega11, dp.omega22])
     o = np.sqrt(var)
@@ -124,12 +124,12 @@ def _hessian_coefficients(dp):
     # the gradient of H_N's log density: P r at xi and, with [k, i, j] the
     # coefficient of z_i z_j, r' P E_k P r / 2 - tr(P E_k) / 2 at omega_k
     pep = pe @ p
-    gauss = np.zeros((8, 6))
-    gauss[:2, 1:3] = p * o
-    gauss[2:5, 0] = -0.5 * np.trace(pe, axis1=1, axis2=2)
-    gauss[2:5, 3] = 0.5 * pep[:, 0, 0] * var[0]
-    gauss[2:5, 4] = 0.5 * pep[:, 1, 1] * var[1]
-    gauss[2:5, 5] = pep[:, 0, 1] * (o[0] * o[1])
+    s_coef = np.zeros((8, 9))
+    s_coef[:2, 1:3] = p * o
+    s_coef[2:5, 0] = -0.5 * np.trace(pe, axis1=1, axis2=2)
+    s_coef[2:5, 3] = 0.5 * pep[:, 0, 0] * var[0]
+    s_coef[2:5, 4] = 0.5 * pep[:, 1, 1] * var[1]
+    s_coef[2:5, 5] = pep[:, 0, 1] * (o[0] * o[1])
     # [k, i, j]: coefficient of z_j at (xi_i, omega_k)
     xi_om = -pep * o
     coef[1:3, :2, 2:5] = xi_om.transpose(2, 1, 0)
@@ -157,7 +157,7 @@ def _hessian_coefficients(dp):
 
     # grad z_j = -e_xi_j / omega_j - z_j e_omega_jj / (2 omega_jj), and
     # alpha_j z_j adds alpha_j grad z_j + z_j e_alpha_j to grad t
-    grad_t = np.zeros((8, 3))
+    grad_t = s_coef[:, 6:]
     grad_t[:, 0] = dp.tau * d_den + den * e[7]
     coef[6] = dp.tau * h_den + _sym(e[7], d_den)
     for j in (0, 1):
@@ -169,28 +169,27 @@ def _hessian_coefficients(dp):
         coef[7 + j] = (_sym(al, dz1)
                        + a[j] * np.outer(om, om) * (0.75 / var[j] ** 2))
     lin = np.ascontiguousarray(coef[:, _UPPER[0], _UPPER[1]].T)
-    lin.flags.writeable = grad_t.flags.writeable = False
-    gauss.flags.writeable = False
-    return lin, grad_t, gauss
+    lin.flags.writeable = s_coef.flags.writeable = False
+    return lin, s_coef
 
 
 def _constants(dp):
-    """lam, u = 1 / (1 - lam^2), alpha_star^2, den and den - 1 at dp."""
+    """lam, u = 1 / (1 - lam^2), alpha_star^2 and den - 1 at dp."""
     lam = _lam(dp)
     astar2 = _alpha_star_sq(lam, dp.alpha1, dp.alpha2)
-    den = math.sqrt(1.0 + astar2)
-    return lam, 1.0 / (1.0 - lam * lam), astar2, den, astar2 / (1.0 + den)
+    den_m1 = astar2 / (1.0 + math.sqrt(1.0 + astar2))
+    return lam, 1.0 / (1.0 - lam * lam), astar2, den_m1
 
 
 def _log_density(dp, z1, z2, order):
     """What _kernel and _sums both form per row.
 
     Returns the log density (n,); the zeta ladder at t and its differences
-    from tau to the given order (see zeta_pair); and z1^2, z2^2, z1 z2 and
-    quad.  The tau derivatives vanish as alpha -> 0, so t - tau and the
+    from tau to the given order (see zeta_pair); and z1^2, z2^2 and
+    z1 z2.  The tau derivatives vanish as alpha -> 0, so t - tau and the
     zeta differences across it are formed without cancellation.
     """
-    lam, u, _, _, den_m1 = _constants(dp)
+    lam, u, _, den_m1 = _constants(dp)
     at, diff = zeta_pair(dp.tau, dp.tau * den_m1 + dp.alpha1 * z1
                          + dp.alpha2 * z2, order)
     z1sq, z2sq, z12 = z1 * z1, z2 * z2, z1 * z2
@@ -199,7 +198,7 @@ def _log_density(dp, z1, z2, order):
              - 0.5 * (math.log(dp.omega11) + math.log(dp.omega22)
                       + math.log1p(-lam * lam))
              - 0.5 * u * quad + diff[0])
-    return log_f, at, diff, (z1sq, z2sq, z12, quad)
+    return log_f, at, diff, (z1sq, z2sq, z12)
 
 
 def _kernel(dp, z1, z2, order):
@@ -209,8 +208,9 @@ def _kernel(dp, z1, z2, order):
     ``model._residuals``); dp is assumed validated.  The rows serve the
     callers that need each observation: density_esn2 (order 0), the Gram
     rule of expected_info (order 1) and the Monte Carlo oracle in
-    validation (order 2), which needs the spread of each entry.  Sums over
-    data come from _sums, which forms no derivative rows.
+    validation (order 2), which needs the spread of each entry.  Each row
+    applies `_hessian_coefficients` to the basis 1, z1, z2, z1^2, z2^2,
+    z1 z2, zeta1, z1 zeta1, z2 zeta1, which _sums contracts with its sums.
 
     Returns
     -------
@@ -219,53 +219,38 @@ def _kernel(dp, z1, z2, order):
         ordered as theta; with order 2 the hessian rows (n, 36), column
         _COL[r, c] holding entry (r, c).
     """
-    log_f, at, diff, (z1sq, z2sq, z12, quad) = _log_density(dp, z1, z2, order)
+    log_f, at, diff, (z1sq, z2sq, z12) = _log_density(dp, z1, z2, order)
     out = [log_f]
     if order == 0:
         return out
 
-    a1, a2, tau = dp.alpha1, dp.alpha2, dp.tau
-    O11, O22 = dp.omega11, dp.omega22
-    o1 = math.sqrt(O11)
-    o2 = math.sqrt(O22)
-    lam, u, astar2, den, den_m1 = _constants(dp)
+    lin, s_coef = _hessian_coefficients(dp)
     zeta1 = at[1]
-    w = quad * lam * u * u
-    w1 = a1 * a2 * lam * tau / den + a1 * z1
-    w2 = a1 * a2 * lam * tau / den + a2 * z2
-    d1 = (a1 + lam * a2) * tau / den + z1
-    d2 = (a2 + lam * a1) * tau / den + z2
-    s = np.empty((8, len(z1)))
-    s[0] = ((z1 - lam * z2) * u - a1 * zeta1) / o1
-    s[1] = ((z2 - lam * z1) * u - a2 * zeta1) / o2
-    s[2] = (w * lam + (z1sq - 2.0 * z12 * lam - 1.0) * u
-            - w1 * zeta1) / (2.0 * O11)
-    s[3] = ((lam + z12) * u - w
-            + a1 * a2 * tau * zeta1 / den) / (o1 * o2)
-    s[4] = (w * lam + (z2sq - 2.0 * z12 * lam - 1.0) * u
-            - w2 * zeta1) / (2.0 * O22)
-    s[5] = d1 * zeta1
-    s[6] = d2 * zeta1
-    s[7] = den_m1 * zeta1 + diff[1]
-    out.append(s.T)
-    if order == 1:
-        return out
-
-    zeta2 = at[2]
-    lin, grad_t, _ = _hessian_coefficients(dp)
-    h = np.empty((36, len(z1)))
-    for lo in range(0, len(z1), _PASS):
+    n = len(z1)
+    s = np.empty((8, n))
+    if order == 2:
+        zeta2 = at[2]
+        h = np.empty((36, n))
+    for lo in range(0, n, _PASS):
         r = slice(lo, lo + _PASS)
         basis = np.stack([np.ones_like(z1[r]), z1[r], z2[r], z1sq[r],
                           z2sq[r], z12[r], zeta1[r], z1[r] * zeta1[r],
                           z2[r] * zeta1[r]])
-        hr = np.matmul(lin, basis, out=h[:, r])
-        # zeta2 g_i g_j from the rows of g = grad t, not expanded in z, where
-        # (c + a z)^2 can cancel; entries (i, i..7) are contiguous columns
-        g = grad_t @ basis[:3]
-        gz = g * zeta2[r]
-        for i in range(8):
-            hr[_COL[i, i]:_COL[i, 7] + 1] += gz[i] * g[i:]
+        np.matmul(s_coef, basis, out=s[:, r])
+        if order == 2:
+            hr = np.matmul(lin, basis, out=h[:, r])
+            # zeta2 g_i g_j from the rows of g = grad t, not expanded in z,
+            # where (c + a z)^2 can cancel; entries (i, i..7) are contiguous
+            g = s_coef[:, 6:] @ basis[:3]
+            gz = g * zeta2[r]
+            for i in range(8):
+                hr[_COL[i, i]:_COL[i, 7] + 1] += gz[i] * g[i:]
+    _, _, astar2, den_m1 = _constants(dp)
+    # den zeta1(t) - zeta1(tau), as _sums forms it
+    s[7] = den_m1 * zeta1 + diff[1]
+    out.append(s.T)
+    if order == 1:
+        return out
     # den^2 zeta2(t) - zeta2(tau), which also vanishes as alpha -> 0
     h[_COL[7, 7]] = astar2 * zeta2 + diff[2]
     out.append(h.T)
@@ -285,9 +270,9 @@ def _hessian_from_moments(dp, m_lin, m_zeta2, centre=(0.0, 0.0)):
     ndarray (8, 8)
         Symmetric.
     """
-    lin, grad_t, _ = _hessian_coefficients(dp)
-    g = np.array(grad_t)
-    g[:, 0] += grad_t[:, 1:] @ centre
+    lin, s_coef = _hessian_coefficients(dp)
+    g = np.array(s_coef[:, 6:])
+    g[:, 0] += g[:, 1:] @ centre
     h = (lin @ m_lin)[_COL] + g @ m_zeta2 @ g.T
     return np.triu(h) + np.triu(h, 1).T
 
@@ -347,9 +332,9 @@ def _sums(dp, data, order):
     if order == 0:
         return [value]
 
-    _, grad_t, gauss = _hessian_coefficients(dp)
-    _, _, astar2, _, den_m1 = _constants(dp)
-    grad = gauss @ m_lin[:6] + grad_t @ m_lin[6:]
+    _, s_coef = _hessian_coefficients(dp)
+    _, _, astar2, den_m1 = _constants(dp)
+    grad = s_coef @ m_lin
     # den zeta1(t) - zeta1(tau), as the kernel forms it
     grad[7] = den_m1 * m_lin[6] + diff1
     if order == 1:
@@ -463,6 +448,9 @@ def fit_mle(data, init, controls=FitControls()):
     validate(init)
     if data.n < 5:
         raise ValueError(f"need at least 5 observations to fit, got {data.n}")
+
+    # only the fit needs scipy.optimize, which costs every command's start-up
+    import scipy.optimize
 
     best = {"value": -loglik(init, data), "psi": _to_internal(init)}
 

@@ -212,6 +212,9 @@ def density_esn1(y, xi, omega_sq, alpha, tau):
     """
     for name, v in (("y", y), ("xi", xi), ("omega_sq", omega_sq),
                     ("alpha", alpha), ("tau", tau)):
+        if np.ndim(v) != 0:
+            raise ValueError(f"{name} must be a scalar, got shape "
+                             f"{np.shape(v)}")
         if not math.isfinite(float(v)):
             raise ValueError(f"{name} must be finite")
     if omega_sq <= 0.0:

@@ -184,9 +184,3 @@ def zeta_pair(tau, h, order):
             series = series * hn + math.perm(k, j - 1) * c[k]
         diff[j][near] = series * hn
     return at, diff
-
-
-def zeta1_pair(tau, h):
-    """zeta(1, tau + h) and zeta(1, tau + h) - zeta(1, tau); see zeta_pair."""
-    at, diff = zeta_pair(tau, h, 1)
-    return at[1], diff[1]

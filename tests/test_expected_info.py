@@ -18,6 +18,7 @@ from numpy.testing import assert_allclose
 from conftest import philox, random_dp
 from esn2 import (
     CubatureControls,
+    Dataset,
     DpParams,
     SweepRow,
     SweepSpec,
@@ -26,7 +27,9 @@ from esn2 import (
     det_scan,
     expectation_set,
     expected_info,
+    observed_info,
     reparam_scalar_info,
+    sample_esn2,
 )
 from esn2.cubature import _gram_factor, _v_rule, _w_rule
 from esn2.expected_info import _assemble, _score_rows
@@ -111,6 +114,26 @@ def test_mirror_invariance():
     m = expected_info(dp).matrix
     mf = expected_info(flipped).matrix
     assert np.array_equal(mf, m * np.outer(signs, signs))
+
+
+def test_coordinate_swap_permutes_information():
+    # (y1, y2) -> (y2, y1) maps theta to theta[perm], so each information
+    # maps to I[perm][:, perm]; the score's columns reach z1 and z2 by
+    # separate index paths, so this checks each path against the other
+    perm = [1, 0, 4, 3, 2, 6, 5, 7]
+    rng = philox(20260815, 46)
+    for k in range(40):
+        dp = random_dp(rng)
+        swapped = DpParams.from_array(dp.as_array()[perm])
+        data = sample_esn2(dp, 500, k + 1)
+        pairs = ((expected_info(dp), expected_info(swapped)),
+                 (observed_info(dp, data),
+                  observed_info(swapped, Dataset(data.y2, data.y1))))
+        for info, info_swapped in pairs:
+            want = info.matrix[np.ix_(perm, perm)]
+            d = np.sqrt(np.abs(np.diag(want)))
+            assert np.all(np.abs(info_swapped.matrix - want)
+                          <= 1e-13 * np.outer(d, d)), (info.kind, dp)
 
 
 def test_tau_block_shrinks_determinant():
@@ -230,14 +253,13 @@ def test_paper_assembly_matches_gram_rule_extremes(p):
 
 @pytest.mark.parametrize("p", FIT_MC_POINTS)
 def test_expected_score_vanishes(p):
-    # the Gaussian score coefficients and grad t, contracted with the
-    # closed-form E[1, Z, Z Z'] and E[(1, Z) zeta1(T)]: E[s] = 0 without
-    # sampling
+    # the score coefficients, contracted with the closed-form
+    # E[1, Z, Z Z'] and E[(1, Z) zeta1(T)]: E[s] = 0 without sampling
     dp = DpParams(*p)
     es = expectation_set(dp)
-    _, grad_t, gauss = _hessian_coefficients(dp)
-    e_s = (gauss @ [1.0, es.e_z1, es.e_z2, es.e_z1sq, es.e_z2sq, es.e_z1z2]
-           + grad_t @ [es.e_zeta1, es.e_z1_zeta1, es.e_z2_zeta1])
+    _, s_coef = _hessian_coefficients(dp)
+    e_s = s_coef @ [1.0, es.e_z1, es.e_z2, es.e_z1sq, es.e_z2sq, es.e_z1z2,
+                    es.e_zeta1, es.e_z1_zeta1, es.e_z2_zeta1]
     e_s[7] -= zeta(1, dp.tau)
     assert np.max(np.abs(e_s)) <= 1e-13
 

@@ -93,6 +93,17 @@ DATA_C = Dataset(np.array([0.3, -0.8, 1.2]), np.array([-0.5, 0.4, 1.1]))
 IDENTITY = DpParams(0, 0, 1, 0, 1, 0, 0, 0)
 ORIGIN = Dataset(np.array([0.0]), np.array([0.0]))
 
+# deep truncation, |lam| near 1, |alpha| = 30 and alpha near 0
+EXTREME_DPS = [
+    DpParams(0.2, -0.1, 1.5, 0.4, 0.9, 2, 1, -30),
+    DpParams(0.2, -0.1, 1.5, 0.4, 0.9, 5, -1, -12),
+    DpParams(0, 0, 1, 0.95, 1, 30, 2, -8),
+    DpParams(0, 0, 1, -0.95, 1, 1, -3, -8),
+    DpParams(0, 0, 1, 0.4, 1, -30, 2, 10),
+    DpParams(0.2, -0.1, 1.5, 0.4, 0.9, 1e-6, -5e-7, -8),
+    DpParams(0.2, -0.1, 1.5, 0.4, 0.9, 1e-6, -5e-7, 3),
+]
+
 
 @pytest.mark.parametrize("dp,data,want", [
     (POINT_A, DATA_A, LOGLIK_A),
@@ -337,16 +348,7 @@ def test_sums_match_kernel_rows():
     # loglik, score and observed_info contract moment sums; the kernel's
     # rows, summed in the same blocks, are the reference
     rng = philox(20260815, 45)
-    points = [random_dp(rng) for _ in range(20)] + [
-        DpParams(0.2, -0.1, 1.5, 0.4, 0.9, 2, 1, -30),
-        DpParams(0.2, -0.1, 1.5, 0.4, 0.9, 5, -1, -12),
-        DpParams(0, 0, 1, 0.95, 1, 30, 2, -8),
-        DpParams(0, 0, 1, -0.95, 1, 1, -3, -8),
-        DpParams(0, 0, 1, 0.4, 1, -30, 2, 10),
-        DpParams(0.2, -0.1, 1.5, 0.4, 0.9, 1e-6, -5e-7, -8),
-        DpParams(0.2, -0.1, 1.5, 0.4, 0.9, 1e-6, -5e-7, 3),
-        IDENTITY,
-    ]
+    points = [random_dp(rng) for _ in range(20)] + EXTREME_DPS + [IDENTITY]
     for k, dp in enumerate(points):
         # one dataset crosses a block boundary
         n = 70_000 if k == 0 else 300
@@ -361,3 +363,24 @@ def test_sums_match_kernel_rows():
             rows = np.vstack(rows)
             bound = 1e-12 * np.abs(rows).sum(axis=0)
             assert np.all(np.abs(got - rows.sum(axis=0)) <= bound), (k, dp)
+
+
+@pytest.mark.parametrize("k", range(len(EXTREME_DPS)))
+def test_kernel_score_rows_match_high_precision(k):
+    # the score rows one at a time, as the Gram rule of expected_info reads
+    # them, within 1e-12 (floor 1) of 50-digit derivatives of each row's
+    # exact log density
+    mp = pytest.importorskip("mpmath").mp
+    dp = EXTREME_DPS[k]
+    data = sample_esn2(dp, 4, k + 1)
+    rows = _kernel(dp, *_residuals(dp, data.y1, data.y2), 1)[1]
+    with mp.workdps(50):
+        theta = [mp.mpf(v) for v in dp.as_array()]
+        for row, y1, y2 in zip(rows, data.y1, data.y2):
+            one = Dataset(np.array([y1]), np.array([y2]))
+            want = np.array([
+                float(mp.diff(lambda *th: _mp_loglik(mp, th, one), theta,
+                              tuple(int(i == j) for j in range(8))))
+                for i in range(8)])
+            err = np.abs(row - want) / np.maximum(1.0, np.abs(want))
+            assert np.max(err) < 1e-12, (dp, y1, y2)

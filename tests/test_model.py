@@ -152,6 +152,9 @@ def test_density_esn1_validation():
         density_esn1(0.0, 0.0, -1.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         density_esn1(0.0, np.nan, 1.0, 1.0, 0.0)
+    # an array is not converted by float(); the error says which argument
+    with pytest.raises(ValueError, match="y must be a scalar"):
+        density_esn1(np.array([0.0, 1.0]), 0.0, 1.0, 1.0, 0.0)
 
 
 def test_joint_factorizes_when_uncorrelated_unslanted():
