@@ -18,14 +18,14 @@ from .model import (PARAM_NAMES, Dataset, DpParams, NonFiniteParameter,
                     NonPositiveDefiniteScale, cgf_esn2, density_esn1,
                     moments_esn2, standardize, validate)
 from .special_fns import std_normal_cdf, std_normal_pdf, zeta
-from .validation import (CheckResult, FdControls, FiniteDifferenceError,
-                         RngSeed, ValidationConfig, ValidationReport,
+from .validation import (CheckResult, FiniteDifferenceError, RngSeed,
+                         ValidationConfig, ValidationReport,
                          fd_gradient, fd_hessian, run_validation_suite,
                          sample_esn2, sampler_chi2_pvalue)
 
 __all__ = [
     "ATerms", "CheckResult", "CubatureControls", "CubatureNotConverged",
-    "CubatureResult", "Dataset", "DpParams", "ExpectationSet", "FdControls",
+    "CubatureResult", "Dataset", "DpParams", "ExpectationSet",
     "FiniteDifferenceError", "FitControls", "FitResult", "InfoMatrix",
     "NonFiniteIntegrand", "NonFiniteParameter", "NonPositiveDefiniteScale",
     "PARAM_NAMES", "RngSeed", "SweepRow", "SweepSpec", "UDistribution",

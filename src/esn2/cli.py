@@ -343,7 +343,8 @@ def fit_cmd(ctx, data_path, init_tuple, grad_tol, max_iter):
 @main.command("check")
 @click.option("--level", type=click.Choice(["fast", "full"]), default="fast",
               show_default=True, help="full adds the Monte Carlo oracles")
-@click.option("--seed", type=int, default=20260815, show_default=True)
+@click.option("--seed", type=click.IntRange(0, 2 ** 64 - 1),
+              default=20260815, show_default=True)
 @click.pass_context
 def check_cmd(ctx, level, seed):
     """Run the validation suite; exit 0 only if every check passes."""

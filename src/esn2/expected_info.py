@@ -189,19 +189,15 @@ def _det_and_mineig(r):
     """Determinant and smallest eigenvalue of I = R'R, from R alone.
 
     The sweeps walk straight into near-singular territory where the
-    determinant ranges over hundreds of orders of magnitude, mostly
-    through column scale.  So det(I) = det(R D^-1)^2 prod d_j^2, with d_j
-    the column norms of R, accumulated in log space from the singular
-    values of R D^-1; the smallest eigenvalue is sigma_min(R)^2.  Neither
-    can be negative.
+    determinant ranges over hundreds of orders of magnitude.  R is
+    triangular, so det(I) = prod r_jj^2, accumulated in log space; the
+    smallest eigenvalue is sigma_min(R)^2.  Neither can be negative.
     """
-    norms = np.linalg.norm(r, axis=0)
-    if np.any(norms == 0.0):
+    diag = np.abs(np.diag(r))
+    if np.any(diag == 0.0):
         return 0.0, 0.0
-    sv = np.linalg.svd(r / norms, compute_uv=False)
-    logdet = 2.0 * float(np.sum(np.log(sv)) + np.sum(np.log(norms)))
     min_eig = float(np.linalg.svd(r, compute_uv=False)[-1]) ** 2
-    return math.exp(logdet), min_eig
+    return math.exp(2.0 * float(np.sum(np.log(diag)))), min_eig
 
 
 def _scan_row(spec, value, tol):

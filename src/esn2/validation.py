@@ -10,7 +10,9 @@ analytic machinery rests on two checks that share nothing with it: the
 chi-square test of its histogram against cubature of `density_esn2`
 (criterion 8) and the closed-form moments of `moments_esn2`
 (criterion 9).  The suite compares the routes and reports measured
-maxima instead of raising.
+maxima instead of raising.  Its points, sample sizes and finite-difference
+steps are fixed; a run chooses only the seed and the level, "fast" or
+"full" with the Monte Carlo oracles and the chi-square test.
 """
 
 import math
@@ -31,6 +33,8 @@ from .special_fns import zeta
 
 _CHUNK = 65536
 _SHRINK_ROUNDS = 20
+_GRAD_STEP = 1e-6
+_HESS_STEP = 1e-4
 
 
 class FiniteDifferenceError(RuntimeError):
@@ -50,16 +54,6 @@ class RngSeed:
         object.__setattr__(self, "seed", int(self.seed))
 
 
-@dataclass(frozen=True)
-class FdControls:
-    grad_step_scale: float = 1e-6
-    hess_step_scale: float = 1e-4
-
-    def __post_init__(self):
-        if not (self.grad_step_scale > 0.0 and self.hess_step_scale > 0.0):
-            raise ValueError("step scales must be positive")
-
-
 def _try_eval(f, theta):
     """f(theta) as a finite float, or None when the probe is unusable."""
     try:
@@ -69,72 +63,57 @@ def _try_eval(f, theta):
     return value if math.isfinite(value) else None
 
 
-def fd_gradient(f, at, controls=FdControls()):
-    """Central-difference gradient of f at the given parameter point.
-
-    Steps start at grad_step_scale * max(1, |theta_j|) and are halved
-    when a probe lands outside the valid domain (e.g. pushes Omega12
-    past the positive-definiteness boundary).
-    """
-    theta = at.as_array()
-    grad = np.empty(8)
-    for j in range(8):
-        h = controls.grad_step_scale * max(1.0, abs(theta[j]))
-        for _ in range(_SHRINK_ROUNDS):
-            up = theta.copy()
-            down = theta.copy()
-            up[j] += h
-            down[j] -= h
-            f_up = _try_eval(f, up)
-            f_down = _try_eval(f, down)
-            if f_up is not None and f_down is not None:
-                grad[j] = (f_up - f_down) / (2.0 * h)
-                break
-            h *= 0.5
-        else:
-            raise FiniteDifferenceError(
-                f"gradient probe failed in coordinate {PARAM_NAMES[j]}")
-    return grad
-
-
-def fd_hessian(f, at, controls=FdControls()):
-    """Second-order central-difference Hessian, symmetrized."""
-    theta = at.as_array()
-    f0 = _try_eval(f, theta)
-    if f0 is None:
-        raise FiniteDifferenceError("function not evaluable at the center")
-
-    # fix a usable step per coordinate first, so every stencil below
-    # reuses the same h_j
-    steps = np.empty(8)
-    for j in range(8):
-        h = controls.hess_step_scale * max(1.0, abs(theta[j]))
-        for _ in range(_SHRINK_ROUNDS):
-            up = theta.copy()
-            down = theta.copy()
-            up[j] += h
-            down[j] -= h
-            if (_try_eval(f, up) is not None
-                    and _try_eval(f, down) is not None):
-                steps[j] = h
-                break
-            h *= 0.5
-        else:
-            raise FiniteDifferenceError(
-                f"hessian probe failed in coordinate {PARAM_NAMES[j]}")
-
-    hess = np.empty((8, 8))
-    for j in range(8):
-        h = steps[j]
+def _axis_probe(f, theta, j, h, what):
+    """(h, f(theta + h e_j), f(theta - h e_j)), halving h until both
+    evaluate, e.g. while a probe pushes Omega12 past the
+    positive-definiteness boundary."""
+    for _ in range(_SHRINK_ROUNDS):
         up = theta.copy()
         down = theta.copy()
         up[j] += h
         down[j] -= h
         f_up = _try_eval(f, up)
         f_down = _try_eval(f, down)
-        if f_up is None or f_down is None:
-            raise FiniteDifferenceError(
-                f"hessian probe failed in coordinate {PARAM_NAMES[j]}")
+        if f_up is not None and f_down is not None:
+            return h, f_up, f_down
+        h *= 0.5
+    raise FiniteDifferenceError(
+        f"{what} probe failed in coordinate {PARAM_NAMES[j]}")
+
+
+def fd_gradient(f, at):
+    """Central-difference gradient of f at the given parameter point.
+
+    Steps start at 1e-6 * max(1, |theta_j|) and are halved while a probe
+    lands outside the valid domain.
+    """
+    theta = at.as_array()
+    grad = np.empty(8)
+    for j in range(8):
+        h, f_up, f_down = _axis_probe(
+            f, theta, j, _GRAD_STEP * max(1.0, abs(theta[j])), "gradient")
+        grad[j] = (f_up - f_down) / (2.0 * h)
+    return grad
+
+
+def fd_hessian(f, at):
+    """Second-order central-difference Hessian, symmetrized.
+
+    Each coordinate's step starts at 1e-4 * max(1, |theta_j|); the axis
+    probe that fixes it also gives the diagonal entry, and every mixed
+    stencil starts from the same steps.
+    """
+    theta = at.as_array()
+    f0 = _try_eval(f, theta)
+    if f0 is None:
+        raise FiniteDifferenceError("function not evaluable at the center")
+
+    steps = np.empty(8)
+    hess = np.empty((8, 8))
+    for j in range(8):
+        h, f_up, f_down = _axis_probe(
+            f, theta, j, _HESS_STEP * max(1.0, abs(theta[j])), "hessian")
+        steps[j] = h
         hess[j, j] = (f_up - 2.0 * f0 + f_down) / (h * h)
 
     for i in range(8):
@@ -213,34 +192,27 @@ def sample_esn2(dp, n, seed):
     return Dataset(y1, y2)
 
 
-_DEFAULT_DP_SET = (
+# the suite's points, sample sizes and replicate counts
+_DP_SET = (
     DpParams(0.0, 0.0, 1.0, 0.6, 1.0, 2.0, 3.0, 1.0),
     DpParams(0.3, -0.2, 1.5, -0.4, 0.8, -1.0, 2.0, -0.7),
     DpParams(0.0, 0.0, 1.0, 0.5, 1.0, 1.5, -1.0, 0.5),
 )
-
+_FD_OBS = 5
+_MC_DRAWS = 200_000
+_SAMPLER_DRAWS = 1_000_000
+_LEMMA4_POINTS = 10
 _LEVELS = ("fast", "full")
 
 
 @dataclass(frozen=True)
 class ValidationConfig:
-    dp_set: tuple = _DEFAULT_DP_SET
     seed: RngSeed = RngSeed(20260815)
     level: str = "full"
-    mc_draws: int = 200_000
-    sampler_draws: int = 1_000_000
-    lemma4_points: int = 10
-    fd_obs: int = 5
 
     def __post_init__(self):
         if self.level not in _LEVELS:
             raise ValueError(f"level must be one of {_LEVELS}")
-        counts = (self.mc_draws, self.sampler_draws,
-                  self.lemma4_points, self.fd_obs)
-        if any(c < 1 for c in counts):
-            raise ValueError("draw and replicate counts must be positive")
-        for dp in self.dp_set:
-            validate(dp)
 
 
 @dataclass(frozen=True)
@@ -286,30 +258,34 @@ class ValidationReport:
         return "\n".join(lines)
 
 
+def _offset_seed(seed, offset):
+    """Each check's stream: the suite seed plus an offset, wrapped into
+    64 bits so that every valid suite seed gives valid check seeds."""
+    return RngSeed((seed.seed + offset) % 2 ** 64)
+
+
 def _loglik_of_theta(data):
     return lambda theta: loglik(DpParams.from_array(theta), data)
 
 
-def _check_score_vs_fd(config):
-    worst = 0.0
-    for i, dp in enumerate(config.dp_set):
-        data = sample_esn2(dp, config.fd_obs, RngSeed(config.seed.seed + i))
-        diff = score(dp, data) - fd_gradient(_loglik_of_theta(data), dp)
-        worst = max(worst, float(np.max(np.abs(diff))))
-    return CheckResult("score_vs_fd", worst < 1e-5, worst, 1e-5,
-                       "max abs component difference")
-
-
-def _check_oinfo_vs_fd(config):
-    worst = 0.0
-    for i, dp in enumerate(config.dp_set):
-        data = sample_esn2(dp, config.fd_obs, RngSeed(config.seed.seed + i))
+def _check_fd(seed):
+    """score and observed_info against central differences of loglik, on
+    one small dataset per point."""
+    worst_grad = 0.0
+    worst_hess = 0.0
+    for i, dp in enumerate(_DP_SET):
+        data = sample_esn2(dp, _FD_OBS, _offset_seed(seed, i))
+        f = _loglik_of_theta(data)
+        diff = score(dp, data) - fd_gradient(f, dp)
+        worst_grad = max(worst_grad, float(np.max(np.abs(diff))))
         analytic = -observed_info(dp, data).matrix
-        fd = fd_hessian(_loglik_of_theta(data), dp)
-        rel = np.abs(analytic - fd) / np.maximum(1.0, np.abs(analytic))
-        worst = max(worst, float(np.max(rel)))
-    return CheckResult("oinfo_vs_fd", worst < 1e-4, worst, 1e-4,
-                       "max entrywise relative difference, floor 1")
+        rel = (np.abs(analytic - fd_hessian(f, dp))
+               / np.maximum(1.0, np.abs(analytic)))
+        worst_hess = max(worst_hess, float(np.max(rel)))
+    return (CheckResult("score_vs_fd", worst_grad < 1e-5, worst_grad, 1e-5,
+                        "max abs component difference"),
+            CheckResult("oinfo_vs_fd", worst_hess < 1e-4, worst_hess, 1e-4,
+                        "max entrywise relative difference, floor 1"))
 
 
 def _lemma4_by_cubature(lam, alpha1, alpha2, tau):
@@ -333,11 +309,11 @@ def _lemma4_by_cubature(lam, alpha1, alpha2, tau):
     return integrate_2d(integrand, lower, upper)
 
 
-def _check_lemma4(config):
+def _check_lemma4(seed):
     rng = np.random.Generator(np.random.Philox(
-        key=np.array([config.seed.seed, 10], dtype=np.uint64)))
+        key=np.array([seed.seed, 10], dtype=np.uint64)))
     worst = 0.0
-    for _ in range(config.lemma4_points):
+    for _ in range(_LEMMA4_POINTS):
         lam = rng.uniform(-0.9, 0.9)
         alpha1, alpha2 = rng.uniform(-3.0, 3.0, size=2)
         tau = rng.uniform(-2.0, 2.0)
@@ -345,7 +321,7 @@ def _check_lemma4(config):
         quad = _lemma4_by_cubature(lam, alpha1, alpha2, tau)
         worst = max(worst, abs(quad.value - closed) / closed)
     return CheckResult("lemma4_vs_cubature", worst < 1e-5, worst, 1e-5,
-                       f"{config.lemma4_points} random points, |tau| <= 2")
+                       f"{_LEMMA4_POINTS} random points, |tau| <= 2")
 
 
 def _pool_entries(acc, block):
@@ -389,29 +365,30 @@ _UPPER_36 = [(r, c) for r in range(8) for c in range(r, 8)]
 _UPPER_28 = [(r, c) for r in range(7) for c in range(r, 7)]
 
 
-def _check_einfo_vs_mc(config):
+def _mc_sigmas(dp, seed, entries):
+    """_mc_info_sigmas of expected_info(dp) on _MC_DRAWS fresh draws."""
+    data = sample_esn2(dp, _MC_DRAWS, seed)
+    einfo = expected_info(dp).matrix
+    return _mc_info_sigmas(dp, {rc: einfo[rc] for rc in entries}, data,
+                           entries)
+
+
+def _check_einfo_vs_mc(seed):
     worst = 0.0
     over3 = 0
-    for i, dp in enumerate(config.dp_set):
-        data = sample_esn2(dp, config.mc_draws,
-                           RngSeed(config.seed.seed + 100 + i))
-        einfo = expected_info(dp).matrix
-        sig = _mc_info_sigmas(dp, {rc: einfo[rc] for rc in _UPPER_36},
-                              data, _UPPER_36)
+    for i, dp in enumerate(_DP_SET):
+        sig = _mc_sigmas(dp, _offset_seed(seed, 100 + i), _UPPER_36)
         worst = max(worst, float(np.max(sig)))
         over3 += int(np.sum(sig > 3.0))
-    passed = worst < 5.0 and over3 <= 2 * len(config.dp_set)
+    passed = worst < 5.0 and over3 <= 2 * len(_DP_SET)
     return CheckResult(
         "einfo_vs_mc", passed, worst, 5.0,
-        f"{over3} entries beyond 3 sigma across {len(config.dp_set)} points")
+        f"{over3} entries beyond 3 sigma across {len(_DP_SET)} points")
 
 
-def _check_tau0_reduction(config):
-    dp0 = replace(config.dp_set[0], tau=0.0)
-    data = sample_esn2(dp0, config.mc_draws, RngSeed(config.seed.seed + 200))
-    einfo = expected_info(dp0).matrix
-    sig = _mc_info_sigmas(dp0, {rc: einfo[rc] for rc in _UPPER_28},
-                          data, _UPPER_28)
+def _check_tau0_reduction(seed):
+    sig = _mc_sigmas(replace(_DP_SET[0], tau=0.0), _offset_seed(seed, 200),
+                     _UPPER_28)
     worst = float(np.max(sig))
     over3 = int(np.sum(sig > 3.0))
     passed = worst < 5.0 and over3 <= 2
@@ -455,23 +432,23 @@ def sampler_chi2_pvalue(dp, n, seed, cells=50, span=4.0):
     return float(chdtrc(dof, stat)), stat, dof
 
 
-def _check_sampler_chi2(config):
+def _check_sampler_chi2(seed):
     worst = 1.0
-    for i, dp in enumerate(config.dp_set[:3]):
-        p, _, _ = sampler_chi2_pvalue(dp, config.sampler_draws,
-                                      RngSeed(config.seed.seed + 300 + i))
+    for i, dp in enumerate(_DP_SET):
+        p, _, _ = sampler_chi2_pvalue(dp, _SAMPLER_DRAWS,
+                                      _offset_seed(seed, 300 + i))
         worst = min(worst, p)
     return CheckResult("sampler_chi2", worst > 1e-3, worst, 1e-3,
                        "min p-value; pass means above threshold")
 
 
-def _check_singularities(config):
+def _check_singularities():
     dp_star = DpParams(0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0)
     einfo = expected_info(dp_star).matrix
     i88 = abs(einfo[7, 7])
     det = abs(float(np.linalg.det(einfo)))
 
-    dp = config.dp_set[0]
+    dp = _DP_SET[0]
     flipped = replace(dp, alpha1=-dp.alpha1, alpha2=-dp.alpha2)
     m = expected_info(dp).matrix
     m_flip = expected_info(flipped).matrix
@@ -486,14 +463,11 @@ def _check_singularities(config):
 
 def run_validation_suite(config=ValidationConfig()):
     """Run the cross-check suite; failures become report entries."""
-    if not config.dp_set:
-        return ValidationReport(())
-    checks = [_check_score_vs_fd(config),
-              _check_oinfo_vs_fd(config),
-              _check_lemma4(config)]
+    seed = config.seed
+    checks = [*_check_fd(seed), _check_lemma4(seed)]
     if config.level == "full":
-        checks.append(_check_einfo_vs_mc(config))
-        checks.append(_check_tau0_reduction(config))
-        checks.append(_check_sampler_chi2(config))
-    checks.append(_check_singularities(config))
+        checks.append(_check_einfo_vs_mc(seed))
+        checks.append(_check_tau0_reduction(seed))
+        checks.append(_check_sampler_chi2(seed))
+    checks.append(_check_singularities())
     return ValidationReport(tuple(checks))

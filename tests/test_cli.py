@@ -328,6 +328,14 @@ def test_check_fast(runner):
     assert result.stderr.strip().endswith("OK")
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_check_rejects_seed_outside_64_bits(runner, seed):
+    # a bad flag exits 2, not 1, which means a check failed
+    result = runner.invoke(main, ["check", "--seed", seed])
+    assert result.exit_code == 2
+    assert "--seed" in result.stderr
+
+
 @pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize"])
 def test_import_leaves_out_scipy_stats(module):
     # scipy.stats costs about 0.4 s of every command's start-up, and
