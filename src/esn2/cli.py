@@ -304,14 +304,12 @@ def fit_cmd(ctx, data_path, init_tuple, grad_tol, max_iter):
         controls = FitControls(grad_tol=grad_tol, max_iter=max_iter)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from None
-    if init_tuple is None:
-        # the converged fit with the highest log-likelihood; if none
-        # converged, the highest one, reported as unconverged
-        result = max((fit_mle(data, start, controls)
-                      for start in _default_starts(data)),
-                     key=lambda r: (r.converged, r.loglik))
-    else:
-        result = fit_mle(data, _resolve_dp(init_tuple, {}), controls)
+    starts = (_default_starts(data) if init_tuple is None
+              else [_resolve_dp(init_tuple, {})])
+    # the converged fit with the highest log-likelihood; if none
+    # converged, the highest one, reported as unconverged
+    fits = [fit_mle(data, start, controls) for start in starts]
+    result = max(fits, key=lambda r: (r.converged, r.loglik))
 
     std_errors = None
     warning = None
@@ -332,7 +330,10 @@ def fit_cmd(ctx, data_path, init_tuple, grad_tol, max_iter):
                "std_errors": std_errors,
                "loglik": result.loglik,
                "converged": result.converged,
-               "final_score_norm": result.final_score_norm}
+               "final_score_norm": result.final_score_norm,
+               # the likelihood evaluations of every fit made, over all
+               # starts
+               "evaluations": sum(r.evaluations for r in fits)}
     if warning is not None:
         payload["warning"] = warning
     click.echo(json.dumps(payload, indent=2, sort_keys=True))

@@ -10,11 +10,12 @@ loglik, score, observed_info and fit_mle go through `_sums` instead.  It
 sums the log density per row as the kernel forms it, and the per-block
 moments of b = (1, z1, z2, z1^2, z2^2, z1 z2, zeta1(t), z1 zeta1(t),
 z2 zeta1(t)) and of zeta2(t), without forming a derivative row.  Both
-apply the one coefficient set of `_hessian_coefficients`: the score is
-s_coef @ b, per row or summed, and the hessian H_N + zeta1(t) grad^2 t +
-zeta2(t) grad t grad t', H_N the bivariate normal part, is lin @ b plus
-the zeta2 term.  `_hessian_from_moments` contracts the coefficients with
-sample sums here and with the paper's expectations in
+apply one coefficient set: the score is s_coef @ b, per row or summed,
+with s_coef from `_score_coefficients`, and the hessian H_N + zeta1(t)
+grad^2 t + zeta2(t) grad t grad t', H_N the bivariate normal part, is
+lin @ b plus the zeta2 term, with lin from `_hessian_coefficients`, which
+only order-2 callers build.  `_hessian_from_moments` contracts the
+coefficients with sample sums here and with the paper's expectations in
 expected_info._assemble, and a test holds that E[-H] to the Gram rule's
 E[s s'], read from the score rows.
 
@@ -82,15 +83,87 @@ def _sym(a, b):
     return np.outer(a, b) + np.outer(b, a)
 
 
+def _first_order(dp):
+    """The score coefficients and the chain-rule pieces both sets share.
+
+    The log density is l_N(z; Omega) + zeta0(t) - zeta0(tau), with t =
+    tau den + alpha1 z1 + alpha2 z2 differentiated by the chain rule through
+    lam, alpha_star^2 and z.  Returns s_coef (see `_score_coefficients`)
+    and the pieces `_hessian_coefficients` differentiates once more: den,
+    P, P E_k, P E_k P, dw, d lam, d alpha_star^2 and d den.
+    """
+    var = np.array([dp.omega11, dp.omega22])
+    o = np.sqrt(var)
+    a = np.array([dp.alpha1, dp.alpha2])
+    lam = _lam(dp)
+    den = math.sqrt(1.0 + _alpha_star_sq(lam, *a))
+    e = np.eye(8)
+
+    # with P = Omega^-1 and dOmega / d omega_k = E_k, the gradient of H_N's
+    # log density: P r at xi and, with [k, i, j] the coefficient of z_i z_j,
+    # r' P E_k P r / 2 - tr(P E_k) / 2 at omega_k
+    c = -lam / (o[0] * o[1])
+    p = np.array([[1.0 / var[0], c], [c, 1.0 / var[1]]]) / (1.0 - lam * lam)
+    pe = p @ np.array([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]],
+                       [[0.0, 0.0], [0.0, 1.0]]])
+    pep = pe @ p
+    s_coef = np.zeros((8, 9))
+    s_coef[:2, 1:3] = p * o
+    s_coef[2:5, 0] = -0.5 * np.trace(pe, axis1=1, axis2=2)
+    s_coef[2:5, 3] = 0.5 * pep[:, 0, 0] * var[0]
+    s_coef[2:5, 4] = 0.5 * pep[:, 1, 1] * var[1]
+    s_coef[2:5, 5] = pep[:, 0, 1] * (o[0] * o[1])
+
+    # lam = omega12 exp(w), with w = -log(omega11 omega22) / 2
+    dw = np.zeros(8)
+    dw[[2, 4]] = -0.5 / var
+    d_lam = e[3] / (o[0] * o[1]) + lam * dw
+    # alpha_star^2 = alpha1^2 + alpha2^2 + 2 lam alpha1 alpha2
+    d_as = 2.0 * a[0] * a[1] * d_lam
+    d_as[5:7] += 2.0 * (a + lam * a[::-1])
+    d_den = d_as / (2.0 * den)
+
+    # grad z_j = -e_xi_j / omega_j - z_j e_omega_jj / (2 omega_jj), and
+    # alpha_j z_j adds alpha_j grad z_j + z_j e_alpha_j to grad t
+    grad_t = s_coef[:, 6:]
+    grad_t[:, 0] = dp.tau * d_den + den * e[7]
+    for j in (0, 1):
+        xi, om, al = e[j], e[2 + 2 * j], e[5 + j]
+        dz0, dz1 = -xi / o[j], -om / (2.0 * var[j])
+        grad_t[:, 0] += a[j] * dz0
+        grad_t[:, 1 + j] = al + a[j] * dz1
+    return s_coef, (den, p, pe, pep, dw, d_lam, d_as, d_den)
+
+
+@functools.lru_cache(maxsize=4)
+def _score_coefficients(dp):
+    """Coefficients of the per-observation score, which depend on dp only.
+
+    The result is cached and read-only, as chunked callers ask for one dp
+    once per chunk.  Order-1 callers read only these: the whole hessian
+    set costs about five times as much to build.
+
+    Returns
+    -------
+    s_coef : ndarray (8, 9)
+        The score on the basis 1, z1, z2, z1^2, z2^2, z1 z2, zeta1,
+        z1 zeta1, z2 zeta1: the gradient of H_N's log density in the first
+        six columns and grad t, the coefficient of zeta1, in the last
+        three, so grad t = s_coef[:, 6:] @ (1, z1, z2).  The tau entry is
+        den zeta1(t), which the caller forms less zeta1(tau).
+    """
+    s_coef = _first_order(dp)[0]
+    s_coef.flags.writeable = False
+    return s_coef
+
+
 @functools.lru_cache(maxsize=4)
 def _hessian_coefficients(dp):
     """Coefficients of the per-observation hessian, which depend on dp only.
 
-    The log density is l_N(z; Omega) + zeta0(t) - zeta0(tau), so its hessian
-    is H_N + zeta1(t) grad^2 t + zeta2(t) grad t grad t', less zeta2(tau) at
-    tau-tau.  t = tau den + alpha1 z1 + alpha2 z2 is differentiated by the
-    chain rule through lam, alpha_star^2 and z.  The result is cached and
-    read-only, as chunked callers ask for one dp once per chunk.
+    The hessian of the log density is H_N + zeta1(t) grad^2 t + zeta2(t)
+    grad t grad t', less zeta2(tau) at tau-tau.  Cached and read-only, as
+    `_score_coefficients` is.
 
     Returns
     -------
@@ -99,37 +172,20 @@ def _hessian_coefficients(dp):
         the basis 1, z1, z2, z1^2, z2^2, z1 z2 (H_N) and zeta1, z1 zeta1,
         z2 zeta1 (zeta1 grad^2 t).
     s_coef : ndarray (8, 9)
-        The score on the same basis: the gradient of H_N's log density in
-        the first six columns and grad t, the coefficient of zeta1, in the
-        last three, so grad t = s_coef[:, 6:] @ (1, z1, z2).  The tau entry
-        is den zeta1(t), which the caller forms less zeta1(tau).
+        `_score_coefficients(dp)`.
     """
+    _, (den, p, pe, pep, dw, d_lam, d_as, d_den) = _first_order(dp)
     var = np.array([dp.omega11, dp.omega22])
     o = np.sqrt(var)
     a = np.array([dp.alpha1, dp.alpha2])
     lam = _lam(dp)
-    den = math.sqrt(1.0 + _alpha_star_sq(lam, *a))
     e = np.eye(8)
     coef = np.zeros((9, 8, 8))
 
-    # H_N, with P = Omega^-1 and dOmega / d omega_k = E_k: -P at xi-xi,
-    # -P E_k P r at xi-omega_k, and tr(P E_k P E_l) / 2 - r' P E_k P E_l P r
-    # at omega_k-omega_l
-    c = -lam / (o[0] * o[1])
-    p = np.array([[1.0 / var[0], c], [c, 1.0 / var[1]]]) / (1.0 - lam * lam)
-    pe = p @ np.array([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]],
-                       [[0.0, 0.0], [0.0, 1.0]]])
+    # H_N: -P at xi-xi, -P E_k P r at xi-omega_k, and tr(P E_k P E_l) / 2 -
+    # r' P E_k P E_l P r at omega_k-omega_l
     coef[0, :2, :2] = -p
     coef[0, 2:5, 2:5] = 0.5 * np.einsum("kij,lji->kl", pe, pe)
-    # the gradient of H_N's log density: P r at xi and, with [k, i, j] the
-    # coefficient of z_i z_j, r' P E_k P r / 2 - tr(P E_k) / 2 at omega_k
-    pep = pe @ p
-    s_coef = np.zeros((8, 9))
-    s_coef[:2, 1:3] = p * o
-    s_coef[2:5, 0] = -0.5 * np.trace(pe, axis1=1, axis2=2)
-    s_coef[2:5, 3] = 0.5 * pep[:, 0, 0] * var[0]
-    s_coef[2:5, 4] = 0.5 * pep[:, 1, 1] * var[1]
-    s_coef[2:5, 5] = pep[:, 0, 1] * (o[0] * o[1])
     # [k, i, j]: coefficient of z_j at (xi_i, omega_k)
     xi_om = -pep * o
     coef[1:3, :2, 2:5] = xi_om.transpose(2, 1, 0)
@@ -140,37 +196,23 @@ def _hessian_coefficients(dp):
     coef[4, 2:5, 2:5] = om_om[..., 1, 1]
     coef[5, 2:5, 2:5] = om_om[..., 0, 1] + om_om[..., 1, 0]
 
-    # lam = omega12 exp(w), with w = -log(omega11 omega22) / 2
-    dw = np.zeros(8)
-    dw[[2, 4]] = -0.5 / var
-    d_lam = e[3] / (o[0] * o[1]) + lam * dw
     h_lam = (_sym(e[3], dw) / (o[0] * o[1])
              + lam * (np.outer(dw, dw) + np.diag(2.0 * dw * dw)))
-    # alpha_star^2 = alpha1^2 + alpha2^2 + 2 lam alpha1 alpha2
-    d_as = 2.0 * a[0] * a[1] * d_lam
-    d_as[5:7] += 2.0 * (a + lam * a[::-1])
     h_as = 2.0 * (a[0] * a[1] * h_lam + a[1] * _sym(e[5], d_lam)
                   + a[0] * _sym(e[6], d_lam))
     h_as[5:7, 5:7] += 2.0 * np.array([[1.0, lam], [lam, 1.0]])
-    d_den = d_as / (2.0 * den)
     h_den = h_as / (2.0 * den) - np.outer(d_as, d_as) / (4.0 * den ** 3)
 
-    # grad z_j = -e_xi_j / omega_j - z_j e_omega_jj / (2 omega_jj), and
-    # alpha_j z_j adds alpha_j grad z_j + z_j e_alpha_j to grad t
-    grad_t = s_coef[:, 6:]
-    grad_t[:, 0] = dp.tau * d_den + den * e[7]
     coef[6] = dp.tau * h_den + _sym(e[7], d_den)
     for j in (0, 1):
         xi, om, al = e[j], e[2 + 2 * j], e[5 + j]
         dz0, dz1 = -xi / o[j], -om / (2.0 * var[j])
-        grad_t[:, 0] += a[j] * dz0
-        grad_t[:, 1 + j] = al + a[j] * dz1
         coef[6] += _sym(al, dz0) + a[j] * _sym(xi, om) / (2.0 * var[j] * o[j])
         coef[7 + j] = (_sym(al, dz1)
                        + a[j] * np.outer(om, om) * (0.75 / var[j] ** 2))
     lin = np.ascontiguousarray(coef[:, _UPPER[0], _UPPER[1]].T)
-    lin.flags.writeable = s_coef.flags.writeable = False
-    return lin, s_coef
+    lin.flags.writeable = False
+    return lin, _score_coefficients(dp)
 
 
 def _constants(dp):
@@ -209,8 +251,9 @@ def _kernel(dp, z1, z2, order):
     callers that need each observation: density_esn2 (order 0), the Gram
     rule of expected_info (order 1) and the Monte Carlo oracle in
     validation (order 2), which needs the spread of each entry.  Each row
-    applies `_hessian_coefficients` to the basis 1, z1, z2, z1^2, z2^2,
-    z1 z2, zeta1, z1 zeta1, z2 zeta1, which _sums contracts with its sums.
+    applies `_score_coefficients` and, at order 2, `_hessian_coefficients`
+    to the basis 1, z1, z2, z1^2, z2^2, z1 z2, zeta1, z1 zeta1, z2 zeta1,
+    which _sums contracts with its sums.
 
     Returns
     -------
@@ -224,11 +267,12 @@ def _kernel(dp, z1, z2, order):
     if order == 0:
         return out
 
-    lin, s_coef = _hessian_coefficients(dp)
+    s_coef = _score_coefficients(dp)
     zeta1 = at[1]
     n = len(z1)
     s = np.empty((8, n))
     if order == 2:
+        lin = _hessian_coefficients(dp)[0]
         zeta2 = at[2]
         h = np.empty((36, n))
     for lo in range(0, n, _PASS):
@@ -298,7 +342,7 @@ def _sums(dp, data, order):
     the zeta differences from tau; for order 2 also its sum of zeta2(t)
     B B', taken about the block's zeta2-weighted mean of z so that
     (c + a z)^2 does not cancel where z sits near -c / a, and pooled with
-    _pool.  One contraction with `_hessian_coefficients` follows.
+    _pool.  One contraction with the coefficient sets follows.
     """
     z1, z2 = _residuals(dp, data.y1, data.y2)
     value = 0.0
@@ -332,9 +376,8 @@ def _sums(dp, data, order):
     if order == 0:
         return [value]
 
-    _, s_coef = _hessian_coefficients(dp)
     _, _, astar2, den_m1 = _constants(dp)
-    grad = s_coef @ m_lin
+    grad = _score_coefficients(dp) @ m_lin
     # den zeta1(t) - zeta1(tau), as the kernel forms it
     grad[7] = den_m1 * m_lin[6] + diff1
     if order == 1:
@@ -401,6 +444,25 @@ class FitResult:
     converged: bool
     final_score_norm: float
     loglik: float
+    # calls of _sums the fit made: objective evaluations and polish steps
+    evaluations: int
+
+
+# BFGS hands over to the Newton polish once this many objective values in
+# a row agree with the best value so far to within _FLAT_RTOL, relative.
+# Near the maximum the decrease g' I^-1 g / 2 falls below rounding in
+# -loglik while the score is still far above gtol, and the Wolfe line
+# search then spends tens of evaluations on values it cannot tell apart
+# before it stops with precision loss; the polish works from the score
+# alone and finishes in a few steps.  A clearly worse value resets the
+# count, so trial steps that overshoot far from the maximum never trigger
+# the hand-over.
+_FLAT_RTOL = 4.0 * np.finfo(float).eps
+_FLAT_RUN = 3
+
+
+class _Unresolved(Exception):
+    """Raised from the objective to end BFGS; see _FLAT_RUN."""
 
 
 def _to_internal(dp):
@@ -438,6 +500,10 @@ def fit_mle(data, init, controls=FitControls()):
     BFGS runs in unconstrained internal coordinates so every iterate has
     a positive definite scale matrix; a Newton polish in theta
     coordinates then drives the score norm below ``controls.grad_tol``.
+    BFGS hands over to the polish early, from the best point seen, once
+    its objective stops resolving: when _FLAT_RUN values in a row agree
+    with the best one to within _FLAT_RTOL of it, as the line searches'
+    values do near a maximum at large n.
 
     Returns
     -------
@@ -452,29 +518,47 @@ def fit_mle(data, init, controls=FitControls()):
     # only the fit needs scipy.optimize, which costs every command's start-up
     import scipy.optimize
 
-    best = {"value": -loglik(init, data), "psi": _to_internal(init)}
+    calls = 0
+
+    def sums(dp, order):
+        nonlocal calls
+        calls += 1
+        return _sums(dp, data, order)
+
+    psi0 = _to_internal(init)
+    best = {"value": np.inf, "psi": psi0, "flat": 0}
 
     def objective(psi):
         try:
             dp = validate(_from_internal(psi))
         except (ValueError, OverflowError):
+            best["flat"] = 0
             return np.inf, np.zeros(8)
-        value, grad = _sums(dp, data, 1)
+        value, grad = sums(dp, 1)
         value = -float(value)
+        if math.isclose(value, best["value"], rel_tol=_FLAT_RTOL):
+            best["flat"] += 1
+        else:
+            best["flat"] = 0
         if value < best["value"]:
             best["value"] = value
             best["psi"] = psi.copy()
+        if best["flat"] == _FLAT_RUN:
+            raise _Unresolved
         return value, -_internal_grad(dp, grad)
 
-    scipy.optimize.minimize(
-        objective, _to_internal(init), jac=True, method="BFGS",
-        options={"maxiter": controls.max_iter,
-                 "gtol": 0.01 * controls.grad_tol})
+    try:
+        scipy.optimize.minimize(
+            objective, psi0, jac=True, method="BFGS",
+            options={"maxiter": controls.max_iter,
+                     "gtol": 0.01 * controls.grad_tol})
+    except _Unresolved:
+        pass
 
     # an iterate's value, score and hessian come from the one _sums call
     # that tried its point in the line search
     dp = validate(_from_internal(best["psi"]))
-    value, grad, hess = _sums(dp, data, 2)
+    value, grad, hess = sums(dp, 2)
     norm = float(np.max(np.abs(grad)))
     for _ in range(50):
         if norm < controls.grad_tol:
@@ -491,11 +575,11 @@ def fit_mle(data, init, controls=FitControls()):
             except ValueError:
                 scale *= 0.5
                 continue
-            sums = _sums(cand, data, 2)
-            cand_norm = float(np.max(np.abs(sums[1])))
+            result = sums(cand, 2)
+            cand_norm = float(np.max(np.abs(result[1])))
             if cand_norm < norm:
                 dp, norm = cand, cand_norm
-                value, grad, hess = sums
+                value, grad, hess = result
                 break
             scale *= 0.5
         else:
@@ -505,8 +589,9 @@ def fit_mle(data, init, controls=FitControls()):
     # point below the best one the line searches saw
     if -value > best["value"] + 1e-9 * (1.0 + abs(best["value"])):
         dp = validate(_from_internal(best["psi"]))
-        value, grad = _sums(dp, data, 1)
+        value, grad = sums(dp, 1)
         norm = float(np.max(np.abs(grad)))
 
     return FitResult(dp_hat=dp, converged=norm < controls.grad_tol,
-                     final_score_norm=norm, loglik=float(value))
+                     final_score_norm=norm, loglik=float(value),
+                     evaluations=calls)

@@ -213,6 +213,8 @@ class ValidationConfig:
     def __post_init__(self):
         if self.level not in _LEVELS:
             raise ValueError(f"level must be one of {_LEVELS}")
+        # a plain int seed, as sample_esn2 takes, is checked here
+        object.__setattr__(self, "seed", RngSeed(_seed_value(self.seed)))
 
 
 @dataclass(frozen=True)

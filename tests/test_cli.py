@@ -270,6 +270,19 @@ def test_fit_recovers_parameters(runner, tmp_path):
     assert payload["loglik"] >= crit10.loglik - 1e-6
 
 
+def test_fit_reports_evaluations(runner, tmp_path):
+    # with --init the command makes one fit, and reports its count
+    y = sample_esn2(DpParams(0, 0, 1, 0.5, 1, 1.5, -1, 0.5), 2000, 7)
+    data = write_csv(tmp_path / "d.csv", y.y1, y.y2)
+    init = (0.2, -0.2, 1.3, 0.3, 0.8, 1.0, -0.5, 0.1)
+    result = runner.invoke(main, ["fit", "--data", data, "--init",
+                                  ",".join(map(repr, init))])
+    assert result.exit_code == 0
+    payload = json.loads(result.output)
+    assert payload["evaluations"] == fit_mle(y, DpParams(*init)).evaluations
+    assert payload["evaluations"] > 0
+
+
 def test_fit_singular_estimate_warns(runner, tmp_path):
     # a start at the exact Gaussian stationary point is already converged,
     # and the expected information there carries no tau information

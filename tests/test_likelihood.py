@@ -28,8 +28,10 @@ from esn2 import (
     score,
     standardize,
 )
+from esn2 import likelihood
 from esn2.expected_info import _FLIP_SIGNS
-from esn2.likelihood import _ROWS, _UPPER, _kernel
+from esn2.likelihood import (_ROWS, _UPPER, _hessian_coefficients, _kernel,
+                             _score_coefficients)
 from esn2.model import _residuals
 
 POINT_A = DpParams(0, 0, 1, 0.6, 1, 2, 3, 1)
@@ -221,6 +223,26 @@ def test_fit_recovers_truth_roughly():
     assert -1e-6 <= lr <= 58.3
 
 
+def test_fit_hands_over_when_loglik_stops_resolving(monkeypatch):
+    # from criterion 10's start on this dataset the score is below 1e-4 by
+    # about the 45th evaluation; BFGS's line searches would then spend
+    # about 40 more on values they cannot tell apart (116 in all) before
+    # stopping with precision loss, and the Newton polish finishes instead
+    data = sample_esn2(DpParams(0, 0, 1, 0.6, 1, 2, 3, 1), 20000, 5)
+    sums = likelihood._sums
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return sums(*args)
+
+    monkeypatch.setattr(likelihood, "_sums", counted)
+    result = fit_mle(data, DpParams(0.2, -0.2, 1.3, 0.3, 0.8, 1.0, -0.5,
+                                    0.1))
+    assert result.converged and result.final_score_norm < 1e-6
+    assert len(calls) == result.evaluations <= 70
+
+
 def _mp_loglik(mp, theta, data):
     """Exact log-likelihood of data at theta, in mpmath arithmetic."""
     xi1, xi2, o11, o12, o22, a1, a2, tau = theta
@@ -363,6 +385,20 @@ def test_sums_match_kernel_rows():
             rows = np.vstack(rows)
             bound = 1e-12 * np.abs(rows).sum(axis=0)
             assert np.all(np.abs(got - rows.sum(axis=0)) <= bound), (k, dp)
+
+
+@pytest.mark.parametrize("k", range(len(EXTREME_DPS)))
+def test_one_score_coefficient_source(k):
+    # order-1 callers build only the score coefficients; the hessian set
+    # and the order-2 rows read the same ones
+    dp = EXTREME_DPS[k]
+    _score_coefficients.cache_clear()
+    _hessian_coefficients.cache_clear()
+    assert np.array_equal(_hessian_coefficients(dp)[1],
+                          _score_coefficients(dp))
+    data = sample_esn2(dp, 300, k + 1)
+    z1, z2 = _residuals(dp, data.y1, data.y2)
+    assert np.array_equal(_kernel(dp, z1, z2, 1)[1], _kernel(dp, z1, z2, 2)[1])
 
 
 @pytest.mark.parametrize("k", range(len(EXTREME_DPS)))

@@ -238,6 +238,16 @@ def test_validation_config_validation():
         ValidationConfig(level="exhaustive")
 
 
+def test_fast_suite_runs_with_plain_int_seed():
+    config = ValidationConfig(seed=5, level="fast")
+    assert config == ValidationConfig(seed=RngSeed(5), level="fast")
+    report = run_validation_suite(config)
+    assert report.passed, report.summary()
+    for bad in (-1, 2 ** 64, 1.5, "5"):
+        with pytest.raises(ValueError):
+            ValidationConfig(seed=bad, level="fast")
+
+
 def test_fast_suite_passes_and_serializes():
     report = run_validation_suite(ValidationConfig(level="fast"))
     assert report.passed
