@@ -79,7 +79,8 @@ def _resolve_dp(dp_tuple, named):
 def _load_table(path):
     """Two-column CSV to Dataset; optional header; row-numbered errors."""
     y1, y2 = [], []
-    with open(path, newline="", encoding="utf-8") as handle:
+    # utf-8-sig drops a byte-order mark, which would make row 1 a header
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         rows = [row for row in csv.reader(handle) if row]
     if not rows:
         raise click.UsageError(f"{path}: no data rows")
@@ -304,8 +305,15 @@ def fit_cmd(ctx, data_path, init_tuple, grad_tol, max_iter):
         controls = FitControls(grad_tol=grad_tol, max_iter=max_iter)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from None
-    starts = (_default_starts(data) if init_tuple is None
-              else [_resolve_dp(init_tuple, {})])
+    if init_tuple is None:
+        starts = _default_starts(data)
+        try:
+            validate(starts[0])
+        except ValueError as exc:
+            raise click.UsageError(f"{data_path}: singular sample covariance,"
+                                   f" so no moment start ({exc})") from None
+    else:
+        starts = [_resolve_dp(init_tuple, {})]
     # the converged fit with the highest log-likelihood; if none
     # converged, the highest one, reported as unconverged
     fits = [fit_mle(data, start, controls) for start in starts]

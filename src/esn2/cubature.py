@@ -349,8 +349,9 @@ def _gram_rule(dp, rows, controls=None):
     bit for bit; the caller maps the result back.  Rules grow by _GROWTH
     until two in a row agree in every entry to within
     max(abs_tol, rel_tol sqrt(M_ii M_jj)), M the finer one's R'R.  A rule
-    that would take the node count past max_evals is not run, and the
-    result is then flagged unconverged.
+    that would take the node count past max_evals is not run, nor one whose
+    Gauss-Hermite weights are NaN (numpy's from 372 nodes on), and the
+    result is then flagged unconverged with the last finite gap.
     """
     controls = controls or CubatureControls()
     flip = dp.alpha1 < 0.0 or (dp.alpha1 == 0.0 and dp.alpha2 < 0.0)
@@ -365,7 +366,8 @@ def _gram_rule(dp, rows, controls=None):
         v, log_wv = _v_rule(dp.tau, alpha_star, n)
         m = _W1_PER_V * n
         nodes = len(v) * m * _W2_NODES
-        if used + nodes > controls.max_evals:
+        if (used + nodes > controls.max_evals
+                or np.isnan(_hermite(m)[1]).any()):
             return _GramRule(r, flip, False, gap, used)
         used += nodes
         r = _gram_factor(dp, rows, v, log_wv, _w_rule(dp, m, _W2_NODES))

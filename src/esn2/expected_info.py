@@ -26,7 +26,8 @@ import numpy as np
 
 from .cubature import _gram_rule
 from .expectations import CubatureNotConverged
-from .likelihood import InfoMatrix, _hessian_from_moments, _kernel
+from .likelihood import (InfoMatrix, _hessian_from_moments, _kernel,
+                         _score_coefficients)
 from .model import DpParams, validate
 from .special_fns import zeta
 
@@ -39,15 +40,16 @@ _FLIP_SIGNS = np.array([-1.0, -1.0, 1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
 
 def _assemble(dp, es):
     """The paper's expected information -E[h] from an expectation set: the
-    kernel's hessian coefficients contracted with E[1, Z, Z Z'], E[(1, Z)
-    zeta1(T)] and E[(1, Z)(1, Z)' zeta2(T)], as observed_info contracts
-    them with sample sums."""
+    kernel's hessian coefficients contracted with E[1, Z, Z Z'] and
+    E[(1, Z) zeta1(T)], and grad t = G (1, Z) with E[(1, Z)(1, Z)'
+    zeta2(T)], as observed_info contracts them with sample sums."""
     e_lin = [1.0, es.e_z1, es.e_z2, es.e_z1sq, es.e_z2sq, es.e_z1z2,
              es.e_zeta1, es.e_z1_zeta1, es.e_z2_zeta1]
     e_zeta2 = np.array([[es.e_zeta2, es.e_z1_zeta2, es.e_z2_zeta2],
                         [es.e_z1_zeta2, es.e_z1sq_zeta2, es.e_z1z2_zeta2],
                         [es.e_z2_zeta2, es.e_z1z2_zeta2, es.e_z2sq_zeta2]])
-    m = -_hessian_from_moments(dp, e_lin, e_zeta2)
+    g = _score_coefficients(dp)[:, 6:]
+    m = -_hessian_from_moments(dp, e_lin, g @ e_zeta2 @ g.T)
     m[7, 7] += zeta(2, dp.tau)
     return m
 

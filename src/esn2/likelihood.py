@@ -7,17 +7,17 @@ rows serve the callers that need each observation: density_esn2, the Gram
 rule of expected_info and the Monte Carlo oracle in validation.
 
 loglik, score, observed_info and fit_mle go through `_sums` instead.  It
-sums the log density per row as the kernel forms it, and the per-block
-moments of b = (1, z1, z2, z1^2, z2^2, z1 z2, zeta1(t), z1 zeta1(t),
-z2 zeta1(t)) and of zeta2(t), without forming a derivative row.  Both
-apply one coefficient set: the score is s_coef @ b, per row or summed,
-with s_coef from `_score_coefficients`, and the hessian H_N + zeta1(t)
-grad^2 t + zeta2(t) grad t grad t', H_N the bivariate normal part, is
-lin @ b plus the zeta2 term, with lin from `_hessian_coefficients`, which
-only order-2 callers build.  `_hessian_from_moments` contracts the
-coefficients with sample sums here and with the paper's expectations in
-expected_info._assemble, and a test holds that E[-H] to the Gram rule's
-E[s s'], read from the score rows.
+sums the log density per row as the kernel forms it, and per block the
+sums of b = (1, z1, z2, z1^2, z2^2, z1 z2, zeta1(t), z1 zeta1(t),
+z2 zeta1(t)) and the zeta2 term summed over the block's rows, without
+forming a derivative row.  Both apply one coefficient set: the score is
+s_coef @ b, per row or summed, with s_coef from `_score_coefficients`,
+and the hessian H_N + zeta1(t) grad^2 t + zeta2(t) grad t grad t', H_N
+the bivariate normal part, is lin @ b plus the zeta2 term, with lin from
+`_hessian_coefficients`, which only order-2 callers build.
+`_hessian_from_moments` contracts lin with sample sums here and with the
+paper's expectations in expected_info._assemble, and a test holds that
+E[-H] to the Gram rule's E[s s'], read from the score rows.
 
 All derivatives are taken with respect to the direct parameter vector
 theta = (xi1, xi2, omega11, omega12, omega22, alpha1, alpha2, tau).  The
@@ -48,12 +48,6 @@ _INFO_KINDS = ("observed", "expected")
 # per row as blocks of this size, mostly in page faults on them, and blocks
 # of 8192 paid more in per-call overhead
 _ROWS = 32768
-
-# rows per pass of the kernel's order-2 terms, whose temporaries (33 values
-# a row) then stay small next to the 36 hessian rows.  Over whole blocks they
-# made the allocator hand the heap back after every call: observed_info over
-# 1e6 rows took 1.7 times as long on a 2-core Xeon, in page faults
-_PASS = 2048
 
 # the 36 hessian entries (r, c), r <= c, as kernel columns: _COL[r, c] and
 # _COL[c, r] both index entry (r, c), so h[_COL] is the symmetric matrix
@@ -253,7 +247,9 @@ def _kernel(dp, z1, z2, order):
     validation (order 2), which needs the spread of each entry.  Each row
     applies `_score_coefficients` and, at order 2, `_hessian_coefficients`
     to the basis 1, z1, z2, z1^2, z2^2, z1 z2, zeta1, z1 zeta1, z2 zeta1,
-    which _sums contracts with its sums.
+    which _sums contracts with its sums.  The basis spans all the rows
+    given, so orders 1 and 2 take bounded blocks (cubature._BLOCK rows from
+    the Gram rule, validation._PASS from the oracle).
 
     Returns
     -------
@@ -269,68 +265,45 @@ def _kernel(dp, z1, z2, order):
 
     s_coef = _score_coefficients(dp)
     zeta1 = at[1]
-    n = len(z1)
-    s = np.empty((8, n))
-    if order == 2:
-        lin = _hessian_coefficients(dp)[0]
-        zeta2 = at[2]
-        h = np.empty((36, n))
-    for lo in range(0, n, _PASS):
-        r = slice(lo, lo + _PASS)
-        basis = np.stack([np.ones_like(z1[r]), z1[r], z2[r], z1sq[r],
-                          z2sq[r], z12[r], zeta1[r], z1[r] * zeta1[r],
-                          z2[r] * zeta1[r]])
-        np.matmul(s_coef, basis, out=s[:, r])
-        if order == 2:
-            hr = np.matmul(lin, basis, out=h[:, r])
-            # zeta2 g_i g_j from the rows of g = grad t, not expanded in z,
-            # where (c + a z)^2 can cancel; entries (i, i..7) are contiguous
-            g = s_coef[:, 6:] @ basis[:3]
-            gz = g * zeta2[r]
-            for i in range(8):
-                hr[_COL[i, i]:_COL[i, 7] + 1] += gz[i] * g[i:]
+    basis = np.stack([np.ones_like(z1), z1, z2, z1sq, z2sq, z12, zeta1,
+                      z1 * zeta1, z2 * zeta1])
+    s = s_coef @ basis
     _, _, astar2, den_m1 = _constants(dp)
     # den zeta1(t) - zeta1(tau), as _sums forms it
     s[7] = den_m1 * zeta1 + diff[1]
     out.append(s.T)
     if order == 1:
         return out
+
+    zeta2 = at[2]
+    h = _hessian_coefficients(dp)[0] @ basis
+    # zeta2 g_i g_j from the rows of g = grad t, not expanded in z, where
+    # (c + a z)^2 can cancel; entries (i, i..7) are contiguous
+    g = s_coef[:, 6:] @ basis[:3]
+    gz = g * zeta2
+    for i in range(8):
+        h[_COL[i, i]:_COL[i, 7] + 1] += gz[i] * g[i:]
     # den^2 zeta2(t) - zeta2(tau), which also vanishes as alpha -> 0
     h[_COL[7, 7]] = astar2 * zeta2 + diff[2]
     out.append(h.T)
     return out
 
 
-def _hessian_from_moments(dp, m_lin, m_zeta2, centre=(0.0, 0.0)):
+def _hessian_from_moments(dp, m_lin, zeta2_gg):
     """The hessian summed over rows, or in expectation, from moments.
 
     m_lin holds the sums (or expectations) of the basis of `lin`, and
-    m_zeta2 those of zeta2 B B' with B = (1, z1 - centre1, z2 - centre2).
-    So the zeta2 term is G m_zeta2 G', G being grad_t moved to the centre.
-    The tau-tau entry is the caller's, which knows its zeta2(tau) term.
+    zeta2_gg the zeta2 term, the sum (or expectation) of zeta2(t) grad t
+    grad t'.  The tau-tau entry is the caller's, which knows its zeta2(tau)
+    term.
 
     Returns
     -------
     ndarray (8, 8)
         Symmetric.
     """
-    lin, s_coef = _hessian_coefficients(dp)
-    g = np.array(s_coef[:, 6:])
-    g[:, 0] += g[:, 1:] @ centre
-    h = (lin @ m_lin)[_COL] + g @ m_zeta2 @ g.T
+    h = (_hessian_coefficients(dp)[0] @ m_lin)[_COL] + zeta2_gg
     return np.triu(h) + np.triu(h, 1).T
-
-
-def _pool(acc, block):
-    """Pool two (weight, mean, centred sum of squares) triples of zeta2 by
-    the weighted update of Chan, Golub & LeVeque (1983).  The weights are
-    zeta2 sums, so both are <= 0, and the block's is not 0."""
-    w_a, mean_a, cov_a = acc
-    w_b, mean_b, cov_b = block
-    w = w_a + w_b
-    shift = mean_b - mean_a
-    return (w, mean_a + shift * (w_b / w),
-            cov_a + cov_b + np.outer(shift, shift) * (w_a * w_b / w))
 
 
 def _sums(dp, data, order):
@@ -339,16 +312,20 @@ def _sums(dp, data, order):
     The log density is formed per row as the kernel forms it and summed,
     _ROWS rows at a time.  The derivatives are never formed per row: each
     block adds its sums of B = (1, z1, z2) as B B' and B zeta1(t), and of
-    the zeta differences from tau; for order 2 also its sum of zeta2(t)
-    B B', taken about the block's zeta2-weighted mean of z so that
-    (c + a z)^2 does not cancel where z sits near -c / a, and pooled with
-    _pool.  One contraction with the coefficient sets follows.
+    the zeta differences from tau; for order 2 also its zeta2 term, the sum
+    of zeta2(t) grad t grad t', grad t = G B.  With w the block's zeta2 sum,
+    c its zeta2-weighted mean of z and C its sum of zeta2 (z - c)(z - c)',
+    that is w g_c g_c' + G_z C G_z', g_c = G (1, c), so (c + a z)^2 does not
+    cancel where z sits near -c / a.
     """
     z1, z2 = _residuals(dp, data.y1, data.y2)
     value = 0.0
     m_lin = np.zeros(9)
     diff1 = diff2 = 0.0
-    zeta2_moments = (0.0, np.zeros(2), np.zeros((2, 2)))
+    if order == 2:
+        g = _score_coefficients(dp)[:, 6:]
+        zeta2_w = 0.0
+        zeta2_gg = np.zeros((8, 8))
     for lo in range(0, data.n, _ROWS):
         b1, b2 = z1[lo:lo + _ROWS], z2[lo:lo + _ROWS]
         log_f, at, diff, sq = _log_density(dp, b1, b2, order)
@@ -364,6 +341,7 @@ def _sums(dp, data, order):
             diff2 += diff[2].sum()
             zeta2 = at[2]
             w = zeta2.sum()
+            zeta2_w += w
             # zeta2 underflows to 0 where t > 38 or so
             if w != 0.0:
                 mean = np.array([(zeta2 * b1).sum(), (zeta2 * b2).sum()]) / w
@@ -372,7 +350,8 @@ def _sums(dp, data, order):
                 s12 = (e1 * c2).sum()
                 cov = np.array([[(e1 * c1).sum(), s12],
                                 [s12, (e2 * c2).sum()]])
-                zeta2_moments = _pool(zeta2_moments, (w, mean, cov))
+                gc = g[:, 0] + g[:, 1:] @ mean
+                zeta2_gg += w * np.outer(gc, gc) + g[:, 1:] @ cov @ g[:, 1:].T
     if order == 0:
         return [value]
 
@@ -383,13 +362,9 @@ def _sums(dp, data, order):
     if order == 1:
         return [value, grad]
 
-    w, mean, cov = zeta2_moments
-    m_zeta2 = np.zeros((3, 3))
-    m_zeta2[0, 0] = w
-    m_zeta2[1:, 1:] = cov
-    hess = _hessian_from_moments(dp, m_lin, m_zeta2, mean)
+    hess = _hessian_from_moments(dp, m_lin, zeta2_gg)
     # den^2 zeta2(t) - zeta2(tau)
-    hess[7, 7] = astar2 * w + diff2
+    hess[7, 7] = astar2 * zeta2_w + diff2
     return [value, grad, hess]
 
 

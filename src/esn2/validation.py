@@ -24,14 +24,19 @@ from scipy.special import chdtrc, log_ndtr, ndtri_exp
 from .cubature import integrate_2d
 from .expectations import lemma4_expectation
 from .expected_info import _FLIP_SIGNS, expected_info
-from .likelihood import (_COL, _ROWS, _kernel, density_esn2, loglik,
-                         observed_info, score)
+from .likelihood import (_COL, _kernel, density_esn2, loglik, observed_info,
+                         score)
 from .model import (PARAM_NAMES, Dataset, DpParams, _alpha_star_sq,
                     _conditional_factor, _lam, _residuals, delta_vector,
                     validate)
 from .special_fns import zeta
 
 _CHUNK = 65536
+# rows per block of the oracle's hessian rows: over blocks of 32768 the
+# kernel's order-2 temporaries (33 values a row) made the allocator hand the
+# heap back after every call, and a pass over 1e6 rows took 1.7 times as
+# long on a 2-core Xeon, in page faults
+_PASS = 2048
 _SHRINK_ROUNDS = 20
 _GRAD_STEP = 1e-6
 _HESS_STEP = 1e-4
@@ -328,7 +333,7 @@ def _check_lemma4(seed):
 
 def _pool_entries(acc, block):
     """Pool two (count, mean, centred sum of squares) triples, entry by
-    entry, by the update likelihood._pool applies to zeta2 moments."""
+    entry, by the weighted update of Chan, Golub & LeVeque (1983)."""
     n_a, mean_a, sq_a = acc
     n_b, mean_b, sq_b = block
     n = n_a + n_b
@@ -340,15 +345,15 @@ def _pool_entries(acc, block):
 def _mc_info_sigmas(dp, einfo_block, data, entries):
     """Per-entry |einfo − MC mean| / MC standard error.
 
-    The hessian rows are formed _ROWS at a time and each block's means and
+    The hessian rows are formed _PASS at a time and each block's means and
     centred sums of squares pooled, so memory does not grow with the
     sample.
     """
     z1, z2 = _residuals(dp, data.y1, data.y2)
     cols = [_COL[r, c] for r, c in entries]
     acc = (0, 0.0, 0.0)
-    for lo in range(0, data.n, _ROWS):
-        hess = _kernel(dp, z1[lo:lo + _ROWS], z2[lo:lo + _ROWS], 2)[2][:, cols]
+    for lo in range(0, data.n, _PASS):
+        hess = _kernel(dp, z1[lo:lo + _PASS], z2[lo:lo + _PASS], 2)[2][:, cols]
         mean = hess.mean(axis=0)
         hess -= mean
         acc = _pool_entries(

@@ -249,6 +249,31 @@ def test_fit_needs_five_rows(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("column", ["constant", "collinear"])
+def test_fit_rejects_singular_sample_covariance(runner, tmp_path, column):
+    # no moment start exists, so the default fit has no point to start from
+    y1 = np.random.Generator(np.random.Philox(
+        key=np.array([9, 0], dtype=np.uint64))).normal(size=50)
+    y2 = 2.0 * y1 + 1.0
+    if column == "constant":
+        y1, y2 = np.ones(50), y1
+    data = write_csv(tmp_path / "d.csv", y1, y2)
+    result = runner.invoke(main, ["fit", "--data", data])
+    assert result.exit_code == 2
+    assert "sample covariance" in result.stderr
+
+
+def test_byte_order_mark_keeps_first_row(runner, tmp_path):
+    plain = write_csv(tmp_path / "plain.csv", A_Y1, A_Y2)
+    bom = tmp_path / "bom.csv"
+    with open(plain, encoding="utf-8") as handle:
+        bom.write_text(handle.read(), encoding="utf-8-sig")
+    got = [json.loads(runner.invoke(main, ["eval", "loglik", "--dp", SLANTED,
+                                           "--data", path]).output)["loglik"]
+           for path in (plain, str(bom))]
+    assert got[0] == got[1]
+
+
 def test_fit_recovers_parameters(runner, tmp_path):
     truth = DpParams(0, 0, 1, 0.5, 1, 1.5, -1, 0.5)
     y = sample_esn2(truth, 800, 31)

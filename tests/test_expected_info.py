@@ -31,7 +31,7 @@ from esn2 import (
     reparam_scalar_info,
     sample_esn2,
 )
-from esn2.cubature import _gram_factor, _v_rule, _w_rule
+from esn2.cubature import _gram_factor, _gram_rule, _v_rule, _w_rule
 from esn2.expected_info import _assemble, _score_rows
 from esn2.likelihood import _hessian_coefficients
 from esn2.model import _alpha_star_sq, _lam
@@ -217,6 +217,19 @@ def test_det_scan_records_cubature_failure():
     assert len(rows) == 1
     assert not rows[0].converged
     assert math.isnan(rows[0].det)
+
+
+def test_gram_rule_stops_before_nan_weights():
+    # lam = 1 - 5.6e-12: rules 1-8 are finite but far apart, and the 9th
+    # asks for 404 Gauss-Hermite nodes, whose weights numpy returns as NaN
+    dp = DpParams(-6.9547270538069235, -12.909498855346367,
+                  0.9194331757076565, 1.8388682056516397, 3.6777401198208306,
+                  -34303.18853977436, 34303.36682099898, -41.86585501029693)
+    with np.errstate(all="ignore"):  # numpy's overflow in hermegauss
+        rule = _gram_rule(dp, _score_rows)
+    assert not rule.converged
+    assert math.isfinite(rule.gap)
+    assert rule.nodes == 393_432
 
 
 def test_expected_info_random_points_well_conditioned():

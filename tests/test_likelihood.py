@@ -366,6 +366,24 @@ def test_observed_info_centred_against_cancellation():
         assert abs(got - want) <= 1e-12 * abs(want), seed
 
 
+@pytest.mark.parametrize("dp", [DpParams(0, 0, 1, 0.6, 1, 30, 2, -30),
+                                DpParams(0, 0, 1, 0.95, 1, 30, 2, -8)])
+def test_observed_info_zeta2_across_blocks(dp):
+    # z sits near where grad t cancels; each block contracts its zeta2 term
+    # about its own centre, and the blocks' terms are added.  An exact sum of
+    # the kernel's rows is the reference
+    for seed in (1, 2, 3):
+        data = sample_esn2(dp, 2 * _ROWS + 1000, seed)
+        z1, z2 = _residuals(dp, data.y1, data.y2)
+        rows = np.vstack([_kernel(dp, z1[lo:lo + _ROWS], z2[lo:lo + _ROWS],
+                                  2)[2] for lo in range(0, data.n, _ROWS)])
+        want = np.array([math.fsum(col) for col in rows.T])
+        got = -observed_info(dp, data).matrix[_UPPER]
+        nonzero = got != 0.0
+        assert np.all(np.abs(got - want)[nonzero]
+                      <= 1e-12 * np.abs(want)[nonzero]), seed
+
+
 def test_sums_match_kernel_rows():
     # loglik, score and observed_info contract moment sums; the kernel's
     # rows, summed in the same blocks, are the reference

@@ -208,8 +208,9 @@ def test_sampler_any_tau(tau):
 
 def test_mc_sigmas_stream_matches_all_rows():
     # the oracle pools blocks of hessian rows; the reference forms them all
-    # at once, over two full blocks and a part.  A sigma is the difference
-    # of einfo / se and mean / se, so it is compared relative to those
+    # at once, over 34 full blocks of 2048 rows and a part.  A sigma is the
+    # difference of einfo / se and mean / se, so it is compared relative to
+    # those
     dp = DpParams(0.3, -0.2, 1.5, -0.4, 0.8, -1.0, 2.0, -0.7)
     data = sample_esn2(dp, 2 * _ROWS + 4465, RngSeed(7))
     einfo = expected_info(dp).matrix
