@@ -240,8 +240,10 @@ def _legendre(n):
 @functools.lru_cache(maxsize=32)
 def _hermite(n):
     """Read-only Gauss-Hermite nodes and log weights for N(0, 1)."""
-    x, w = np.polynomial.hermite_e.hermegauss(n)
-    log_w = np.log(w) - LOG_RT2PI
+    # from 372 nodes on the weights are NaN, which _gram_rule refuses
+    with np.errstate(all="ignore"):
+        x, w = np.polynomial.hermite_e.hermegauss(n)
+        log_w = np.log(w) - LOG_RT2PI
     x.flags.writeable = log_w.flags.writeable = False
     return x, log_w
 

@@ -26,8 +26,8 @@ import numpy as np
 
 from .cubature import _gram_rule
 from .expectations import CubatureNotConverged
-from .likelihood import (InfoMatrix, _hessian_from_moments, _kernel,
-                         _score_coefficients)
+from .likelihood import (InfoMatrix, _coefficients, _hessian_from_moments,
+                         _kernel)
 from .model import DpParams, validate
 from .special_fns import zeta
 
@@ -48,8 +48,9 @@ def _assemble(dp, es):
     e_zeta2 = np.array([[es.e_zeta2, es.e_z1_zeta2, es.e_z2_zeta2],
                         [es.e_z1_zeta2, es.e_z1sq_zeta2, es.e_z1z2_zeta2],
                         [es.e_z2_zeta2, es.e_z1z2_zeta2, es.e_z2sq_zeta2]])
-    g = _score_coefficients(dp)[:, 6:]
-    m = -_hessian_from_moments(dp, e_lin, g @ e_zeta2 @ g.T)
+    coef = _coefficients(dp)
+    g = coef.s_coef[:, 6:]
+    m = -_hessian_from_moments(coef, e_lin, g @ e_zeta2 @ g.T)
     m[7, 7] += zeta(2, dp.tau)
     return m
 

@@ -1,23 +1,25 @@
 """Density, log-likelihood, analytic score, and observed information.
 
-Every per-observation quantity comes from one kernel, `_kernel`.  It takes
-the standardized residuals, runs the zeta ladder once, and returns the log
-density, score rows and hessian rows, as far as the order asked for.  The
-rows serve the callers that need each observation: density_esn2, the Gram
-rule of expected_info and the Monte Carlo oracle in validation.
+What one dp determines is built once into a cached record,
+`_coefficients(dp)`, with the coefficient set on the basis b = (1, z1, z2,
+z1^2, z2^2, z1 z2, zeta1(t), z1 zeta1(t), z2 zeta1(t)): the score is
+s_coef @ b, and the hessian H_N + zeta1(t) grad^2 t + zeta2(t) grad t
+grad t', H_N the bivariate normal part, is lin @ b plus the zeta2 term.
+The record builds lin on first use, so only order-2 callers pay for it.
+
+`_kernel` runs the zeta ladder once over the standardized residuals and
+returns the log density, the score rows and at order 2 the hessian rows,
+for the callers that need each observation: the Gram rule of
+expected_info and the Monte Carlo oracle in validation.  density_esn2
+reads the log density alone, from `_log_density`.
 
 loglik, score, observed_info and fit_mle go through `_sums` instead.  It
 sums the log density per row as the kernel forms it, and per block the
-sums of b = (1, z1, z2, z1^2, z2^2, z1 z2, zeta1(t), z1 zeta1(t),
-z2 zeta1(t)) and the zeta2 term summed over the block's rows, without
-forming a derivative row.  Both apply one coefficient set: the score is
-s_coef @ b, per row or summed, with s_coef from `_score_coefficients`,
-and the hessian H_N + zeta1(t) grad^2 t + zeta2(t) grad t grad t', H_N
-the bivariate normal part, is lin @ b plus the zeta2 term, with lin from
-`_hessian_coefficients`, which only order-2 callers build.
-`_hessian_from_moments` contracts lin with sample sums here and with the
-paper's expectations in expected_info._assemble, and a test holds that
-E[-H] to the Gram rule's E[s s'], read from the score rows.
+sums of b and the zeta2 term summed over the block's rows, without
+forming a derivative row.  `_hessian_from_moments` contracts lin with
+sample sums here and with the paper's expectations in
+expected_info._assemble, and a test holds that E[-H] to the Gram rule's
+E[s s'], read from the score rows.
 
 All derivatives are taken with respect to the direct parameter vector
 theta = (xi1, xi2, omega11, omega12, omega22, alpha1, alpha2, tau).  The
@@ -77,20 +79,89 @@ def _sym(a, b):
     return np.outer(a, b) + np.outer(b, a)
 
 
-def _first_order(dp):
-    """The score coefficients and the chain-rule pieces both sets share.
+@dataclass(frozen=True, eq=False)
+class _Coefficients:
+    """What the likelihood needs of one dp; built by `_coefficients`.
+
+    s_coef (8, 9) is the score on the basis b = (1, z1, z2, z1^2, z2^2,
+    z1 z2, zeta1, z1 zeta1, z2 zeta1): the gradient of H_N's log density
+    in the first six columns and grad t, the coefficient of zeta1, in the
+    last three, so grad t = s_coef[:, 6:] @ (1, z1, z2).  The tau entry is
+    den zeta1(t), which the caller forms less zeta1(tau).
+    """
+    dp: DpParams
+    lam: float
+    # 1 / (1 - lam^2)
+    u: float
+    astar2: float
+    # den - 1, without cancellation as alpha_star -> 0
+    den_m1: float
+    # the log density's constant, -log 2 pi - log det Omega / 2
+    log_norm: float
+    s_coef: np.ndarray
+    # what lin differentiates once more: var, o, a, the 8x8 identity, den,
+    # P, P E_k, P E_k P, dw, d lam, d alpha_star^2 and d den
+    _chain: tuple
+
+    @functools.cached_property
+    def lin(self):
+        """H_N + zeta1(t) grad^2 t on b, (36, 9) in the kernel's columns,
+        read-only.  Built on first use: only order-2 callers read it, and
+        it costs about five times as much as the rest of the record."""
+        dp, lam = self.dp, self.lam
+        var, o, a, e, den, p, pe, pep, dw, d_lam, d_as, d_den = self._chain
+        # h_b[k]: the hessian's coefficient of b_k
+        h_b = np.zeros((9, 8, 8))
+
+        # H_N: -P at xi-xi, -P E_k P r at xi-omega_k, and tr(P E_k P E_l) / 2
+        # - r' P E_k P E_l P r at omega_k-omega_l
+        h_b[0, :2, :2] = -p
+        h_b[0, 2:5, 2:5] = 0.5 * np.einsum("kij,lji->kl", pe, pe)
+        # [k, i, j]: coefficient of z_j at (xi_i, omega_k)
+        xi_om = -pep * o
+        h_b[1:3, :2, 2:5] = xi_om.transpose(2, 1, 0)
+        h_b[1:3, 2:5, :2] = xi_om.transpose(2, 0, 1)
+        # [k, l, i, j]: coefficient of z_i z_j at (omega_k, omega_l)
+        om_om = -(pe[:, None] @ pe[None] @ p) * np.outer(o, o)
+        h_b[3, 2:5, 2:5] = om_om[..., 0, 0]
+        h_b[4, 2:5, 2:5] = om_om[..., 1, 1]
+        h_b[5, 2:5, 2:5] = om_om[..., 0, 1] + om_om[..., 1, 0]
+
+        h_lam = (_sym(e[3], dw) / (o[0] * o[1])
+                 + lam * (np.outer(dw, dw) + np.diag(2.0 * dw * dw)))
+        h_as = 2.0 * (a[0] * a[1] * h_lam + a[1] * _sym(e[5], d_lam)
+                      + a[0] * _sym(e[6], d_lam))
+        h_as[5:7, 5:7] += 2.0 * np.array([[1.0, lam], [lam, 1.0]])
+        h_den = h_as / (2.0 * den) - np.outer(d_as, d_as) / (4.0 * den ** 3)
+
+        h_b[6] = dp.tau * h_den + _sym(e[7], d_den)
+        for j in (0, 1):
+            xi, om, al = e[j], e[2 + 2 * j], e[5 + j]
+            dz0, dz1 = -xi / o[j], -om / (2.0 * var[j])
+            h_b[6] += (_sym(al, dz0)
+                       + a[j] * _sym(xi, om) / (2.0 * var[j] * o[j]))
+            h_b[7 + j] = (_sym(al, dz1)
+                          + a[j] * np.outer(om, om) * (0.75 / var[j] ** 2))
+        lin = np.ascontiguousarray(h_b[:, _UPPER[0], _UPPER[1]].T)
+        lin.flags.writeable = False
+        return lin
+
+
+@functools.lru_cache(maxsize=4)
+def _coefficients(dp):
+    """The `_Coefficients` record of dp, cached: chunked callers ask for
+    one dp once per block.
 
     The log density is l_N(z; Omega) + zeta0(t) - zeta0(tau), with t =
-    tau den + alpha1 z1 + alpha2 z2 differentiated by the chain rule through
-    lam, alpha_star^2 and z.  Returns s_coef (see `_score_coefficients`)
-    and the pieces `_hessian_coefficients` differentiates once more: den,
-    P, P E_k, P E_k P, dw, d lam, d alpha_star^2 and d den.
+    tau den + alpha1 z1 + alpha2 z2 differentiated by the chain rule
+    through lam, alpha_star^2 and z.
     """
     var = np.array([dp.omega11, dp.omega22])
     o = np.sqrt(var)
     a = np.array([dp.alpha1, dp.alpha2])
     lam = _lam(dp)
-    den = math.sqrt(1.0 + _alpha_star_sq(lam, *a))
+    astar2 = _alpha_star_sq(lam, dp.alpha1, dp.alpha2)
+    den = math.sqrt(1.0 + astar2)
     e = np.eye(8)
 
     # with P = Omega^-1 and dOmega / d omega_k = E_k, the gradient of H_N's
@@ -126,183 +197,93 @@ def _first_order(dp):
         dz0, dz1 = -xi / o[j], -om / (2.0 * var[j])
         grad_t[:, 0] += a[j] * dz0
         grad_t[:, 1 + j] = al + a[j] * dz1
-    return s_coef, (den, p, pe, pep, dw, d_lam, d_as, d_den)
-
-
-@functools.lru_cache(maxsize=4)
-def _score_coefficients(dp):
-    """Coefficients of the per-observation score, which depend on dp only.
-
-    The result is cached and read-only, as chunked callers ask for one dp
-    once per chunk.  Order-1 callers read only these: the whole hessian
-    set costs about five times as much to build.
-
-    Returns
-    -------
-    s_coef : ndarray (8, 9)
-        The score on the basis 1, z1, z2, z1^2, z2^2, z1 z2, zeta1,
-        z1 zeta1, z2 zeta1: the gradient of H_N's log density in the first
-        six columns and grad t, the coefficient of zeta1, in the last
-        three, so grad t = s_coef[:, 6:] @ (1, z1, z2).  The tau entry is
-        den zeta1(t), which the caller forms less zeta1(tau).
-    """
-    s_coef = _first_order(dp)[0]
     s_coef.flags.writeable = False
-    return s_coef
+    log_norm = -LOG_2PI - 0.5 * (math.log(dp.omega11) + math.log(dp.omega22)
+                                 + math.log1p(-lam * lam))
+    return _Coefficients(
+        dp, lam, 1.0 / (1.0 - lam * lam), astar2, astar2 / (1.0 + den),
+        log_norm, s_coef,
+        (var, o, a, e, den, p, pe, pep, dw, d_lam, d_as, d_den))
 
 
-@functools.lru_cache(maxsize=4)
-def _hessian_coefficients(dp):
-    """Coefficients of the per-observation hessian, which depend on dp only.
-
-    The hessian of the log density is H_N + zeta1(t) grad^2 t + zeta2(t)
-    grad t grad t', less zeta2(tau) at tau-tau.  Cached and read-only, as
-    `_score_coefficients` is.
-
-    Returns
-    -------
-    lin : ndarray (36, 9)
-        The hessian less zeta2(t) grad t grad t', in the kernel's columns, on
-        the basis 1, z1, z2, z1^2, z2^2, z1 z2 (H_N) and zeta1, z1 zeta1,
-        z2 zeta1 (zeta1 grad^2 t).
-    s_coef : ndarray (8, 9)
-        `_score_coefficients(dp)`.
-    """
-    _, (den, p, pe, pep, dw, d_lam, d_as, d_den) = _first_order(dp)
-    var = np.array([dp.omega11, dp.omega22])
-    o = np.sqrt(var)
-    a = np.array([dp.alpha1, dp.alpha2])
-    lam = _lam(dp)
-    e = np.eye(8)
-    coef = np.zeros((9, 8, 8))
-
-    # H_N: -P at xi-xi, -P E_k P r at xi-omega_k, and tr(P E_k P E_l) / 2 -
-    # r' P E_k P E_l P r at omega_k-omega_l
-    coef[0, :2, :2] = -p
-    coef[0, 2:5, 2:5] = 0.5 * np.einsum("kij,lji->kl", pe, pe)
-    # [k, i, j]: coefficient of z_j at (xi_i, omega_k)
-    xi_om = -pep * o
-    coef[1:3, :2, 2:5] = xi_om.transpose(2, 1, 0)
-    coef[1:3, 2:5, :2] = xi_om.transpose(2, 0, 1)
-    # [k, l, i, j]: coefficient of z_i z_j at (omega_k, omega_l)
-    om_om = -(pe[:, None] @ pe[None] @ p) * np.outer(o, o)
-    coef[3, 2:5, 2:5] = om_om[..., 0, 0]
-    coef[4, 2:5, 2:5] = om_om[..., 1, 1]
-    coef[5, 2:5, 2:5] = om_om[..., 0, 1] + om_om[..., 1, 0]
-
-    h_lam = (_sym(e[3], dw) / (o[0] * o[1])
-             + lam * (np.outer(dw, dw) + np.diag(2.0 * dw * dw)))
-    h_as = 2.0 * (a[0] * a[1] * h_lam + a[1] * _sym(e[5], d_lam)
-                  + a[0] * _sym(e[6], d_lam))
-    h_as[5:7, 5:7] += 2.0 * np.array([[1.0, lam], [lam, 1.0]])
-    h_den = h_as / (2.0 * den) - np.outer(d_as, d_as) / (4.0 * den ** 3)
-
-    coef[6] = dp.tau * h_den + _sym(e[7], d_den)
-    for j in (0, 1):
-        xi, om, al = e[j], e[2 + 2 * j], e[5 + j]
-        dz0, dz1 = -xi / o[j], -om / (2.0 * var[j])
-        coef[6] += _sym(al, dz0) + a[j] * _sym(xi, om) / (2.0 * var[j] * o[j])
-        coef[7 + j] = (_sym(al, dz1)
-                       + a[j] * np.outer(om, om) * (0.75 / var[j] ** 2))
-    lin = np.ascontiguousarray(coef[:, _UPPER[0], _UPPER[1]].T)
-    lin.flags.writeable = False
-    return lin, _score_coefficients(dp)
-
-
-def _constants(dp):
-    """lam, u = 1 / (1 - lam^2), alpha_star^2 and den - 1 at dp."""
-    lam = _lam(dp)
-    astar2 = _alpha_star_sq(lam, dp.alpha1, dp.alpha2)
-    den_m1 = astar2 / (1.0 + math.sqrt(1.0 + astar2))
-    return lam, 1.0 / (1.0 - lam * lam), astar2, den_m1
-
-
-def _log_density(dp, z1, z2, order):
-    """What _kernel and _sums both form per row.
+def _log_density(coef, z1, z2, order):
+    """What _kernel and _sums both form per row, from the record coef.
 
     Returns the log density (n,); the zeta ladder at t and its differences
     from tau to the given order (see zeta_pair); and z1^2, z2^2 and
     z1 z2.  The tau derivatives vanish as alpha -> 0, so t - tau and the
     zeta differences across it are formed without cancellation.
     """
-    lam, u, _, den_m1 = _constants(dp)
-    at, diff = zeta_pair(dp.tau, dp.tau * den_m1 + dp.alpha1 * z1
+    dp = coef.dp
+    at, diff = zeta_pair(dp.tau, dp.tau * coef.den_m1 + dp.alpha1 * z1
                          + dp.alpha2 * z2, order)
     z1sq, z2sq, z12 = z1 * z1, z2 * z2, z1 * z2
-    quad = z1sq + z2sq - 2.0 * lam * z12
-    log_f = (-LOG_2PI
-             - 0.5 * (math.log(dp.omega11) + math.log(dp.omega22)
-                      + math.log1p(-lam * lam))
-             - 0.5 * u * quad + diff[0])
+    quad = z1sq + z2sq - 2.0 * coef.lam * z12
+    log_f = coef.log_norm - 0.5 * coef.u * quad + diff[0]
     return log_f, at, diff, (z1sq, z2sq, z12)
 
 
 def _kernel(dp, z1, z2, order):
-    """Per-observation log density and, by order, its derivatives.
+    """Per-observation log density and its derivatives, order 1 or 2.
 
     z1 and z2 are 1-d arrays of standardized residuals (see
     ``model._residuals``); dp is assumed validated.  The rows serve the
-    callers that need each observation: density_esn2 (order 0), the Gram
-    rule of expected_info (order 1) and the Monte Carlo oracle in
-    validation (order 2), which needs the spread of each entry.  Each row
-    applies `_score_coefficients` and, at order 2, `_hessian_coefficients`
-    to the basis 1, z1, z2, z1^2, z2^2, z1 z2, zeta1, z1 zeta1, z2 zeta1,
-    which _sums contracts with its sums.  The basis spans all the rows
-    given, so orders 1 and 2 take bounded blocks (cubature._BLOCK rows from
-    the Gram rule, validation._PASS from the oracle).
+    callers that need each observation: the Gram rule of expected_info
+    (order 1) and the Monte Carlo oracle in validation (order 2), which
+    needs the spread of each entry.  Each row applies the record's s_coef
+    and, at order 2, its lin to the basis 1, z1, z2, z1^2, z2^2, z1 z2,
+    zeta1, z1 zeta1, z2 zeta1, which _sums contracts with its sums.  The
+    basis spans all the rows given, so callers pass bounded blocks
+    (cubature._BLOCK rows from the Gram rule, validation._PASS from the
+    oracle).
 
     Returns
     -------
     list of ndarray
-        The log density (n,); with order >= 1 the score rows (n, 8),
-        ordered as theta; with order 2 the hessian rows (n, 36), column
-        _COL[r, c] holding entry (r, c).
+        The log density (n,) and the score rows (n, 8), ordered as theta;
+        with order 2 also the hessian rows (n, 36), column _COL[r, c]
+        holding entry (r, c).
     """
-    log_f, at, diff, (z1sq, z2sq, z12) = _log_density(dp, z1, z2, order)
-    out = [log_f]
-    if order == 0:
-        return out
-
-    s_coef = _score_coefficients(dp)
+    coef = _coefficients(dp)
+    log_f, at, diff, (z1sq, z2sq, z12) = _log_density(coef, z1, z2, order)
     zeta1 = at[1]
     basis = np.stack([np.ones_like(z1), z1, z2, z1sq, z2sq, z12, zeta1,
                       z1 * zeta1, z2 * zeta1])
-    s = s_coef @ basis
-    _, _, astar2, den_m1 = _constants(dp)
+    s = coef.s_coef @ basis
     # den zeta1(t) - zeta1(tau), as _sums forms it
-    s[7] = den_m1 * zeta1 + diff[1]
-    out.append(s.T)
+    s[7] = coef.den_m1 * zeta1 + diff[1]
+    out = [log_f, s.T]
     if order == 1:
         return out
 
     zeta2 = at[2]
-    h = _hessian_coefficients(dp)[0] @ basis
+    h = coef.lin @ basis
     # zeta2 g_i g_j from the rows of g = grad t, not expanded in z, where
     # (c + a z)^2 can cancel; entries (i, i..7) are contiguous
-    g = s_coef[:, 6:] @ basis[:3]
+    g = coef.s_coef[:, 6:] @ basis[:3]
     gz = g * zeta2
     for i in range(8):
         h[_COL[i, i]:_COL[i, 7] + 1] += gz[i] * g[i:]
     # den^2 zeta2(t) - zeta2(tau), which also vanishes as alpha -> 0
-    h[_COL[7, 7]] = astar2 * zeta2 + diff[2]
+    h[_COL[7, 7]] = coef.astar2 * zeta2 + diff[2]
     out.append(h.T)
     return out
 
 
-def _hessian_from_moments(dp, m_lin, zeta2_gg):
+def _hessian_from_moments(coef, m_lin, zeta2_gg):
     """The hessian summed over rows, or in expectation, from moments.
 
-    m_lin holds the sums (or expectations) of the basis of `lin`, and
-    zeta2_gg the zeta2 term, the sum (or expectation) of zeta2(t) grad t
-    grad t'.  The tau-tau entry is the caller's, which knows its zeta2(tau)
-    term.
+    coef is the `_Coefficients` record, m_lin holds the sums (or
+    expectations) of the basis of its lin, and zeta2_gg the zeta2 term,
+    the sum (or expectation) of zeta2(t) grad t grad t'.  The tau-tau
+    entry is the caller's, which knows its zeta2(tau) term.
 
     Returns
     -------
     ndarray (8, 8)
         Symmetric.
     """
-    h = (_hessian_coefficients(dp)[0] @ m_lin)[_COL] + zeta2_gg
+    h = (coef.lin @ m_lin)[_COL] + zeta2_gg
     return np.triu(h) + np.triu(h, 1).T
 
 
@@ -318,17 +299,18 @@ def _sums(dp, data, order):
     that is w g_c g_c' + G_z C G_z', g_c = G (1, c), so (c + a z)^2 does not
     cancel where z sits near -c / a.
     """
+    coef = _coefficients(dp)
     z1, z2 = _residuals(dp, data.y1, data.y2)
     value = 0.0
     m_lin = np.zeros(9)
     diff1 = diff2 = 0.0
     if order == 2:
-        g = _score_coefficients(dp)[:, 6:]
+        g = coef.s_coef[:, 6:]
         zeta2_w = 0.0
         zeta2_gg = np.zeros((8, 8))
     for lo in range(0, data.n, _ROWS):
         b1, b2 = z1[lo:lo + _ROWS], z2[lo:lo + _ROWS]
-        log_f, at, diff, sq = _log_density(dp, b1, b2, order)
+        log_f, at, diff, sq = _log_density(coef, b1, b2, order)
         value += log_f.sum()
         if order == 0:
             continue
@@ -355,16 +337,15 @@ def _sums(dp, data, order):
     if order == 0:
         return [value]
 
-    _, _, astar2, den_m1 = _constants(dp)
-    grad = _score_coefficients(dp) @ m_lin
+    grad = coef.s_coef @ m_lin
     # den zeta1(t) - zeta1(tau), as the kernel forms it
-    grad[7] = den_m1 * m_lin[6] + diff1
+    grad[7] = coef.den_m1 * m_lin[6] + diff1
     if order == 1:
         return [value, grad]
 
-    hess = _hessian_from_moments(dp, m_lin, zeta2_gg)
+    hess = _hessian_from_moments(coef, m_lin, zeta2_gg)
     # den^2 zeta2(t) - zeta2(tau)
-    hess[7, 7] = astar2 * zeta2_w + diff2
+    hess[7, 7] = coef.astar2 * zeta2_w + diff2
     return [value, grad, hess]
 
 
@@ -372,7 +353,8 @@ def density_esn2(y1, y2, dp):
     """Bivariate density at (y1, y2); accepts scalars or ndarrays."""
     validate(dp)
     z1, z2 = np.broadcast_arrays(*_residuals(dp, y1, y2))
-    out = np.exp(_kernel(dp, z1.ravel(), z2.ravel(), 0)[0]).reshape(z1.shape)
+    log_f = _log_density(_coefficients(dp), z1.ravel(), z2.ravel(), 0)[0]
+    out = np.exp(log_f).reshape(z1.shape)
     return float(out) if out.ndim == 0 else out
 
 

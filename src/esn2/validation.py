@@ -7,8 +7,8 @@ given it as a Gaussian.  It shares the factor C^{1/2} of
 C = Omegabar - delta delta' with the expected information's quadrature
 rule (`model._conditional_factor`), so its independence from the
 analytic machinery rests on two checks that share nothing with it: the
-chi-square test of its histogram against cubature of `density_esn2`
-(criterion 8) and the closed-form moments of `moments_esn2`
+chi-square test of its histogram against Gauss-Legendre cell masses of
+`density_esn2` (criterion 8) and the closed-form moments of `moments_esn2`
 (criterion 9).  The suite compares the routes and reports measured
 maxima instead of raising.  Its points, sample sizes and finite-difference
 steps are fixed; a run chooses only the seed and the level, "fast" or
@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import chdtrc, log_ndtr, ndtri_exp
 
-from .cubature import integrate_2d
+from .cubature import _legendre, integrate_2d
 from .expectations import lemma4_expectation
 from .expected_info import _FLIP_SIGNS, expected_info
 from .likelihood import (_COL, _kernel, density_esn2, loglik, observed_info,
@@ -206,6 +206,11 @@ _DP_SET = (
 _FD_OBS = 5
 _MC_DRAWS = 200_000
 _SAMPLER_DRAWS = 1_000_000
+# sampler_chi2_pvalue's histogram: _CELLS cells a side over [-_SPAN, _SPAN]^2,
+# each cell's mass from _CELL_NODES Gauss-Legendre nodes per axis
+_CELLS = 50
+_SPAN = 4.0
+_CELL_NODES = 8
 _LEMMA4_POINTS = 10
 _LEVELS = ("fast", "full")
 
@@ -404,26 +409,26 @@ def _check_tau0_reduction(seed):
 
 
 def _cell_masses(dp, edges):
-    """Probability mass of each histogram cell, by cubature."""
+    """Probability mass of each histogram cell, from one density call on
+    the grid of all cells' Gauss-Legendre nodes."""
+    x, w = _legendre(_CELL_NODES)
+    half = np.diff(edges)[:, None] / 2.0
+    nodes = ((edges[:-1] + edges[1:])[:, None] / 2.0 + half * x).ravel()
+    weights = (half * w).ravel()
+    f = density_esn2(nodes[:, None], nodes[None, :], dp)
     k = len(edges) - 1
-    masses = np.empty((k, k))
-    for i in range(k):
-        for j in range(k):
-            res = integrate_2d(lambda y1, y2: density_esn2(y1, y2, dp),
-                               (edges[i], edges[j]),
-                               (edges[i + 1], edges[j + 1]))
-            masses[i, j] = res.value
-    return masses
+    return (weights[:, None] * f * weights).reshape(
+        k, _CELL_NODES, k, _CELL_NODES).sum(axis=(1, 3))
 
 
-def sampler_chi2_pvalue(dp, n, seed, cells=50, span=4.0):
+def sampler_chi2_pvalue(dp, n, seed):
     """Chi-square p-value of a sampler histogram against cell masses.
 
     Cells with expected count below 10 are pooled with the off-grid
     remainder into a single bucket, the usual validity fix.
     """
     data = sample_esn2(dp, n, seed)
-    edges = np.linspace(-span, span, cells + 1)
+    edges = np.linspace(-_SPAN, _SPAN, _CELLS + 1)
     counts, _, _ = np.histogram2d(data.y1, data.y2, bins=(edges, edges))
     expected = _cell_masses(dp, edges) * n
 

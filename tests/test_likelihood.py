@@ -20,6 +20,7 @@ from esn2 import (
     DpParams,
     FitControls,
     InfoMatrix,
+    expected_info,
     fd_gradient,
     fit_mle,
     loglik,
@@ -30,8 +31,7 @@ from esn2 import (
 )
 from esn2 import likelihood
 from esn2.expected_info import _FLIP_SIGNS
-from esn2.likelihood import (_ROWS, _UPPER, _hessian_coefficients, _kernel,
-                             _score_coefficients)
+from esn2.likelihood import _ROWS, _UPPER, _coefficients, _kernel
 from esn2.model import _residuals
 
 POINT_A = DpParams(0, 0, 1, 0.6, 1, 2, 3, 1)
@@ -407,16 +407,27 @@ def test_sums_match_kernel_rows():
 
 @pytest.mark.parametrize("k", range(len(EXTREME_DPS)))
 def test_one_score_coefficient_source(k):
-    # order-1 callers build only the score coefficients; the hessian set
-    # and the order-2 rows read the same ones
+    # the order-1 and order-2 rows read the same score coefficients
     dp = EXTREME_DPS[k]
-    _score_coefficients.cache_clear()
-    _hessian_coefficients.cache_clear()
-    assert np.array_equal(_hessian_coefficients(dp)[1],
-                          _score_coefficients(dp))
     data = sample_esn2(dp, 300, k + 1)
     z1, z2 = _residuals(dp, data.y1, data.y2)
     assert np.array_equal(_kernel(dp, z1, z2, 1)[1], _kernel(dp, z1, z2, 2)[1])
+
+
+def test_only_order_two_builds_the_hessian_coefficients():
+    # lin costs about five times the rest of the record; loglik, score and
+    # the Gram rule behind expected_info never read it
+    dp = POINT_A
+    data = sample_esn2(dp, 300, 7)
+    _coefficients.cache_clear()
+    loglik(dp, data)
+    score(dp, data)
+    expected_info(dp)
+    # all three read one record, so it was not rebuilt without lin
+    assert _coefficients.cache_info().misses == 1
+    assert "lin" not in vars(_coefficients(dp))
+    observed_info(dp, data)
+    assert "lin" in vars(_coefficients(dp))
 
 
 @pytest.mark.parametrize("k", range(len(EXTREME_DPS)))
