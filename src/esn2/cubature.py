@@ -6,18 +6,19 @@ The Gram rule integrates E[b(Z) b(Z)'] for a row function b of the
 standardized bivariate extended skew-normal Z, as A'A, where row k of A is
 sqrt(w_k) b(z_k) and every weight w_k is positive.  expected_info takes
 b = s, the score (8 columns); the paper's a-terms take
-b = zeta1(T) (1, Z1, Z2) (3 columns).  The nodes sit in the
-hidden-truncation coordinates Z = delta V + L W with L L' = C =
-Omegabar - delta delta', where V is N(0, 1) truncated to V > -tau
-(Gauss-Legendre, in panels) and W is N_2(0, I).  Both row functions
-depend on Z nonlinearly only through t = tau den + alpha'Z, and t sees W
-only along q = L'alpha / |L'alpha|.  So W is rotated into W1' = q'W,
-which carries all of zeta1(t) and gets a Gauss-Hermite rule that grows
-with the V rule, and the orthogonal W2', along which b is a polynomial
-of degree <= 2: three Gauss-Hermite nodes integrate b b' there exactly.
-A is folded block by block into its triangular factor R, so
-E[b b'] = R'R, with no subtraction anywhere: diagonal entries are
-nonnegative and a Gram matrix is positive semidefinite by construction.
+b = zeta1(T) (1, Z1, Z2) (3 columns).  The nodes sit in the canonical
+form of Z (Azzalini & Capitanio 1999): Z = p X + q Y, where X =
+alpha'Z / alpha_star (Z1 when alpha = 0) is a univariate extended
+skew-normal with density phi(x) Phi(tau den + alpha_star x) / Phi(tau),
+den = sqrt(1 + alpha_star^2), and Y is N(0, 1), independent of X.  Both
+row functions depend on Z nonlinearly only through t = tau den +
+alpha_star X, which does not vary along Y.  So X carries all of
+zeta1(t) and gets Gauss-Legendre panels that grow from rule to rule,
+while along Y, b is a polynomial of degree <= 2: three Gauss-Hermite
+nodes integrate b b' there exactly.  A is folded block by block into its
+triangular factor R, so E[b b'] = R'R, with no subtraction anywhere:
+diagonal entries are nonnegative and a Gram matrix is positive
+semidefinite by construction.
 
 The adaptive cubature applies a degree-7 rule with an embedded degree-5
 companion on [-1, 1]^2, scaled to subrectangles.  The rule difference
@@ -37,8 +38,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from .model import _alpha_star_sq, _conditional_factor, _lam, delta_vector
-from .special_fns import LOG_RT2PI, zeta
+from .model import _alpha_star_sq, _lam
+from .special_fns import LOG_RT2PI, zeta_pair
 
 _L2 = math.sqrt(9.0 / 70.0)
 _L3 = math.sqrt(9.0 / 10.0)
@@ -75,10 +76,10 @@ class NonFiniteIntegrand(ValueError):
 class CubatureControls:
     """Stopping rules for integrate_2d and the Gram rule.
 
-    For integrate_2d, max_evals counts integrand evaluations; for the
+    For integrate_2d, max_evals counts integrand evaluations.  For the
     Gram rule (expected_info, det_scan and a_terms) it counts rule nodes,
-    summed over the rules tried, and rel_tol and abs_tol bound the gap
-    between the last two rules.
+    3 per X node, summed over the rules tried, and rel_tol and abs_tol
+    bound the gap between the last two rules.
     """
     rel_tol: float = 1e-6
     abs_tol: float = 1e-12
@@ -208,23 +209,26 @@ def integrate_2d(f, lower, upper, controls=None):
                           evals=evals, converged=done())
 
 
-# the V interval runs from -tau to v_top, v_top^2 = max(-tau, 0)^2 + 80,
-# where phi(v_top) is at most e^-40 times phi at the interval's start;
-# phi itself has its bulk on [-sqrt(80), sqrt(80)]
-_V_SPAN_SQ = 80.0
-# zeta1(T) turns from linear to phi-like within about _KNEE / alpha_star
-# of the truncation point, so the first V panel ends there
+# X = delta* V + W / den, V ~ N(0, 1) truncated to V > -tau, W ~ N(0, 1) and
+# delta* = alpha_star / den, so X spans V's span, -tau to v_top with
+# v_top^2 = max(-tau, 0)^2 + 80 (phi(v_top) <= e^-40 phi(-tau)), times
+# delta*, widened by the bulk of phi, sqrt(80), over den
+_SPAN_SQ = 80.0
+# zeta1(t) turns from linear to phi-like for t within _KNEE of 0, so the X
+# panels split where t = -_KNEE and t = _KNEE
 _KNEE = 8.0
-# the first rule has 8 nodes per V panel and 16 on W1'; each later rule
-# has 1.5 times as many.  W1' carries all of zeta1(t)'s variation: with
-# as many nodes as a V panel, the second fit truth of bench/points.py
-# kept 8.5 digits by the default tolerance, against 11.2 with twice as many
-_FIRST_NODES = 8
-_W1_PER_V = 2
+# the first rule has 24 nodes per X panel and each later rule 1.5 times as
+# many.  At the default tolerance the fit truths of bench/points.py kept
+# 10.3 digits from a first rule of 8 or 12 and 13.3 from 16 or 24; 24
+# converges with fewer nodes in all.  leggauss takes memory quadratic in
+# its node count, so no rule has more than _MAX_NODES per panel
+_FIRST_NODES = 24
 _GROWTH = 1.5
-# at fixed (V, W1'), b b' is a polynomial of degree <= 4 in W2', which the
-# 3-node Gauss-Hermite rule integrates exactly
-_W2_NODES = 3
+_MAX_NODES = 400
+# Y ~ N(0, 1) gets the 3-node Gauss-Hermite rule: at fixed X, b b' is a
+# polynomial of degree <= 4 in Y, which it integrates exactly
+_Y_RULE = (np.array([-math.sqrt(3.0), 0.0, math.sqrt(3.0)]),
+           np.log([1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0]))
 # nodes folded into the triangular factor at a time
 _BLOCK = 8192
 
@@ -237,88 +241,71 @@ def _legendre(n):
     return x, w
 
 
-@functools.lru_cache(maxsize=32)
-def _hermite(n):
-    """Read-only Gauss-Hermite nodes and log weights for N(0, 1)."""
-    # from 372 nodes on the weights are NaN, which _gram_rule refuses
-    with np.errstate(all="ignore"):
-        x, w = np.polynomial.hermite_e.hermegauss(n)
-        log_w = np.log(w) - LOG_RT2PI
-    x.flags.writeable = log_w.flags.writeable = False
-    return x, log_w
+def _axes(dp):
+    """alpha_star and the columns p, q of the canonical form Z = p X + q Y.
 
-
-def _v_rule(tau, alpha_star, n):
-    """Nodes and log weights for V ~ N(0, 1) truncated to V > -tau.
-
-    Gauss-Legendre with n nodes on each panel.  The first panel ends at
-    the Mills-ratio knee of zeta1(T), and at most at the interval's
-    midpoint.  When the knee lies below -sqrt(80), far from the bulk of
-    phi (tau >> 0), that bulk gets a panel of its own.  The weights
-    phi(v) / Phi(tau) are formed in log space, so a deep truncation
-    (tau << 0) neither underflows nor overflows.
+    With u = alpha / alpha_star (e1 when alpha = 0) and c the vector with
+    c'Omegabar u = 0 and c'Omegabar c = 1, p = Omegabar u and q = Omegabar
+    c = sqrt(1 - lam^2) (-u2, u1).  Then z'Omegabar^-1 z = x^2 + y^2 and
+    alpha'Z = alpha_star X: Y ~ N(0, 1) is independent of X, whose density
+    is phi(x) Phi(tau den + alpha_star x) / Phi(tau), and t does not vary
+    along Y (Azzalini & Capitanio 1999).
     """
-    lo = -tau
-    hi = math.sqrt(max(lo, 0.0) ** 2 + _V_SPAN_SQ)
-    mid = 0.5 * (lo + hi)
-    knee = lo + _KNEE / alpha_star if alpha_star * (mid - lo) > _KNEE \
-        else mid
-    edges = sorted({lo, knee, max(knee, -math.sqrt(_V_SPAN_SQ)), hi})
-    x, w = _legendre(n)
-    v, log_w = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        v.append(0.5 * (a + b) + 0.5 * (b - a) * x)
-        log_w.append(np.log(0.5 * (b - a) * w))
-    v = np.concatenate(v)
-    return v, np.concatenate(log_w) - 0.5 * v * v - LOG_RT2PI - zeta(0, tau)
+    lam = _lam(dp)
+    alpha_star = math.sqrt(_alpha_star_sq(lam, dp.alpha1, dp.alpha2))
+    u1, u2 = ((dp.alpha1 / alpha_star, dp.alpha2 / alpha_star)
+              if alpha_star > 0.0 else (1.0, 0.0))
+    s = math.sqrt(1.0 - lam * lam)
+    return alpha_star, (u1 + lam * u2, lam * u1 + u2), (-s * u2, s * u1)
 
 
-def _w_rule(dp, m, k):
-    """The W part of the rule: the offsets L W of Z, and log weights.
+def _x_rule(tau, alpha_star, n):
+    """Nodes and log weights for X, whose density is phi(x) Phi(t) /
+    Phi(tau) with t = tau den + alpha_star x.
 
-    W is rotated to W1' = q'W and W2' = q_perp'W, with q = L'alpha /
-    |L'alpha| (e1 when alpha = 0) and q_perp = (-q2, q1).  Then
-    alpha'L W = |L'alpha| W1', so t does not vary along W2'.  W1' gets m
-    Gauss-Hermite nodes and W2' gets k; node j k + l is W1' node j and
-    W2' node l.
-
-    Returns
-    -------
-    (ndarray, ndarray, ndarray)
-        The offsets of z1 and of z2, and the log weights, each (m k,).
+    Gauss-Legendre with n nodes on each panel.  The interval is split
+    where t = -_KNEE and t = _KNEE, wherever those points fall inside it,
+    so that the knee of zeta1(t) gets panels of its own.  The weights are
+    formed in log space, so a deep truncation (tau << 0) neither
+    underflows nor overflows.
     """
-    _, l11, l21, l22 = _conditional_factor(_lam(dp), dp.alpha1, dp.alpha2)
-    c1 = l11 * dp.alpha1 + l21 * dp.alpha2
-    c2 = l22 * dp.alpha2
-    norm = math.hypot(c1, c2)
-    q1, q2 = (c1 / norm, c2 / norm) if norm > 0.0 else (1.0, 0.0)
-    x, log_wx = _hermite(m)
-    y, log_wy = _hermite(k)
-    x = x[:, None]
-    dz1 = l11 * q1 * x - l11 * q2 * y
-    dz2 = (l21 * q1 + l22 * q2) * x + (l22 * q1 - l21 * q2) * y
-    return dz1.ravel(), dz2.ravel(), (log_wx[:, None] + log_wy).ravel()
+    den = math.sqrt(1.0 + alpha_star * alpha_star)
+    delta, reach = alpha_star / den, math.sqrt(_SPAN_SQ) / den
+    lo = -tau * delta - reach
+    hi = delta * math.sqrt(max(-tau, 0.0) ** 2 + _SPAN_SQ) + reach
+    knees = ([(k - tau * den) / alpha_star for k in (-_KNEE, _KNEE)]
+             if alpha_star > 0.0 else [])
+    edges = np.array([lo, *(k for k in knees if lo < k < hi), hi])
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    half = 0.5 * np.diff(edges)[:, None]
+    node, w = _legendre(n)
+    x = (mid + half * node).ravel()
+    # zeta0(t) - zeta0(tau), with t - tau formed as the kernel forms it
+    h = tau * alpha_star * alpha_star / (1.0 + den) + alpha_star * x
+    return x, (np.log(half * w).ravel() - 0.5 * x * x - LOG_RT2PI
+               + zeta_pair(tau, h, 0)[1][0])
 
 
-def _gram_factor(dp, rows, v, log_wv, w_rule):
+def _gram_factor(dp, rows, x_rule, y_rule=_Y_RULE):
     """Triangular R with R'R the rule's E[b b'] at dp, b = rows(dp, z1, z2).
 
-    The rule is the V nodes v with log weights log_wv times the W nodes
-    w_rule of _w_rule: node (i, j) is V node i and W node j, at
-    Z = delta v_i + (L W)_j.  rows returns one row of b per node.  Nodes
-    are folded into R _BLOCK at a time by QR of [R; block], so memory
-    does not grow with the node count.
+    The rule is the X nodes and log weights x_rule times the Y nodes and
+    log weights y_rule: node j k + l, k = len(y_rule[0]), is X node j and
+    Y node l, at Z = p x_j + q y_l (see _axes).  rows returns one row of b
+    per node.  Nodes are folded into R _BLOCK at a time by QR of
+    [R; block], so memory does not grow with the node count.
     """
-    d = delta_vector(_lam(dp), dp.alpha1, dp.alpha2)
-    dz1, dz2, log_ww = w_rule
-    per_v = len(log_ww)
-    total = len(v) * per_v
+    _, (p1, p2), (q1, q2) = _axes(dp)
+    x, log_wx = x_rule
+    y, log_wy = y_rule
+    k = len(y)
+    total = len(x) * k
     r = None
     for start in range(0, total, _BLOCK):
-        i, j = np.divmod(np.arange(start, min(start + _BLOCK, total)), per_v)
-        z1 = d.delta1 * v[i] + dz1[j]
-        z2 = d.delta2 * v[i] + dz2[j]
-        root_w = np.exp(0.5 * (log_wv[i] + log_ww[j]))
+        i, j = np.divmod(np.arange(start, min(start + _BLOCK, total)), k)
+        z1 = p1 * x[i] + q1 * y[j]
+        z2 = p2 * x[i] + q2 * y[j]
+        root_w = np.exp(0.5 * (log_wx[i] + log_wy[j]))
         block = rows(dp, z1, z2) * root_w[:, None]
         if r is not None:
             block = np.vstack([r, block])
@@ -351,28 +338,26 @@ def _gram_rule(dp, rows, controls=None):
     bit for bit; the caller maps the result back.  Rules grow by _GROWTH
     until two in a row agree in every entry to within
     max(abs_tol, rel_tol sqrt(M_ii M_jj)), M the finer one's R'R.  A rule
-    that would take the node count past max_evals is not run, nor one whose
-    Gauss-Hermite weights are NaN (numpy's from 372 nodes on), and the
-    result is then flagged unconverged with the last finite gap.
+    that would take the node count past max_evals, or its X panels past
+    _MAX_NODES nodes, is not run, and the result is then flagged
+    unconverged with the last gap.
     """
     controls = controls or CubatureControls()
     flip = dp.alpha1 < 0.0 or (dp.alpha1 == 0.0 and dp.alpha2 < 0.0)
     if flip:
         dp = replace(dp, alpha1=-dp.alpha1, alpha2=-dp.alpha2)
-    alpha_star = math.sqrt(_alpha_star_sq(_lam(dp), dp.alpha1, dp.alpha2))
+    alpha_star = _axes(dp)[0]
     r = prev = None
     gap = math.inf
     used = 0
     n = _FIRST_NODES
-    while True:
-        v, log_wv = _v_rule(dp.tau, alpha_star, n)
-        m = _W1_PER_V * n
-        nodes = len(v) * m * _W2_NODES
-        if (used + nodes > controls.max_evals
-                or np.isnan(_hermite(m)[1]).any()):
-            return _GramRule(r, flip, False, gap, used)
+    while n <= _MAX_NODES:
+        x_rule = _x_rule(dp.tau, alpha_star, n)
+        nodes = len(x_rule[0]) * len(_Y_RULE[0])
+        if used + nodes > controls.max_evals:
+            break
         used += nodes
-        r = _gram_factor(dp, rows, v, log_wv, _w_rule(dp, m, _W2_NODES))
+        r = _gram_factor(dp, rows, x_rule)
         gram = r.T @ r
         if prev is not None:
             diff = np.abs(gram - prev)
@@ -384,3 +369,4 @@ def _gram_rule(dp, rows, controls=None):
                 return _GramRule(r, flip, True, gap, used)
         prev = gram
         n = round(n * _GROWTH)
+    return _GramRule(r, flip, False, gap, used)

@@ -2,11 +2,12 @@
 
 The expected information is the Gram matrix I = E[s s'] of the score s,
 so it is computed by the package's Gram rule (cubature._gram_rule) with
-b = s: a positive-weight quadrature in the hidden-truncation coordinates
-of the standardized model, folded into an 8x8 triangular factor R with
-I = R'R.  Determinants and eigenvalues come from the singular values of
-R: the condition number of I is never squared, and a determinant is
-never negative.
+b = s: a positive-weight quadrature in the canonical form of the
+standardized model, Gauss-Legendre panels on the one skewed axis X times
+three Gauss-Hermite nodes on the Gaussian axis Y, folded into an 8x8
+triangular factor R with I = R'R.  Determinants and eigenvalues come
+from the singular values of R: the condition number of I is never
+squared, and a determinant is never negative.
 
 The paper's route, closed-form expectations plus the a-terms
 (`expectation_set`) applied to the kernel's hessian coefficients as

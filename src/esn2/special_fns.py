@@ -8,6 +8,7 @@ stays finite and fully accurate long after Phi itself underflows.
 All three functions accept scalars or ndarrays and are elementwise.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -107,6 +108,8 @@ def _ladder(x, order):
     if order == 2:
         out.append(-out[1] * (xb + out[1]))
     tail = x < _TAIL_CUT
+    if not tail.any():
+        return out
     xt = x[tail]
     # Phi(xt) = phi(xt) / zeta1(xt) with zeta1(xt) = -xt / s; zeta2 =
     # -zeta1 (x + zeta1), where x + zeta1 = x (s - 1) / s is formed from the
@@ -149,6 +152,20 @@ def zeta(m, x):
     return float(out[0]) if scalar else out
 
 
+@functools.lru_cache(maxsize=16)
+def _at_tau(tau):
+    """zeta(0..2, tau) and the Taylor coefficients of zeta1 about a float
+    tau: zeta_pair's part that chunked callers repeat for every block."""
+    at_tau = [float(v[0]) for v in _ladder(np.array([tau]), 2)]
+    c = at_tau[1:]
+    for k in range(1, _SHIFT_TERMS):
+        # order k of x zeta1 + zeta1^2, with x = tau + h
+        rhs = (tau * c[k] + sum(c[i] * c[k - i] for i in range(k + 1))
+               + c[k - 1])
+        c.append(-rhs / (k + 1))
+    return tuple(at_tau), tuple(c)
+
+
 def zeta_pair(tau, h, order):
     """The ladder at t = tau + h, paired with its differences from tau.
 
@@ -165,17 +182,11 @@ def zeta_pair(tau, h, order):
     """
     h = np.asarray(h, dtype=float)
     at = _ladder(tau + h, order)
-    at_tau = [float(v[0]) for v in _ladder(np.array([float(tau)]), 2)]
+    at_tau, c = _at_tau(float(tau))
     diff = [a - b for a, b in zip(at, at_tau)]
     near = np.abs(h) <= _SHIFT_REACH / max(1.0, abs(tau))
     if order == 0 or not near.any():
         return at, diff
-    c = at_tau[1:]
-    for k in range(1, _SHIFT_TERMS):
-        # order k of x zeta1 + zeta1^2, with x = tau + h
-        rhs = (tau * c[k] + sum(c[i] * c[k - i] for i in range(k + 1))
-               + c[k - 1])
-        c.append(-rhs / (k + 1))
     hn = h[near]
     for j in range(1, order + 1):
         # zeta(j, t) - zeta(j, tau) is derivative j - 1 of sum c_k h^k

@@ -3,9 +3,10 @@
 The derivative probes treat the log-likelihood as a black-box function
 of the 8-vector theta.  The sampler draws the hidden-truncation
 construction directly: the hidden variable by inverse cdf, the pair
-given it as a Gaussian.  It shares the factor C^{1/2} of
-C = Omegabar - delta delta' with the expected information's quadrature
-rule (`model._conditional_factor`), so its independence from the
+given it as a Gaussian, with the factor C^{1/2} of C = Omegabar -
+delta delta' from `model._conditional_factor`.  The expected
+information's quadrature rule works in the canonical form instead, so
+the two share no coordinates.  The sampler's independence from the
 analytic machinery rests on two checks that share nothing with it: the
 chi-square test of its histogram against Gauss-Legendre cell masses of
 `density_esn2` (criterion 8) and the closed-form moments of `moments_esn2`

@@ -192,7 +192,7 @@ def test_a_terms_squared_integrands_nonnegative():
 
 def test_unconverged_budget_is_flagged_then_raises():
     # two rules fit in the budget, and they do not agree
-    starved = CubatureControls(rel_tol=1e-6, abs_tol=1e-30, max_evals=5_000)
+    starved = CubatureControls(rel_tol=1e-6, abs_tol=1e-30, max_evals=1_000)
     at = a_terms(SLANTED, tol=starved)
     assert not at.converged
     assert at.error_estimate > 0.0

@@ -8,8 +8,10 @@ at random points, and two near-singular determinants against a 30-digit
 mpmath evaluation.
 """
 
+import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from numpy.testing import assert_allclose
 from conftest import philox, random_dp
 from esn2 import (
     CubatureControls,
+    CubatureNotConverged,
     Dataset,
     DpParams,
     SweepRow,
@@ -31,11 +34,10 @@ from esn2 import (
     reparam_scalar_info,
     sample_esn2,
 )
-from esn2.cubature import _gram_factor, _gram_rule, _v_rule, _w_rule
+from esn2.cubature import _axes, _gram_factor, _gram_rule, _x_rule
 from esn2.expected_info import _assemble, _score_rows
 from esn2.likelihood import _coefficients
-from esn2.model import _alpha_star_sq, _lam
-from esn2.special_fns import zeta
+from esn2.special_fns import LOG_RT2PI, zeta
 
 SEPARABLE = DpParams(0, 0, 1, 0, 1, 0.5, 0, -2)
 TIGHT = CubatureControls(rel_tol=1e-10, abs_tol=1e-13, max_evals=4_000_000)
@@ -77,6 +79,17 @@ EXTREME_POINTS = [
     (0.0, 0.0, 1.0, -0.95, 1.0, 1.0, -3.0, -8.0),
     (0.0, 0.0, 1.0, 0.4, 1.0, -30.0, 2.0, 10.0),
 ]
+# the benchmark's scan points with their tolerances (bench/points.py): (a)
+# criterion 7's shrinking-slant chains at rel_tol 1e-9, (b) its huge-slant
+# mirrored sweeps at the default tolerance
+SCAN_POINTS = (
+    [((0.0, 0.0, 1.0, 0.0, 1.0, a1, 0.0, tau),
+      CubatureControls(rel_tol=1e-9, abs_tol=1e-14, max_evals=40_000_000))
+     for tau in (-2.0, 0.0, 2.0) for a1 in (0.25, 0.5, 1.0)]
+    + [((0.0, 0.0, 1.0, 0.4, 1.0, a1, a2, 0.0), CubatureControls())
+       for a2 in (2.0, -2.0) for a1 in (-30.0, 0.0, 30.0)])
+# expected_info at the benchmark's points, at criterion 7's tolerance
+EINFO_REF = Path(__file__).parents[1] / "bench/reference/einfo_ref.json"
 
 
 def _scaled(m, ref):
@@ -212,23 +225,58 @@ def test_det_scan_exact_zero_on_grid():
 def test_det_scan_records_cubature_failure():
     base = DpParams(0, 0, 1, 0.6, 1, 2, 3, 1)
     spec = SweepSpec("alpha1", (2.0,), base)
-    starved = CubatureControls(rel_tol=1e-6, abs_tol=1e-30, max_evals=2000)
+    starved = CubatureControls(rel_tol=1e-6, abs_tol=1e-30, max_evals=1_000)
     rows = det_scan(spec, tol=starved)
     assert len(rows) == 1
     assert not rows[0].converged
     assert math.isnan(rows[0].det)
 
 
-def test_gram_rule_stops_before_nan_weights():
-    # lam = 1 - 5.6e-12: rules 1-8 are finite but far apart, and the 9th
-    # asks for 404 Gauss-Hermite nodes, whose weights numpy returns as NaN
+def test_gram_rule_stops_at_panel_cap():
+    # lam = 1 - 5.6e-12 and |alpha| = 3.4e4, with alpha_star = 0.2: the
+    # rules never agree, and the one after 274 nodes per panel would pass
+    # the cap, so the rule stops unconverged with a finite gap
     dp = DpParams(-6.9547270538069235, -12.909498855346367,
                   0.9194331757076565, 1.8388682056516397, 3.6777401198208306,
                   -34303.18853977436, 34303.36682099898, -41.86585501029693)
     rule = _gram_rule(dp, _score_rows)
     assert not rule.converged
     assert math.isfinite(rule.gap)
-    assert rule.nodes == 393_432
+    assert rule.nodes <= 39_343
+
+
+def test_expected_info_matches_reference():
+    # the stored matrices come from an earlier, two-dimensional rule over
+    # the hidden-truncation coordinates; this rule shares no nodes with it
+    ref = json.loads(EINFO_REF.read_text())
+    tol = CubatureControls(**ref["tolerance"])
+    for point in ref["points"]:
+        dp = DpParams(*point["dp"])
+        got = expected_info(dp, tol).matrix
+        assert np.max(_scaled(got, np.array(point["matrix"]))) <= 1e-12, dp
+
+
+def test_near_unit_correlation_converges_or_raises():
+    # |lam| = 0.9999 with a huge slant; deep truncation on top may stop the
+    # rule, but within a bounded node count and with a typed error
+    dp = DpParams(0, 0, 1, 0.9999, 1, 300, -50, 0)
+    assert _gram_rule(dp, _score_rows, SWEEP_TOL).converged
+    assert np.all(np.isfinite(expected_info(dp, SWEEP_TOL).matrix))
+    dp = DpParams(0, 0, 1, -0.9999, 1, 300, -50, -40)
+    rule = _gram_rule(dp, _score_rows, SWEEP_TOL)
+    assert rule.nodes <= 39_343
+    if rule.converged:
+        assert np.all(np.isfinite(expected_info(dp, SWEEP_TOL).matrix))
+    else:
+        with pytest.raises(CubatureNotConverged):
+            expected_info(dp, SWEEP_TOL)
+
+
+@pytest.mark.parametrize("p, tol", SCAN_POINTS)
+def test_scan_node_budget(p, tol):
+    # the benchmark's scan is all Gram rule: a regression in its node count
+    # fails here, not only in a timing
+    assert _gram_rule(DpParams(*p), _score_rows, tol).nodes <= 2_500
 
 
 def test_expected_info_random_points_well_conditioned():
@@ -278,22 +326,21 @@ def test_expected_score_vanishes(p):
 
 @pytest.mark.parametrize("p", FIT_MC_POINTS + EXTREME_POINTS)
 def test_w2_axis_rule_is_exact(p):
-    # t does not vary along W2', where s s' is a quartic: 3 Gauss-Hermite
-    # nodes there give the same R'R as 9
+    # t does not vary along Y, the Gaussian axis of the canonical form (W2'
+    # of the hidden-truncation one), where s s' is a quartic: 3
+    # Gauss-Hermite nodes there give the same R'R as 9
     dp = DpParams(*p)
     if dp.alpha1 < 0.0:
         dp = replace(dp, alpha1=-dp.alpha1, alpha2=-dp.alpha2)
-    m = 24
-    dz1, dz2, _ = _w_rule(dp, m, 9)
-    t_w = (dp.alpha1 * dz1 + dp.alpha2 * dz2).reshape(m, 9)
-    size = (np.abs(dp.alpha1 * dz1) + np.abs(dp.alpha2 * dz2)).reshape(m, 9)
-    assert np.all(np.ptp(t_w, axis=1) <= 16 * np.finfo(float).eps
-                  * size.max(axis=1))
+    alpha_star, _, (q1, q2) = _axes(dp)
+    y, w = np.polynomial.hermite_e.hermegauss(9)
+    t_y = dp.alpha1 * q1 * y + dp.alpha2 * q2 * y
+    size = np.abs(dp.alpha1 * q1 * y) + np.abs(dp.alpha2 * q2 * y)
+    assert np.ptp(t_y) <= 16 * np.finfo(float).eps * size.max()
 
-    alpha_star = math.sqrt(_alpha_star_sq(_lam(dp), dp.alpha1, dp.alpha2))
-    v, log_wv = _v_rule(dp.tau, alpha_star, m // 2)
-    r3, r9 = (_gram_factor(dp, _score_rows, v, log_wv, _w_rule(dp, m, k))
-              for k in (3, 9))
+    x_rule = _x_rule(dp.tau, alpha_star, 24)
+    r3 = _gram_factor(dp, _score_rows, x_rule)
+    r9 = _gram_factor(dp, _score_rows, x_rule, (y, np.log(w) - LOG_RT2PI))
     info9 = r9.T @ r9
     assert np.max(_scaled(r3.T @ r3, info9)) <= 1e-13
 
