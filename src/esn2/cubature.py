@@ -15,10 +15,10 @@ row functions depend on Z nonlinearly only through t = tau den +
 alpha_star X, which does not vary along Y.  So X carries all of
 zeta1(t) and gets Gauss-Legendre panels that grow from rule to rule,
 while along Y, b is a polynomial of degree <= 2: three Gauss-Hermite
-nodes integrate b b' there exactly.  A is folded block by block into its
-triangular factor R, so E[b b'] = R'R, with no subtraction anywhere:
-diagonal entries are nonnegative and a Gram matrix is positive
-semidefinite by construction.
+nodes integrate b b' there exactly.  One QR takes A to its triangular
+factor R, so E[b b'] = R'R, with no subtraction anywhere: diagonal
+entries are nonnegative and a Gram matrix is positive semidefinite by
+construction.
 
 The adaptive cubature applies a degree-7 rule with an embedded degree-5
 companion on [-1, 1]^2, scaled to subrectangles.  The rule difference
@@ -33,7 +33,7 @@ in small batches so one integrand call covers all their rule points.
 import functools
 import heapq
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -221,7 +221,9 @@ _KNEE = 8.0
 # many.  At the default tolerance the fit truths of bench/points.py kept
 # 10.3 digits from a first rule of 8 or 12 and 13.3 from 16 or 24; 24
 # converges with fewer nodes in all.  leggauss takes memory quadratic in
-# its node count, so no rule has more than _MAX_NODES per panel
+# its node count, so no rule has more than _MAX_NODES per panel.  With at
+# most 3 X panels and 3 Y nodes, a rule has at most 3 x 400 x 3 = 3,600
+# rows, which _gram_factor takes in one QR
 _FIRST_NODES = 24
 _GROWTH = 1.5
 _MAX_NODES = 400
@@ -229,8 +231,6 @@ _MAX_NODES = 400
 # polynomial of degree <= 4 in Y, which it integrates exactly
 _Y_RULE = (np.array([-math.sqrt(3.0), 0.0, math.sqrt(3.0)]),
            np.log([1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0]))
-# nodes folded into the triangular factor at a time
-_BLOCK = 8192
 
 
 @functools.lru_cache(maxsize=32)
@@ -292,26 +292,20 @@ def _gram_factor(dp, rows, x_rule, y_rule=_Y_RULE):
     The rule is the X nodes and log weights x_rule times the Y nodes and
     log weights y_rule: node j k + l, k = len(y_rule[0]), is X node j and
     Y node l, at Z = p x_j + q y_l (see _axes).  rows returns one row of b
-    per node.  Nodes are folded into R _BLOCK at a time by QR of
-    [R; block], so memory does not grow with the node count.
+    per node, and one QR of the weighted rows gives R.  At the mirror
+    image alpha -> -alpha, p and q change sign exactly, so every node is
+    mirrored exactly and the weights are unchanged.
     """
     _, (p1, p2), (q1, q2) = _axes(dp)
     x, log_wx = x_rule
     y, log_wy = y_rule
-    k = len(y)
-    total = len(x) * k
-    r = None
-    for start in range(0, total, _BLOCK):
-        i, j = np.divmod(np.arange(start, min(start + _BLOCK, total)), k)
-        z1 = p1 * x[i] + q1 * y[j]
-        z2 = p2 * x[i] + q2 * y[j]
-        root_w = np.exp(0.5 * (log_wx[i] + log_wy[j]))
-        block = rows(dp, z1, z2) * root_w[:, None]
-        if r is not None:
-            block = np.vstack([r, block])
-        r = scipy.linalg.qr(block, mode="r", check_finite=False)[0]
-        r = r[:block.shape[1]]
-    return r
+    x, log_wx = x[:, None], log_wx[:, None]
+    z1 = (p1 * x + q1 * y).ravel()
+    z2 = (p2 * x + q2 * y).ravel()
+    root_w = np.exp(0.5 * (log_wx + log_wy)).ravel()
+    a = rows(dp, z1, z2) * root_w[:, None]
+    r = scipy.linalg.qr(a, mode="r", check_finite=False)[0]
+    return r[:a.shape[1]]
 
 
 @dataclass(frozen=True)
@@ -319,12 +313,10 @@ class _GramRule:
     """What _gram_rule found.
 
     factor is the finest rule's R (None when the budget admits no rule);
-    flipped says whether dp was mirrored to its canonical alpha sign; gap
-    is the largest entrywise difference between the last two rules' R'R
-    (inf before two have run); nodes is summed over the rules tried.
+    gap is the largest entrywise difference between the last two rules'
+    R'R (inf before two have run); nodes is summed over the rules tried.
     """
     factor: object
-    flipped: bool
     converged: bool
     gap: float
     nodes: int
@@ -333,19 +325,16 @@ class _GramRule:
 def _gram_rule(dp, rows, controls=None):
     """E[b b'] = R'R at dp, for b = rows(dp, z1, z2), to the controls.
 
-    The rule runs at the canonical alpha sign (alpha1 > 0, or alpha1 = 0
-    and alpha2 >= 0), so mirror images alpha -> -alpha share one rule,
-    bit for bit; the caller maps the result back.  Rules grow by _GROWTH
-    until two in a row agree in every entry to within
-    max(abs_tol, rel_tol sqrt(M_ii M_jj)), M the finer one's R'R.  A rule
-    that would take the node count past max_evals, or its X panels past
-    _MAX_NODES nodes, is not run, and the result is then flagged
-    unconverged with the last gap.
+    The rule integrates at dp as given.  Mirror images alpha -> -alpha
+    get exactly mirrored nodes and the same weights, so where rows(dp, z)
+    changes only by column signs S under the mirror, the mirror's R is
+    R S, bit for bit.  Rules grow by _GROWTH until two in a row agree in
+    every entry to within max(abs_tol, rel_tol sqrt(M_ii M_jj)), M the
+    finer one's R'R.  A rule that would take the node count past
+    max_evals, or its X panels past _MAX_NODES nodes, is not run, and the
+    result is then flagged unconverged with the last gap.
     """
     controls = controls or CubatureControls()
-    flip = dp.alpha1 < 0.0 or (dp.alpha1 == 0.0 and dp.alpha2 < 0.0)
-    if flip:
-        dp = replace(dp, alpha1=-dp.alpha1, alpha2=-dp.alpha2)
     alpha_star = _axes(dp)[0]
     r = prev = None
     gap = math.inf
@@ -366,7 +355,7 @@ def _gram_rule(dp, rows, controls=None):
             bound = np.maximum(controls.abs_tol,
                                controls.rel_tol * np.outer(scale, scale))
             if np.all(diff <= bound):
-                return _GramRule(r, flip, True, gap, used)
+                return _GramRule(r, True, gap, used)
         prev = gram
         n = round(n * _GROWTH)
-    return _GramRule(r, flip, False, gap, used)
+    return _GramRule(r, False, gap, used)

@@ -116,10 +116,11 @@ def a_terms(dp, tol=None):
 
     They are the entries of the Gram matrix E[zeta1(T)^2 B B'],
     B = (1, Z1, Z2), which the Gram rule integrates as it does E[s s'].
-    The rule runs at the canonical alpha sign, where mirrored parameter
-    points meet, so their a-terms are bit-identical up to the sign of the
-    odd ones.  At alpha = (0, 0) the tilt is constant and the
-    normal-moment closed forms are returned exactly.
+    The mirror image alpha -> -alpha gets exactly mirrored nodes, and its
+    rows change sign by (1, -1, -1), so mirrored points have a-terms that
+    are bit-identical up to the sign of the odd ones.  At alpha = (0, 0)
+    the tilt is constant and the normal-moment closed forms are returned
+    exactly.
     """
     validate(dp)
     if dp.alpha1 == 0.0 and dp.alpha2 == 0.0:
@@ -131,8 +132,7 @@ def a_terms(dp, tol=None):
     rule = _gram_rule(dp, _zeta1_rows, tol)
     r = rule.factor if rule.factor is not None else np.full((3, 3), np.nan)
     m = (r.T @ r).tolist()
-    odd = -1.0 if rule.flipped else 1.0
-    return ATerms(a0=m[0][0], a_1_1=odd * m[0][1], a_2_1=odd * m[0][2],
+    return ATerms(a0=m[0][0], a_1_1=m[0][1], a_2_1=m[0][2],
                   a_1_2=m[1][1], a_2_2=m[2][2], a_12=m[1][2],
                   converged=rule.converged, error_estimate=rule.gap,
                   evals=rule.nodes)

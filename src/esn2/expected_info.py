@@ -4,8 +4,8 @@ The expected information is the Gram matrix I = E[s s'] of the score s,
 so it is computed by the package's Gram rule (cubature._gram_rule) with
 b = s: a positive-weight quadrature in the canonical form of the
 standardized model, Gauss-Legendre panels on the one skewed axis X times
-three Gauss-Hermite nodes on the Gaussian axis Y, folded into an 8x8
-triangular factor R with I = R'R.  Determinants and eigenvalues come
+three Gauss-Hermite nodes on the Gaussian axis Y, taken by one QR to
+an 8x8 triangular factor R with I = R'R.  Determinants and eigenvalues come
 from the singular values of R: the condition number of I is never
 squared, and a determinant is never negative.
 
@@ -62,16 +62,13 @@ def _score_rows(dp, z1, z2):
 
 
 def _info_factor(dp, tol):
-    """Converged triangular factor R of the expected information at dp.
-
-    The rule runs at the canonical alpha sign; the mirror image
-    alpha -> -alpha has information S I S with S = diag(_FLIP_SIGNS),
-    which the caller applies.
+    """Converged triangular factor R of the expected information at dp,
+    I = R'R.  The mirror image alpha -> -alpha gets R S, bit for bit, with
+    S = diag(_FLIP_SIGNS).
 
     Returns
     -------
-    (ndarray (8, 8), bool)
-        R, and whether dp was mirrored to reach the canonical sign.
+    ndarray (8, 8)
 
     Raises
     ------
@@ -83,7 +80,7 @@ def _info_factor(dp, tol):
         raise CubatureNotConverged(
             f"expected-information rule not converged after {rule.nodes} "
             f"nodes; gap {rule.gap:g} between the last two rules")
-    return rule.factor, rule.flipped
+    return rule.factor
 
 
 def expected_info(dp, tol=None):
@@ -93,7 +90,10 @@ def expected_info(dp, tol=None):
     between consecutive rules, max_evals the total node count.  The
     matrix is the rule's R'R, except that I[3, 5] and I[3, 6], which
     vanish identically at tau = 0, are returned there as exact zeros
-    rather than as the rule's rounding noise.
+    rather than as the rule's rounding noise.  The mirror image
+    alpha -> -alpha has information S I S, S = diag(_FLIP_SIGNS): the
+    rule's nodes are mirrored exactly and its score rows change sign by
+    S, so this holds bit for bit by construction.
 
     Raises
     ------
@@ -101,14 +101,12 @@ def expected_info(dp, tol=None):
         When the rule does not converge within tol.max_evals nodes.
     """
     validate(dp)
-    r, flip = _info_factor(dp, tol)
+    r = _info_factor(dp, tol)
     m = r.T @ r
     # InfoMatrix requires exact symmetry, which a matrix product lacks
     m = np.triu(m) + np.triu(m, 1).T
     if dp.tau == 0.0:
         m[3, 5:7] = m[5:7, 3] = 0.0
-    if flip:
-        m = m * np.outer(_FLIP_SIGNS, _FLIP_SIGNS)
     return InfoMatrix(matrix=m, kind="expected")
 
 
@@ -206,7 +204,7 @@ def _det_and_mineig(r):
 
 def _scan_row(spec, value, tol):
     try:
-        r, _ = _info_factor(spec.dp_at(value), tol)
+        r = _info_factor(spec.dp_at(value), tol)
     except CubatureNotConverged:
         return SweepRow(param_value=float(value), det=float("nan"),
                         min_eigenvalue=float("nan"), converged=False)
@@ -219,7 +217,8 @@ def det_scan(spec, tol=None):
     """Determinant and smallest eigenvalue at every grid point.
 
     Rows come back in grid order, and a quadrature failure marks its row
-    converged=False without stopping the scan.  Mirrored points
-    (alpha -> -alpha) share one rule, so their rows are bit-identical.
+    converged=False without stopping the scan.  A mirrored point
+    (alpha -> -alpha) has factor R S, which has the same determinant
+    and singular values as R.
     """
     return [_scan_row(spec, g, tol) for g in spec.grid]

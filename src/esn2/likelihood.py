@@ -233,8 +233,8 @@ def _kernel(dp, z1, z2, order):
     needs the spread of each entry.  Each row applies the record's s_coef
     and, at order 2, its lin to the basis 1, z1, z2, z1^2, z2^2, z1 z2,
     zeta1, z1 zeta1, z2 zeta1, which _sums contracts with its sums.  The
-    basis spans all the rows given, so callers pass bounded blocks
-    (cubature._BLOCK rows from the Gram rule, validation._PASS from the
+    basis spans all the rows given, so callers pass bounded blocks (at
+    most 3,600 rows from one Gram rule, validation._PASS from the
     oracle).
 
     Returns
