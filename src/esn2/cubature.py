@@ -249,12 +249,19 @@ def _axes(dp):
     c = sqrt(1 - lam^2) (-u2, u1).  Then z'Omegabar^-1 z = x^2 + y^2 and
     alpha'Z = alpha_star X: Y ~ N(0, 1) is independent of X, whose density
     is phi(x) Phi(tau den + alpha_star x) / Phi(tau), and t does not vary
-    along Y (Azzalini & Capitanio 1999).
+    along Y (Azzalini & Capitanio 1999).  u is formed from alpha over its
+    largest entry, whose alpha_star^2 cannot underflow, so -alpha gets
+    exactly -u, -p and -q at every alpha != 0.
     """
     lam = _lam(dp)
     alpha_star = math.sqrt(_alpha_star_sq(lam, dp.alpha1, dp.alpha2))
-    u1, u2 = ((dp.alpha1 / alpha_star, dp.alpha2 / alpha_star)
-              if alpha_star > 0.0 else (1.0, 0.0))
+    big = max(abs(dp.alpha1), abs(dp.alpha2))
+    if big > 0.0:
+        a1, a2 = dp.alpha1 / big, dp.alpha2 / big
+        norm = math.sqrt(_alpha_star_sq(lam, a1, a2))
+        u1, u2 = a1 / norm, a2 / norm
+    else:
+        u1, u2 = 1.0, 0.0
     s = math.sqrt(1.0 - lam * lam)
     return alpha_star, (u1 + lam * u2, lam * u1 + u2), (-s * u2, s * u1)
 
@@ -297,12 +304,10 @@ def _gram_factor(dp, rows, x_rule, y_rule=_Y_RULE):
     mirrored exactly and the weights are unchanged.
     """
     _, (p1, p2), (q1, q2) = _axes(dp)
-    x, log_wx = x_rule
-    y, log_wy = y_rule
-    x, log_wx = x[:, None], log_wx[:, None]
-    z1 = (p1 * x + q1 * y).ravel()
-    z2 = (p2 * x + q2 * y).ravel()
-    root_w = np.exp(0.5 * (log_wx + log_wy)).ravel()
+    (x, log_wx), (y, log_wy) = x_rule, y_rule
+    z1 = (p1 * x[:, None] + q1 * y).ravel()
+    z2 = (p2 * x[:, None] + q2 * y).ravel()
+    root_w = np.exp(0.5 * (log_wx[:, None] + log_wy)).ravel()
     a = rows(dp, z1, z2) * root_w[:, None]
     r = scipy.linalg.qr(a, mode="r", check_finite=False)[0]
     return r[:a.shape[1]]

@@ -70,11 +70,12 @@ def lemma4_expectation(lam, alpha1, alpha2, tau):
 
 
 def u_distribution(lam, alpha1, alpha2, tau):
-    """Mean -tau delta and covariance Omegabar - delta delta' of U."""
+    """Mean -tau delta and covariance Omegabar - delta delta' of U, the
+    covariance from its closed-form entries, with no subtraction."""
     d = delta_vector(lam, alpha1, alpha2)
-    dvec = np.array([d.delta1, d.delta2])
-    omegabar = np.array([[1.0, lam], [lam, 1.0]])
-    return UDistribution(mean=-tau * dvec, cov=omegabar - np.outer(dvec, dvec))
+    v11, v12, v22 = _v_entries(lam, alpha1, alpha2)
+    return UDistribution(mean=[-tau * d.delta1, -tau * d.delta2],
+                         cov=[[v11, v12], [v12, v22]])
 
 
 @dataclass(frozen=True)

@@ -82,8 +82,9 @@ class DeltaVector:
     delta2: float
 
     def __post_init__(self):
-        assert -1.0 < self.delta1 < 1.0
-        assert -1.0 < self.delta2 < 1.0
+        # inside (-1, 1), but rounded to +-1 where |alpha| passes about 1e8
+        assert -1.0 <= self.delta1 <= 1.0
+        assert -1.0 <= self.delta2 <= 1.0
 
 
 @dataclass(frozen=True)
@@ -141,7 +142,10 @@ def _lam(dp):
 
 
 def _alpha_star_sq(lam, alpha1, alpha2):
-    return alpha1 ** 2 + alpha2 ** 2 + 2.0 * alpha1 * alpha2 * lam
+    # alpha' Omegabar alpha on the eigenvectors of Omegabar: two terms that
+    # are never negative, so nothing cancels where lam -> +-1
+    return 0.5 * ((alpha1 + alpha2) ** 2 * (1.0 + lam)
+                  + (alpha1 - alpha2) ** 2 * (1.0 - lam))
 
 
 def delta_vector(lam, alpha1, alpha2):

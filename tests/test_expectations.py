@@ -87,6 +87,18 @@ def test_u_distribution_structure():
     assert_allclose(u.cov, omegabar - np.outer(dvec, dvec), rtol=1e-14)
 
 
+def test_u_distribution_without_cancellation():
+    # at a large slant, Omegabar - delta delta' has entries far below its
+    # terms; the closed forms keep them to full relative accuracy
+    u = u_distribution(0.5, 1e4, 1e4, 0.0)
+    assert_allclose(u.v11, 75_000_001 / 300_000_001, rtol=1e-14)
+    assert_allclose(u.v12, (0.5 - 0.75e8) / 300_000_001, rtol=1e-14)
+    assert_allclose(u.v22, u.v11, rtol=1e-15)
+    u = u_distribution(0.0, 1e8, 0.0, 0.0)
+    assert_allclose(u.v11, 1.0 / (1.0 + 1e16), rtol=1e-14)
+    assert u.v12 == 0.0 and u.v22 == 1.0
+
+
 def test_a_terms_degenerate_closed_form():
     dp = DpParams(0, 0, 1, 0.3, 1, 0, 0, 0)
     at = a_terms(dp)

@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import philox, random_dp
@@ -35,7 +37,8 @@ from esn2 import (
     sample_esn2,
 )
 from esn2.cubature import _axes, _gram_factor, _gram_rule, _x_rule
-from esn2.expected_info import _assemble, _score_rows
+from esn2.expectations import _zeta1_rows
+from esn2.expected_info import _FLIP_SIGNS, _assemble, _score_rows
 from esn2.likelihood import _coefficients
 from esn2.special_fns import LOG_RT2PI, zeta
 
@@ -88,6 +91,17 @@ SCAN_POINTS = (
      for tau in (-2.0, 0.0, 2.0) for a1 in (0.25, 0.5, 1.0)]
     + [((0.0, 0.0, 1.0, 0.4, 1.0, a1, a2, 0.0), CubatureControls())
        for a2 in (2.0, -2.0) for a1 in (-30.0, 0.0, 30.0)])
+# points whose mirror alpha -> -alpha once reached the Gram rule by a
+# different path: alpha1 = 0 with alpha2 < 0, tau = 0, |lam| -> 1 with a
+# huge slant, and scan (b)'s alpha1 = +-30
+MIRROR_POINTS = [
+    (0.0, 0.0, 1.0, 0.4, 1.0, 0.0, -2.0, 0.7),
+    (0.0, 0.0, 1.0, 0.4, 1.0, 1.3, -0.7, 0.0),
+    (0.0, 0.0, 1.0, 0.9999, 1.0, 300.0, -50.0, 0.0),
+    (0.0, 0.0, 1.0, -0.9999, 1.0, 300.0, -50.0, -40.0),
+    (0.0, 0.0, 1.0, 0.4, 1.0, 30.0, 2.0, 0.0),
+    (0.0, 0.0, 1.0, 0.4, 1.0, -30.0, 2.0, 0.0),
+]
 # expected_info at the benchmark's points, at criterion 7's tolerance
 EINFO_REF = Path(__file__).parents[1] / "bench/reference/einfo_ref.json"
 
@@ -127,6 +141,48 @@ def test_mirror_invariance():
     m = expected_info(dp).matrix
     mf = expected_info(flipped).matrix
     assert np.array_equal(mf, m * np.outer(signs, signs))
+
+
+@pytest.mark.parametrize("p", MIRROR_POINTS)
+def test_gram_factor_mirror(p):
+    # alpha -> -alpha mirrors every node exactly and keeps every weight, and
+    # the rows change sign by column, so the factor does too, bit for bit
+    dp = DpParams(*p)
+    mirror = replace(dp, alpha1=-dp.alpha1, alpha2=-dp.alpha2)
+    for rows, signs in ((_score_rows, _FLIP_SIGNS),
+                        (_zeta1_rows, np.array([1.0, -1.0, -1.0]))):
+        rule = _gram_rule(dp, rows)
+        mirrored = _gram_rule(mirror, rows)
+        assert mirrored.nodes == rule.nodes
+        assert np.array_equal(mirrored.factor, rule.factor * signs)
+
+
+_SLANT = st.one_of(st.just(0.0), st.floats(-300.0, 300.0))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(lam=st.floats(-0.9999, 0.9999), alpha1=_SLANT, alpha2=_SLANT,
+       tau=st.floats(-40.0, 40.0))
+def test_mirror_property(lam, alpha1, alpha2, tau):
+    # I(-alpha) = S I(alpha) S, S = diag(_FLIP_SIGNS), bit for bit, or the
+    # rule fails on both sides.  alpha = 0 is its own mirror, where the
+    # entries that S flips vanish only to rounding
+    dp = DpParams(0.0, 0.0, 1.0, lam, 1.0, alpha1, alpha2, tau)
+    mirror = replace(dp, alpha1=-alpha1, alpha2=-alpha2)
+    try:
+        m = expected_info(dp).matrix
+    except CubatureNotConverged:
+        with pytest.raises(CubatureNotConverged):
+            expected_info(mirror)
+        return
+    mf = expected_info(mirror).matrix
+    assert np.all(np.isfinite(m))
+    signs = np.outer(_FLIP_SIGNS, _FLIP_SIGNS)
+    if alpha1 == 0.0 and alpha2 == 0.0:
+        assert np.array_equal(mf, m)
+        assert_allclose(m * signs, m, rtol=0, atol=1e-14 * np.max(m))
+    else:
+        assert np.array_equal(mf, m * signs)
 
 
 def test_coordinate_swap_permutes_information():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import MASTER_SEED, philox
 from esn2 import (
     Dataset,
     DpParams,
@@ -19,7 +20,7 @@ from esn2 import (
     standardize,
     validate,
 )
-from esn2.model import delta_vector
+from esn2.model import _alpha_star_sq, _lam, delta_vector
 
 IDENTITY = DpParams(0, 0, 1, 0, 1, 0, 0, 0)
 SLANTED = DpParams(0, 0, 1, 0.6, 1, 2, 3, 1)
@@ -112,6 +113,32 @@ def test_delta_vector_values():
     assert_allclose(d.delta2, (3.0 + 1.2) / den, rtol=1e-15)
     with pytest.raises(ValueError):
         delta_vector(1.0, 1.0, 1.0)
+
+
+def test_alpha_star_sq_matches_high_precision():
+    # alpha' Omegabar alpha where its plain sum cancels: lam -> +-1 with
+    # alpha1 ~ -+alpha2.  The first case is the lam and alpha of
+    # test_gram_rule_stops_at_panel_cap, where the plain sum is off by 6.8e-6
+    mp = pytest.importorskip("mpmath").mp
+    dp = DpParams(0, 0, 0.9194331757076565, 1.8388682056516397,
+                  3.6777401198208306, -34303.18853977436, 34303.36682099898,
+                  0)
+    cases = [(_lam(dp), dp.alpha1, dp.alpha2)]
+    rng = philox(MASTER_SEED, 60)
+    for _ in range(200):
+        lam = 1.0 - 10.0 ** rng.uniform(-15, 0)
+        a1 = 10.0 ** rng.uniform(-3, 5)
+        a2 = -a1 * (1.0 + 10.0 ** rng.uniform(-15, 0) * rng.choice([-1, 1]))
+        sign = rng.choice([-1.0, 1.0])
+        cases += [(lam, a1, a2), (-lam, a1, -a2), (sign * lam, a2, a1)]
+    worst = 0.0
+    with mp.workdps(50):
+        for lam, a1, a2 in cases:
+            want = (mp.mpf(a1) ** 2 + mp.mpf(a2) ** 2
+                    + 2 * mp.mpf(lam) * mp.mpf(a1) * mp.mpf(a2))
+            got = _alpha_star_sq(lam, a1, a2)
+            worst = max(worst, float(abs(got - want) / want))
+    assert worst <= 1e-15
 
 
 def test_density_identity_origin():
