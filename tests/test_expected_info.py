@@ -91,9 +91,8 @@ SCAN_POINTS = (
      for tau in (-2.0, 0.0, 2.0) for a1 in (0.25, 0.5, 1.0)]
     + [((0.0, 0.0, 1.0, 0.4, 1.0, a1, a2, 0.0), CubatureControls())
        for a2 in (2.0, -2.0) for a1 in (-30.0, 0.0, 30.0)])
-# points whose mirror alpha -> -alpha once reached the Gram rule by a
-# different path: alpha1 = 0 with alpha2 < 0, tau = 0, |lam| -> 1 with a
-# huge slant, and scan (b)'s alpha1 = +-30
+# edge cases of the mirror alpha -> -alpha: alpha1 = 0 with alpha2 < 0,
+# tau = 0, |lam| -> 1 with a huge slant, and scan (b)'s alpha1 = +-30
 MIRROR_POINTS = [
     (0.0, 0.0, 1.0, 0.4, 1.0, 0.0, -2.0, 0.7),
     (0.0, 0.0, 1.0, 0.4, 1.0, 1.3, -0.7, 0.0),

@@ -118,7 +118,7 @@ def test_delta_vector_values():
 def test_alpha_star_sq_matches_high_precision():
     # alpha' Omegabar alpha where its plain sum cancels: lam -> +-1 with
     # alpha1 ~ -+alpha2.  The first case is the lam and alpha of
-    # test_gram_rule_stops_at_panel_cap, where the plain sum is off by 6.8e-6
+    # test_gram_rule_stops_at_panel_cap, where the plain sum is off by 5.8e-6
     mp = pytest.importorskip("mpmath").mp
     dp = DpParams(0, 0, 0.9194331757076565, 1.8388682056516397,
                   3.6777401198208306, -34303.18853977436, 34303.36682099898,
