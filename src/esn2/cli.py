@@ -14,6 +14,7 @@ import io
 import json
 import math
 import sys
+from array import array
 from dataclasses import replace
 
 import click
@@ -77,34 +78,39 @@ def _resolve_dp(dp_tuple, named):
 
 
 def _load_table(path):
-    """Two-column CSV to Dataset; optional header; row-numbered errors."""
-    y1, y2 = [], []
+    """Two-column CSV to Dataset; optional header; row-numbered errors.
+
+    Rows are numbered among the non-empty ones, the header included, and
+    converted as they are read, so no row is held as text.
+    """
+    y1, y2 = array("d"), array("d")
+    header = False
     # utf-8-sig drops a byte-order mark, which would make row 1 a header
     with open(path, newline="", encoding="utf-8-sig") as handle:
-        rows = [row for row in csv.reader(handle) if row]
-    if not rows:
-        raise click.UsageError(f"{path}: no data rows")
-    start = 0
-    try:
-        [float(cell) for cell in rows[0]]
-    except ValueError:
-        start = 1  # header row
-    if start == len(rows):
-        raise click.UsageError(f"{path}: no data rows after the header")
-    for k, row in enumerate(rows[start:], start=start + 1):
-        if len(row) != 2:
-            raise click.UsageError(
-                f"{path} row {k}: expected 2 columns, got {len(row)}")
-        try:
-            a, b = float(row[0]), float(row[1])
-        except ValueError as exc:
-            raise click.UsageError(f"{path} row {k}: {exc}") from None
-        if not (math.isfinite(a) and math.isfinite(b)):
-            raise click.UsageError(
-                f"{path} row {k}: non-finite value")
-        y1.append(a)
-        y2.append(b)
-    return Dataset(np.array(y1), np.array(y2))
+        for k, row in enumerate(filter(None, csv.reader(handle)), start=1):
+            if k == 1:
+                try:
+                    [float(cell) for cell in row]
+                except ValueError:
+                    header = True
+                    continue
+            if len(row) != 2:
+                raise click.UsageError(
+                    f"{path} row {k}: expected 2 columns, got {len(row)}")
+            try:
+                a, b = float(row[0]), float(row[1])
+            except ValueError as exc:
+                raise click.UsageError(f"{path} row {k}: {exc}") from None
+            if not (math.isfinite(a) and math.isfinite(b)):
+                raise click.UsageError(
+                    f"{path} row {k}: non-finite value")
+            y1.append(a)
+            y2.append(b)
+    if not y1:
+        raise click.UsageError(
+            f"{path}: no data rows after the header" if header
+            else f"{path}: no data rows")
+    return Dataset(np.frombuffer(y1), np.frombuffer(y2))
 
 
 def _matrix_csv(matrix):

@@ -36,7 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .model import _alpha_star_sq, _lam
 from .special_fns import LOG_RT2PI, zeta_pair
@@ -309,8 +308,7 @@ def _gram_factor(dp, rows, x_rule, y_rule=_Y_RULE):
     z2 = (p2 * x[:, None] + q2 * y).ravel()
     root_w = np.exp(0.5 * (log_wx[:, None] + log_wy)).ravel()
     a = rows(dp, z1, z2) * root_w[:, None]
-    r = scipy.linalg.qr(a, mode="r", check_finite=False)[0]
-    return r[:a.shape[1]]
+    return np.linalg.qr(a, mode="r")
 
 
 @dataclass(frozen=True)

@@ -43,9 +43,12 @@ class UDistribution:
         cov = np.asarray(self.cov, dtype=float)
         if mean.shape != (2,) or cov.shape != (2, 2):
             raise ValueError("mean must be a 2-vector and cov 2x2")
-        assert cov[0, 1] == cov[1, 0]
-        assert cov[0, 0] > 0.0 and cov[1, 1] > 0.0
-        assert cov[0, 0] * cov[1, 1] - cov[0, 1] ** 2 > 0.0
+        # |c12| <= sqrt(c11 c22), not c11 c22 - c12^2 > 0: near |lam| = 1
+        # or huge alpha that difference cancels to 0 on a valid C
+        (c11, c12), (c21, c22) = cov
+        if not (c12 == c21 and c11 > 0.0 and c22 > 0.0
+                and abs(c12) <= math.sqrt(c11 * c22)):
+            raise ValueError(f"cov {cov.tolist()} is not a covariance matrix")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 

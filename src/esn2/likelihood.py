@@ -405,23 +405,6 @@ class FitResult:
     evaluations: int
 
 
-# BFGS hands over to the Newton polish once this many objective values in
-# a row agree with the best value so far to within _FLAT_RTOL, relative.
-# Near the maximum the decrease g' I^-1 g / 2 falls below rounding in
-# -loglik while the score is still far above gtol, and the Wolfe line
-# search then spends tens of evaluations on values it cannot tell apart
-# before it stops with precision loss; the polish works from the score
-# alone and finishes in a few steps.  A clearly worse value resets the
-# count, so trial steps that overshoot far from the maximum never trigger
-# the hand-over.
-_FLAT_RTOL = 4.0 * np.finfo(float).eps
-_FLAT_RUN = 3
-
-
-class _Unresolved(Exception):
-    """Raised from the objective to end BFGS; see _FLAT_RUN."""
-
-
 def _to_internal(dp):
     # (xi1, xi2, log O11, atanh lam, log O22, alpha1, alpha2, tau):
     # unconstrained, and every point maps back to a valid dp
@@ -457,10 +440,10 @@ def fit_mle(data, init, controls=FitControls()):
     BFGS runs in unconstrained internal coordinates so every iterate has
     a positive definite scale matrix; a Newton polish in theta
     coordinates then drives the score norm below ``controls.grad_tol``.
-    BFGS hands over to the polish early, from the best point seen, once
-    its objective stops resolving: when _FLAT_RUN values in a row agree
-    with the best one to within _FLAT_RTOL of it, as the line searches'
-    values do near a maximum at large n.
+    BFGS stops once its gradient is below n sqrt(eps): near the maximum
+    the rise it can still make, about |g|^2 / n, is then below the
+    rounding of -loglik, about eps n, and its line search could only end
+    in precision loss; the polish works from the score alone.
 
     Returns
     -------
@@ -482,39 +465,21 @@ def fit_mle(data, init, controls=FitControls()):
         calls += 1
         return _sums(dp, data, order)
 
-    psi0 = _to_internal(init)
-    best = {"value": np.inf, "psi": psi0, "flat": 0}
-
     def objective(psi):
         try:
             dp = validate(_from_internal(psi))
         except (ValueError, OverflowError):
-            best["flat"] = 0
             return np.inf, np.zeros(8)
         value, grad = sums(dp, 1)
-        value = -float(value)
-        if math.isclose(value, best["value"], rel_tol=_FLAT_RTOL):
-            best["flat"] += 1
-        else:
-            best["flat"] = 0
-        if value < best["value"]:
-            best["value"] = value
-            best["psi"] = psi.copy()
-        if best["flat"] == _FLAT_RUN:
-            raise _Unresolved
-        return value, -_internal_grad(dp, grad)
+        return -float(value), -_internal_grad(dp, grad)
 
-    try:
-        scipy.optimize.minimize(
-            objective, psi0, jac=True, method="BFGS",
-            options={"maxiter": controls.max_iter,
-                     "gtol": 0.01 * controls.grad_tol})
-    except _Unresolved:
-        pass
+    gtol = max(0.01 * controls.grad_tol,
+               data.n * math.sqrt(np.finfo(float).eps))
+    res = scipy.optimize.minimize(
+        objective, _to_internal(init), jac=True, method="BFGS",
+        options={"maxiter": controls.max_iter, "gtol": gtol})
 
-    # an iterate's value, score and hessian come from the one _sums call
-    # that tried its point in the line search
-    dp = validate(_from_internal(best["psi"]))
+    dp = validate(_from_internal(res.x))
     value, grad, hess = sums(dp, 2)
     norm = float(np.max(np.abs(grad)))
     for _ in range(50):
@@ -526,13 +491,16 @@ def fit_mle(data, init, controls=FitControls()):
             break
         scale = 1.0
         for _ in range(30):
+            # a step that overflows the evaluation, as |alpha| -> inf
+            # does, is rejected like one that leaves the parameter space
             try:
                 cand = validate(DpParams.from_array(dp.as_array()
                                                     + scale * step))
-            except ValueError:
+                with np.errstate(over="raise", invalid="raise"):
+                    result = sums(cand, 2)
+            except (ValueError, ArithmeticError):
                 scale *= 0.5
                 continue
-            result = sums(cand, 2)
             cand_norm = float(np.max(np.abs(result[1])))
             if cand_norm < norm:
                 dp, norm = cand, cand_norm
@@ -543,9 +511,9 @@ def fit_mle(data, init, controls=FitControls()):
             break
 
     # the polish tracks the score norm, not the objective; never return a
-    # point below the best one the line searches saw
-    if -value > best["value"] + 1e-9 * (1.0 + abs(best["value"])):
-        dp = validate(_from_internal(best["psi"]))
+    # point below the one BFGS ended at
+    if -value > res.fun + 1e-9 * (1.0 + abs(res.fun)):
+        dp = validate(_from_internal(res.x))
         value, grad = sums(dp, 1)
         norm = float(np.max(np.abs(grad)))
 

@@ -131,6 +131,25 @@ def test_header_detected(runner, tmp_path):
     assert r1.output == r2.output
 
 
+@pytest.mark.parametrize("text,message", [
+    ("", "{path}: no data rows"),
+    ("\n\n", "{path}: no data rows"),
+    ("y1,y2\n\n", "{path}: no data rows after the header"),
+    ("\ufeffy1,y2\n", "{path}: no data rows after the header"),
+    # rows are counted among the non-empty ones, the header included
+    ("y1,y2\n\n0.1,0.2\n0.3\n", "{path} row 3: expected 2 columns, got 1"),
+    ("0.1,0.2\n\nx,0.4\n",
+     "{path} row 2: could not convert string to float: 'x'"),
+])
+def test_table_errors_name_the_file_and_row(runner, tmp_path, text, message):
+    path = tmp_path / "d.csv"
+    path.write_text(text, encoding="utf-8")
+    result = runner.invoke(main, ["eval", "loglik", "--dp", IDENTITY,
+                                  "--data", str(path)])
+    assert result.exit_code == 2
+    assert result.stderr.rstrip().endswith(message.format(path=path))
+
+
 def test_score_csv_round_trips_bitwise(runner, tmp_path):
     data = write_csv(tmp_path / "d.csv", A_Y1, A_Y2)
     result = runner.invoke(main, ["eval", "score", "--dp", SLANTED,
@@ -374,10 +393,12 @@ def test_check_rejects_seed_outside_64_bits(runner, seed):
     assert "--seed" in result.stderr
 
 
-@pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize"])
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize",
+                                    "scipy.linalg"])
 def test_import_leaves_out_scipy_stats(module):
     # scipy.stats costs about 0.4 s of every command's start-up, and
-    # scipy.optimize, which only fit_mle uses, about 0.14 s
+    # scipy.optimize, which only fit_mle uses, about 0.14 s; the Gram
+    # rule's QR is numpy's, so nothing else needs scipy.linalg
     code = f"import sys, esn2.cli; print({module!r} in sys.modules)"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,

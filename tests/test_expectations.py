@@ -25,6 +25,7 @@ from esn2 import (
     u_distribution,
     zeta,
 )
+from esn2.expectations import UDistribution
 from esn2.model import delta_vector
 
 SLANTED = DpParams(0, 0, 1, 0.6, 1, 2, 3, 1)
@@ -97,6 +98,23 @@ def test_u_distribution_without_cancellation():
     u = u_distribution(0.0, 1e8, 0.0, 0.0)
     assert_allclose(u.v11, 1.0 / (1.0 + 1e16), rtol=1e-14)
     assert u.v12 == 0.0 and u.v22 == 1.0
+
+
+def test_u_distribution_accepts_a_nearly_singular_covariance():
+    # det C = (1 - lam^2) / (1 + alpha_star^2) = 5e-17 here, but
+    # v11 v22 - v12^2 cancels to 0 in floating point
+    u = u_distribution(0.0, 1e8, 1e8, 0.0)
+    assert_allclose([u.v11, u.v12, u.v22], [0.5, -0.5, 0.5], rtol=1e-15)
+
+
+@pytest.mark.parametrize("cov", [
+    [[1.0, 0.2], [0.3, 1.0]], [[0.0, 0.0], [0.0, 1.0]],
+    [[1.0, 0.0], [0.0, -1.0]], [[1.0, 1.5], [1.5, 2.0]],
+    [[math.nan, 0.0], [0.0, 1.0]],
+])
+def test_u_distribution_rejects_a_non_covariance(cov):
+    with pytest.raises(ValueError):
+        UDistribution(mean=[0.0, 0.0], cov=cov)
 
 
 def test_a_terms_degenerate_closed_form():

@@ -243,6 +243,26 @@ def test_fit_hands_over_when_loglik_stops_resolving(monkeypatch):
     assert len(calls) == result.evaluations <= 70
 
 
+@pytest.mark.parametrize("truth,n,seed,max_iter", [
+    ((0, 0, 1, 0.5, 1, 1.5, -1, 0.5), 300, 132, 500),
+    ((0, 0, 1, 0.6, 1, 2, 3, 1), 50, 139, 500),
+    ((0, 0, 1, 0.5, 1, 1.5, -1, 0.5), 2000, 100, 0),
+    ((0, 0, 1, 0.6, 1, 2, 3, 1), 2000, 101, 0),
+])
+def test_fit_polish_rejects_overflowing_steps(truth, n, seed, max_iter):
+    # from criterion 10's start a Newton step of the polish sends |alpha|
+    # past 1e154 on these datasets, where alpha_star^2 overflows; the
+    # polish halves such a step rather than raise or warn.  max_iter = 0
+    # hands the start to the polish whatever BFGS would do.
+    data = sample_esn2(DpParams(*truth), n, seed)
+    start = DpParams(0.2, -0.2, 1.3, 0.3, 0.8, 1.0, -0.5, 0.1)
+    result = fit_mle(data, start, FitControls(max_iter=max_iter))
+    assert np.all(np.isfinite(result.dp_hat.as_array()))
+    assert math.isfinite(result.final_score_norm)
+    assert_allclose(result.loglik, loglik(result.dp_hat, data), rtol=1e-12)
+    assert result.loglik >= loglik(start, data)
+
+
 def _mp_loglik(mp, theta, data):
     """Exact log-likelihood of data at theta, in mpmath arithmetic."""
     xi1, xi2, o11, o12, o22, a1, a2, tau = theta
