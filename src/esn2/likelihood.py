@@ -405,26 +405,30 @@ class FitResult:
     evaluations: int
 
 
-def _to_internal(dp):
-    # (xi1, xi2, log O11, atanh lam, log O22, alpha1, alpha2, tau):
-    # unconstrained, and every point maps back to a valid dp
-    return np.array([dp.xi1, dp.xi2, math.log(dp.omega11),
-                     math.atanh(_lam(dp)), math.log(dp.omega22),
-                     dp.alpha1, dp.alpha2, dp.tau])
+def _to_internal(dp, unit):
+    # (xi1/u1, xi2/u2, log O11, atanh lam, log O22, alpha1, alpha2, tau):
+    # unconstrained, and every point maps back to a valid dp.  With the
+    # locations in units u of the data's scale, rescaling the data leaves
+    # every coordinate's gradient unchanged
+    return np.array([dp.xi1 / unit[0], dp.xi2 / unit[1],
+                     math.log(dp.omega11), math.atanh(_lam(dp)),
+                     math.log(dp.omega22), dp.alpha1, dp.alpha2, dp.tau])
 
 
-def _from_internal(psi):
+def _from_internal(psi, unit):
     o11 = math.exp(psi[2])
     o22 = math.exp(psi[4])
     lam = math.tanh(psi[3])
-    return DpParams(psi[0], psi[1], o11, lam * math.sqrt(o11 * o22), o22,
-                    psi[5], psi[6], psi[7])
+    return DpParams(psi[0] * unit[0], psi[1] * unit[1], o11,
+                    lam * math.sqrt(o11 * o22), o22, psi[5], psi[6], psi[7])
 
 
-def _internal_grad(dp, grad_theta):
+def _internal_grad(dp, grad_theta, unit):
     """Chain rule from theta-gradient to internal-coordinate gradient."""
     lam = _lam(dp)
     g = np.array(grad_theta, dtype=float, copy=True)
+    g[0] *= unit[0]
+    g[1] *= unit[1]
     # omega12 = tanh(psi3) sqrt(omega11 omega22) moves with all three of
     # psi2, psi3, psi4
     g2 = grad_theta[2] * dp.omega11 + grad_theta[3] * 0.5 * dp.omega12
@@ -443,7 +447,10 @@ def fit_mle(data, init, controls=FitControls()):
     BFGS stops once its gradient is below n sqrt(eps): near the maximum
     the rise it can still make, about |g|^2 / n, is then below the
     rounding of -loglik, about eps n, and its line search could only end
-    in precision loss; the polish works from the score alone.
+    in precision loss; the polish works from the score alone.  The
+    locations enter BFGS in units of the start's scale, so that the
+    information per observation is of order one, and the stop holds, at
+    any scale of the data.
 
     Returns
     -------
@@ -465,21 +472,26 @@ def fit_mle(data, init, controls=FitControls()):
         calls += 1
         return _sums(dp, data, order)
 
+    # the start's scale stands in for the data's; a power of two divides
+    # exactly, so at a start of unit scale the locations are theta's own
+    unit = tuple(2.0 ** round(0.5 * math.log2(o))
+                 for o in (init.omega11, init.omega22))
+
     def objective(psi):
         try:
-            dp = validate(_from_internal(psi))
+            dp = validate(_from_internal(psi, unit))
         except (ValueError, OverflowError):
             return np.inf, np.zeros(8)
         value, grad = sums(dp, 1)
-        return -float(value), -_internal_grad(dp, grad)
+        return -float(value), -_internal_grad(dp, grad, unit)
 
     gtol = max(0.01 * controls.grad_tol,
                data.n * math.sqrt(np.finfo(float).eps))
     res = scipy.optimize.minimize(
-        objective, _to_internal(init), jac=True, method="BFGS",
+        objective, _to_internal(init, unit), jac=True, method="BFGS",
         options={"maxiter": controls.max_iter, "gtol": gtol})
 
-    dp = validate(_from_internal(res.x))
+    dp = validate(_from_internal(res.x, unit))
     value, grad, hess = sums(dp, 2)
     norm = float(np.max(np.abs(grad)))
     for _ in range(50):
@@ -513,7 +525,7 @@ def fit_mle(data, init, controls=FitControls()):
     # the polish tracks the score norm, not the objective; never return a
     # point below the one BFGS ended at
     if -value > res.fun + 1e-9 * (1.0 + abs(res.fun)):
-        dp = validate(_from_internal(res.x))
+        dp = validate(_from_internal(res.x, unit))
         value, grad = sums(dp, 1)
         norm = float(np.max(np.abs(grad)))
 

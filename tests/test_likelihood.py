@@ -243,6 +243,30 @@ def test_fit_hands_over_when_loglik_stops_resolving(monkeypatch):
     assert len(calls) == result.evaluations <= 70
 
 
+@pytest.mark.parametrize("truth", [(0, 0, 1, 0.5, 1, 1.5, -1, 0.5),
+                                   (0, 0, 1, 0.6, 1, 2, 3, 1)])
+@pytest.mark.parametrize("c", [2.0 ** -10, 2.0 ** 10])
+def test_fit_of_rescaled_data_takes_the_same_path(truth, c):
+    # y -> c y maps the maximum to xi -> c xi, Omega -> c^2 Omega and
+    # shifts loglik by -2 n log c.  BFGS's gradient stop must not depend on
+    # the data's units: with the locations in coordinates of the data's
+    # scale the rescaled fit takes the unit-scale fit's path, not one that
+    # stops early or ends in precision loss
+    data = sample_esn2(DpParams(*truth), 2000, 1)
+    start = DpParams(0.2, -0.2, 1.3, 0.3, 0.8, 1.0, -0.5, 0.1)
+    unit = fit_mle(data, start)
+    theta = start.as_array()
+    scale = np.array([c, c, c * c, c * c, c * c, 1, 1, 1])
+    scaled = fit_mle(Dataset(c * data.y1, c * data.y2),
+                     DpParams.from_array(scale * theta))
+    assert unit.converged and scaled.converged
+    assert scaled.evaluations <= unit.evaluations + 5
+    assert_allclose(scaled.loglik, unit.loglik - 2 * data.n * math.log(c),
+                    rtol=0, atol=1e-8)
+    assert_allclose(scaled.dp_hat.as_array() / scale,
+                    unit.dp_hat.as_array(), rtol=1e-8, atol=1e-8)
+
+
 @pytest.mark.parametrize("truth,n,seed,max_iter", [
     ((0, 0, 1, 0.5, 1, 1.5, -1, 0.5), 300, 132, 500),
     ((0, 0, 1, 0.6, 1, 2, 3, 1), 50, 139, 500),
