@@ -1,6 +1,7 @@
 """Every quadrature of the package: a positive-weight Gram rule for
-expectations of outer products under the standardized model, and adaptive
-cubature over rectangles.
+expectations of outer products under the standardized model, the
+Gauss-Legendre panels it and the validation grids are built from, and
+adaptive cubature over rectangles.
 
 The Gram rule integrates E[b(Z) b(Z)'] for a row function b of the
 standardized bivariate extended skew-normal Z, as A'A, where row k of A is
@@ -20,6 +21,12 @@ factor R, so E[b b'] = R'R, with no subtraction anywhere: diagonal
 entries are nonnegative and a Gram matrix is positive semidefinite by
 construction.
 
+`_panels` places n Gauss-Legendre nodes on each panel between given
+edges.  Three rules take their nodes from it: the Gram rule's X axis, and
+in validation the chi-square test's cell masses and the Lemma 4 check's
+product grid, 4 panels of 32 nodes on each axis of a box of +-9 marginal
+sd.
+
 The adaptive cubature applies a degree-7 rule with an embedded degree-5
 companion on [-1, 1]^2, scaled to subrectangles.  The rule difference
 drives a priority queue: the region with the largest error estimate is
@@ -27,7 +34,9 @@ split at the midpoint of its longer axis (ties broken toward the x axis,
 queue ties by insertion order), so a given integrand always refines the
 same way and results are bitwise reproducible.  Integrands receive
 ndarray arguments and must evaluate elementwise; worst regions are popped
-in small batches so one integrand call covers all their rule points.
+in small batches so one integrand call covers all their rule points.  No
+production path calls it: the tests keep it as the oracle, independent of
+the fixed rules, that those rules are checked against.
 """
 
 import functools
@@ -240,6 +249,15 @@ def _legendre(n):
     return x, w
 
 
+def _panels(edges, n):
+    """Gauss-Legendre nodes and weights, n on each panel between
+    consecutive edges, panel by panel."""
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    half = 0.5 * np.diff(edges)[:, None]
+    node, w = _legendre(n)
+    return (mid + half * node).ravel(), (half * w).ravel()
+
+
 def _axes(dp):
     """alpha_star and the columns p, q of the canonical form Z = p X + q Y.
 
@@ -282,13 +300,10 @@ def _x_rule(tau, alpha_star, n):
     knees = ([(k - tau * den) / alpha_star for k in (-_KNEE, _KNEE)]
              if alpha_star > 0.0 else [])
     edges = np.array([lo, *(k for k in knees if lo < k < hi), hi])
-    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-    half = 0.5 * np.diff(edges)[:, None]
-    node, w = _legendre(n)
-    x = (mid + half * node).ravel()
+    x, w = _panels(edges, n)
     # zeta0(t) - zeta0(tau), with t - tau formed as the kernel forms it
     h = tau * alpha_star * alpha_star / (1.0 + den) + alpha_star * x
-    return x, (np.log(half * w).ravel() - 0.5 * x * x - LOG_RT2PI
+    return x, (np.log(w) - 0.5 * x * x - LOG_RT2PI
                + zeta_pair(tau, h, 0)[1][0])
 
 

@@ -5,7 +5,9 @@ What one dp determines is built once into a cached record,
 z1^2, z2^2, z1 z2, zeta1(t), z1 zeta1(t), z2 zeta1(t)): the score is
 s_coef @ b, and the hessian H_N + zeta1(t) grad^2 t + zeta2(t) grad t
 grad t', H_N the bivariate normal part, is lin @ b plus the zeta2 term.
-The record builds lin on first use, so only order-2 callers pay for it.
+The record holds what the log density reads and builds s_coef and lin on
+first use, so order-0 callers pay for neither and only order-2 callers
+pay for lin.
 
 `_kernel` runs the zeta ladder once over the standardized residuals and
 returns the log density, the score rows and at order 2 the hessian rows,
@@ -83,11 +85,9 @@ def _sym(a, b):
 class _Coefficients:
     """What the likelihood needs of one dp; built by `_coefficients`.
 
-    s_coef (8, 9) is the score on the basis b = (1, z1, z2, z1^2, z2^2,
-    z1 z2, zeta1, z1 zeta1, z2 zeta1): the gradient of H_N's log density
-    in the first six columns and grad t, the coefficient of zeta1, in the
-    last three, so grad t = s_coef[:, 6:] @ (1, z1, z2).  The tau entry is
-    den zeta1(t), which the caller forms less zeta1(tau).
+    The fields are what the log density reads.  The derivative
+    coefficients, s_coef and lin, are built on first use, so only the
+    callers that read them pay for them.
     """
     dp: DpParams
     lam: float
@@ -98,16 +98,71 @@ class _Coefficients:
     den_m1: float
     # the log density's constant, -log 2 pi - log det Omega / 2
     log_norm: float
-    s_coef: np.ndarray
-    # what lin differentiates once more: var, o, a, the 8x8 identity, den,
-    # P, P E_k, P E_k P, dw, d lam, d alpha_star^2 and d den
-    _chain: tuple
+
+    @functools.cached_property
+    def _chain(self):
+        """What s_coef and lin differentiate: var, o, a, the 8x8 identity,
+        den, P = Omega^-1, P E_k, P E_k P, dw, d lam, d alpha_star^2 and
+        d den, with dOmega / d omega_k = E_k."""
+        dp, lam = self.dp, self.lam
+        var = np.array([dp.omega11, dp.omega22])
+        o = np.sqrt(var)
+        a = np.array([dp.alpha1, dp.alpha2])
+        den = math.sqrt(1.0 + self.astar2)
+        e = np.eye(8)
+        c = -lam / (o[0] * o[1])
+        p = (np.array([[1.0 / var[0], c], [c, 1.0 / var[1]]])
+             / (1.0 - lam * lam))
+        pe = p @ np.array([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]],
+                           [[0.0, 0.0], [0.0, 1.0]]])
+        pep = pe @ p
+        # lam = omega12 exp(w), with w = -log(omega11 omega22) / 2
+        dw = np.zeros(8)
+        dw[[2, 4]] = -0.5 / var
+        d_lam = e[3] / (o[0] * o[1]) + lam * dw
+        # alpha_star^2 = alpha1^2 + alpha2^2 + 2 lam alpha1 alpha2
+        d_as = 2.0 * a[0] * a[1] * d_lam
+        d_as[5:7] += 2.0 * (a + lam * a[::-1])
+        d_den = d_as / (2.0 * den)
+        return var, o, a, e, den, p, pe, pep, dw, d_lam, d_as, d_den
+
+    @functools.cached_property
+    def s_coef(self):
+        """The score on the basis b = (1, z1, z2, z1^2, z2^2, z1 z2, zeta1,
+        z1 zeta1, z2 zeta1), (8, 9), read-only: the gradient of H_N's log
+        density in the first six columns and grad t, the coefficient of
+        zeta1, in the last three, so grad t = s_coef[:, 6:] @ (1, z1, z2).
+        The tau entry is den zeta1(t), which the caller forms less
+        zeta1(tau).  Built on first use: loglik and density_esn2 never read
+        it."""
+        var, o, a, e, den, p, pe, pep, _, _, _, d_den = self._chain
+        # the gradient of H_N's log density: P r at xi and, with [k, i, j]
+        # the coefficient of z_i z_j, r' P E_k P r / 2 - tr(P E_k) / 2 at
+        # omega_k
+        s_coef = np.zeros((8, 9))
+        s_coef[:2, 1:3] = p * o
+        s_coef[2:5, 0] = -0.5 * np.trace(pe, axis1=1, axis2=2)
+        s_coef[2:5, 3] = 0.5 * pep[:, 0, 0] * var[0]
+        s_coef[2:5, 4] = 0.5 * pep[:, 1, 1] * var[1]
+        s_coef[2:5, 5] = pep[:, 0, 1] * (o[0] * o[1])
+
+        # grad z_j = -e_xi_j / omega_j - z_j e_omega_jj / (2 omega_jj), and
+        # alpha_j z_j adds alpha_j grad z_j + z_j e_alpha_j to grad t
+        grad_t = s_coef[:, 6:]
+        grad_t[:, 0] = self.dp.tau * d_den + den * e[7]
+        for j in (0, 1):
+            xi, om, al = e[j], e[2 + 2 * j], e[5 + j]
+            dz0, dz1 = -xi / o[j], -om / (2.0 * var[j])
+            grad_t[:, 0] += a[j] * dz0
+            grad_t[:, 1 + j] = al + a[j] * dz1
+        s_coef.flags.writeable = False
+        return s_coef
 
     @functools.cached_property
     def lin(self):
         """H_N + zeta1(t) grad^2 t on b, (36, 9) in the kernel's columns,
         read-only.  Built on first use: only order-2 callers read it, and
-        it costs about five times as much as the rest of the record."""
+        it costs about twice as much as s_coef."""
         dp, lam = self.dp, self.lam
         var, o, a, e, den, p, pe, pep, dw, d_lam, d_as, d_den = self._chain
         # h_b[k]: the hessian's coefficient of b_k
@@ -156,54 +211,13 @@ def _coefficients(dp):
     tau den + alpha1 z1 + alpha2 z2 differentiated by the chain rule
     through lam, alpha_star^2 and z.
     """
-    var = np.array([dp.omega11, dp.omega22])
-    o = np.sqrt(var)
-    a = np.array([dp.alpha1, dp.alpha2])
     lam = _lam(dp)
     astar2 = _alpha_star_sq(lam, dp.alpha1, dp.alpha2)
     den = math.sqrt(1.0 + astar2)
-    e = np.eye(8)
-
-    # with P = Omega^-1 and dOmega / d omega_k = E_k, the gradient of H_N's
-    # log density: P r at xi and, with [k, i, j] the coefficient of z_i z_j,
-    # r' P E_k P r / 2 - tr(P E_k) / 2 at omega_k
-    c = -lam / (o[0] * o[1])
-    p = np.array([[1.0 / var[0], c], [c, 1.0 / var[1]]]) / (1.0 - lam * lam)
-    pe = p @ np.array([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]],
-                       [[0.0, 0.0], [0.0, 1.0]]])
-    pep = pe @ p
-    s_coef = np.zeros((8, 9))
-    s_coef[:2, 1:3] = p * o
-    s_coef[2:5, 0] = -0.5 * np.trace(pe, axis1=1, axis2=2)
-    s_coef[2:5, 3] = 0.5 * pep[:, 0, 0] * var[0]
-    s_coef[2:5, 4] = 0.5 * pep[:, 1, 1] * var[1]
-    s_coef[2:5, 5] = pep[:, 0, 1] * (o[0] * o[1])
-
-    # lam = omega12 exp(w), with w = -log(omega11 omega22) / 2
-    dw = np.zeros(8)
-    dw[[2, 4]] = -0.5 / var
-    d_lam = e[3] / (o[0] * o[1]) + lam * dw
-    # alpha_star^2 = alpha1^2 + alpha2^2 + 2 lam alpha1 alpha2
-    d_as = 2.0 * a[0] * a[1] * d_lam
-    d_as[5:7] += 2.0 * (a + lam * a[::-1])
-    d_den = d_as / (2.0 * den)
-
-    # grad z_j = -e_xi_j / omega_j - z_j e_omega_jj / (2 omega_jj), and
-    # alpha_j z_j adds alpha_j grad z_j + z_j e_alpha_j to grad t
-    grad_t = s_coef[:, 6:]
-    grad_t[:, 0] = dp.tau * d_den + den * e[7]
-    for j in (0, 1):
-        xi, om, al = e[j], e[2 + 2 * j], e[5 + j]
-        dz0, dz1 = -xi / o[j], -om / (2.0 * var[j])
-        grad_t[:, 0] += a[j] * dz0
-        grad_t[:, 1 + j] = al + a[j] * dz1
-    s_coef.flags.writeable = False
     log_norm = -LOG_2PI - 0.5 * (math.log(dp.omega11) + math.log(dp.omega22)
                                  + math.log1p(-lam * lam))
-    return _Coefficients(
-        dp, lam, 1.0 / (1.0 - lam * lam), astar2, astar2 / (1.0 + den),
-        log_norm, s_coef,
-        (var, o, a, e, den, p, pe, pep, dw, d_lam, d_as, d_den))
+    return _Coefficients(dp, lam, 1.0 / (1.0 - lam * lam), astar2,
+                         astar2 / (1.0 + den), log_norm)
 
 
 def _log_density(coef, z1, z2, order):

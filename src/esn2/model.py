@@ -119,7 +119,8 @@ def validate(dp):
     Raises
     ------
     NonFiniteParameter
-        If any component is NaN or infinite.
+        If any component is NaN or infinite, or the slant is so large that
+        alpha_star^2 = alpha' Omegabar alpha is not finite.
     NonPositiveDefiniteScale
         If omega11 <= 0, omega22 <= 0, or det(Omega) is not safely positive.
     """
@@ -134,6 +135,13 @@ def validate(dp):
     if det <= DET_EPS * dp.omega11 * dp.omega22:
         raise NonPositiveDefiniteScale(
             f"det(Omega) = {det} is not positive relative to its scale")
+    try:
+        astar2 = _alpha_star_sq(_lam(dp), dp.alpha1, dp.alpha2)
+    except OverflowError:
+        astar2 = math.inf
+    if not math.isfinite(astar2):
+        raise NonFiniteParameter(
+            "alpha_star^2 = alpha' Omegabar alpha is not finite")
     return dp
 
 

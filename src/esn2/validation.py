@@ -10,7 +10,11 @@ the two share no coordinates.  The sampler's independence from the
 analytic machinery rests on two checks that share nothing with it: the
 chi-square test of its histogram against Gauss-Legendre cell masses of
 `density_esn2` (criterion 8) and the closed-form moments of `moments_esn2`
-(criterion 9).  The suite compares the routes and reports measured
+(criterion 9).  Lemma 4, E[zeta1(T)] = zeta1(tau) / sqrt(1 +
+alpha_star^2), is checked against a direct integral of zeta1(T) times
+`density_esn2` on one fixed Gauss-Legendre product grid over the box of
++-9 marginal sd: 4 panels of 32 nodes on each axis, 16,384 nodes in one
+vectorized call.  The suite compares the routes and reports measured
 maxima instead of raising.  Its points, sample sizes and finite-difference
 steps are fixed; a run chooses only the seed and the level, "fast" or
 "full" with the Monte Carlo oracles and the chi-square test.
@@ -22,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import chdtrc, log_ndtr, ndtri_exp
 
-from .cubature import _legendre, integrate_2d
+from .cubature import _panels
 from .expectations import lemma4_expectation
 from .expected_info import _FLIP_SIGNS, expected_info
 from .likelihood import (_COL, _kernel, density_esn2, loglik, observed_info,
@@ -213,6 +217,9 @@ _CELLS = 50
 _SPAN = 4.0
 _CELL_NODES = 8
 _LEMMA4_POINTS = 10
+# the Lemma 4 grid's Gauss-Legendre panels, and nodes a panel, on each axis
+_LEMMA4_PANELS = 4
+_LEMMA4_NODES = 32
 _LEVELS = ("fast", "full")
 
 
@@ -302,24 +309,26 @@ def _check_fd(seed):
 
 
 def _lemma4_by_cubature(lam, alpha1, alpha2, tau):
-    """E[zeta1(T)] integrated directly against the standardized density."""
+    """E[zeta1(T)] integrated directly against the standardized density,
+    on the product grid of _LEMMA4_PANELS x _LEMMA4_NODES Gauss-Legendre
+    nodes a side over the box of +-9 marginal sd.  Over the suite's
+    default points and the 16 corners of its sampled ranges, it is
+    within 1e-12 of the closed form; 4 panels of 16 nodes erred by up
+    to 4e-4 there."""
     dp = DpParams(0.0, 0.0, 1.0, lam, 1.0, alpha1, alpha2, tau)
     alpha0 = tau * math.sqrt(1.0 + _alpha_star_sq(lam, alpha1, alpha2))
     d = delta_vector(lam, alpha1, alpha2)
     z1_tau, z2_tau = zeta(1, tau), zeta(2, tau)
-    lower = np.empty(2)
-    upper = np.empty(2)
-    for j, dj in enumerate((d.delta1, d.delta2)):
+    axes = []
+    for dj in (d.delta1, d.delta2):
         mean = z1_tau * dj
         sd = math.sqrt(1.0 + z2_tau * dj * dj)
-        lower[j] = mean - 9.0 * sd
-        upper[j] = mean + 9.0 * sd
-
-    def integrand(z1, z2):
-        t = alpha0 + alpha1 * z1 + alpha2 * z2
-        return zeta(1, t) * density_esn2(z1, z2, dp)
-
-    return integrate_2d(integrand, lower, upper)
+        axes.append(_panels(np.linspace(mean - 9.0 * sd, mean + 9.0 * sd,
+                                        _LEMMA4_PANELS + 1), _LEMMA4_NODES))
+    (z1, w1), (z2, w2) = axes
+    z1, z2 = z1[:, None], z2[None, :]
+    f = zeta(1, alpha0 + alpha1 * z1 + alpha2 * z2) * density_esn2(z1, z2, dp)
+    return float(w1 @ f @ w2)
 
 
 def _check_lemma4(seed):
@@ -332,7 +341,7 @@ def _check_lemma4(seed):
         tau = rng.uniform(-2.0, 2.0)
         closed = lemma4_expectation(lam, alpha1, alpha2, tau)
         quad = _lemma4_by_cubature(lam, alpha1, alpha2, tau)
-        worst = max(worst, abs(quad.value - closed) / closed)
+        worst = max(worst, abs(quad - closed) / closed)
     return CheckResult("lemma4_vs_cubature", worst < 1e-5, worst, 1e-5,
                        f"{_LEMMA4_POINTS} random points, |tau| <= 2")
 
@@ -412,10 +421,7 @@ def _check_tau0_reduction(seed):
 def _cell_masses(dp, edges):
     """Probability mass of each histogram cell, from one density call on
     the grid of all cells' Gauss-Legendre nodes."""
-    x, w = _legendre(_CELL_NODES)
-    half = np.diff(edges)[:, None] / 2.0
-    nodes = ((edges[:-1] + edges[1:])[:, None] / 2.0 + half * x).ravel()
-    weights = (half * w).ravel()
+    nodes, weights = _panels(edges, _CELL_NODES)
     f = density_esn2(nodes[:, None], nodes[None, :], dp)
     k = len(edges) - 1
     return (weights[:, None] * f * weights).reshape(

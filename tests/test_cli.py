@@ -89,6 +89,14 @@ def test_invalid_dp_rejected(runner, tmp_path):
     assert result.exit_code == 2
 
 
+def test_overflowing_slant_rejected(runner, tmp_path):
+    data = write_csv(tmp_path / "d.csv", [0.0], [0.0])
+    result = runner.invoke(main, ["eval", "loglik", "--dp",
+                                  "0,0,1,0.5,1,1e200,0,0", "--data", data])
+    assert result.exit_code == 2
+    assert "alpha_star" in result.stderr
+
+
 def test_data_required(runner):
     result = runner.invoke(main, ["eval", "loglik", "--dp", IDENTITY])
     assert result.exit_code == 2

@@ -20,6 +20,7 @@ from esn2 import (
     DpParams,
     FitControls,
     InfoMatrix,
+    density_esn2,
     expected_info,
     fd_gradient,
     fit_mle,
@@ -472,6 +473,21 @@ def test_only_order_two_builds_the_hessian_coefficients():
     assert "lin" not in vars(_coefficients(dp))
     observed_info(dp, data)
     assert "lin" in vars(_coefficients(dp))
+
+
+def test_order_zero_leaves_the_score_coefficients_unbuilt():
+    # the finite-difference checks call loglik at hundreds of dp, and
+    # density_esn2 serves the sampler's chi-square test: neither reads s_coef
+    dp = POINT_A
+    data = sample_esn2(dp, 300, 7)
+    _coefficients.cache_clear()
+    loglik(dp, data)
+    density_esn2(data.y1, data.y2, dp)
+    assert _coefficients.cache_info().misses == 1
+    assert "s_coef" not in vars(_coefficients(dp))
+    score(dp, data)
+    assert "s_coef" in vars(_coefficients(dp))
+    assert "lin" not in vars(_coefficients(dp))
 
 
 @pytest.mark.parametrize("k", range(len(EXTREME_DPS)))

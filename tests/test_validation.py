@@ -1,5 +1,6 @@
 """Finite differences, the exact sampler, and the check suite."""
 
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -11,11 +12,13 @@ from numpy.testing import assert_allclose
 
 from conftest import philox, random_dp
 from esn2 import (
+    CubatureControls,
     Dataset,
     DpParams,
     FiniteDifferenceError,
     RngSeed,
     ValidationConfig,
+    density_esn2,
     fd_gradient,
     fd_hessian,
     loglik,
@@ -24,11 +27,16 @@ from esn2 import (
     sample_esn2,
     sampler_chi2_pvalue,
     expected_info,
+    integrate_2d,
     score,
+    zeta,
 )
 from esn2.likelihood import _COL, _ROWS, _kernel
-from esn2.model import _residuals
-from esn2.validation import _UPPER_36, _mc_info_sigmas, _truncated_normal
+from esn2.model import _alpha_star_sq, _residuals, delta_vector
+from esn2.validation import (_UPPER_36, _check_lemma4, _lemma4_by_cubature,
+                             _mc_info_sigmas, _truncated_normal)
+
+TIGHT = CubatureControls(rel_tol=1e-10, abs_tol=1e-13, max_evals=4_000_000)
 
 
 def test_fd_gradient_linear_exact():
@@ -272,6 +280,36 @@ def test_fast_suite_passes_at_largest_seed():
     report = run_validation_suite(
         ValidationConfig(seed=RngSeed(2 ** 64 - 1), level="fast"))
     assert report.passed, report.summary()
+
+
+# the corners of the Lemma 4 check's sampled ranges; alpha -> -alpha
+# mirrors Z and leaves T, so alpha1 = 3 stands for alpha1 = -3 as well
+@pytest.mark.parametrize("lam,alpha2,tau", itertools.product(
+    (-0.9, 0.9), (-3.0, 3.0), (-2.0, 2.0)))
+def test_lemma4_grid_matches_adaptive_cubature(lam, alpha2, tau):
+    # the check's fixed product grid against the adaptive rule on the same
+    # box of +-9 marginal sd around the mean of Z
+    alpha1 = 3.0
+    dp = DpParams(0, 0, 1, lam, 1, alpha1, alpha2, tau)
+    alpha0 = tau * math.sqrt(1.0 + _alpha_star_sq(lam, alpha1, alpha2))
+    d = delta_vector(lam, alpha1, alpha2)
+    mean = zeta(1, tau) * np.array([d.delta1, d.delta2])
+    sd = np.sqrt(1.0 + zeta(2, tau) * np.array([d.delta1, d.delta2]) ** 2)
+
+    def integrand(z1, z2):
+        t = alpha0 + alpha1 * z1 + alpha2 * z2
+        return zeta(1, t) * density_esn2(z1, z2, dp)
+
+    oracle = integrate_2d(integrand, mean - 9.0 * sd, mean + 9.0 * sd, TIGHT)
+    assert oracle.converged
+    grid = _lemma4_by_cubature(lam, alpha1, alpha2, tau)
+    assert abs(grid - oracle.value) <= 1e-10 * oracle.value
+
+
+def test_lemma4_check_resolves_the_closed_form():
+    check = _check_lemma4(ValidationConfig().seed)
+    assert check.passed
+    assert check.measured < 1e-12
 
 
 def test_random_dp_helper_is_always_valid():
