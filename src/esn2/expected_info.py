@@ -13,9 +13,9 @@ The paper's route, closed-form expectations plus the a-terms
 (`expectation_set`) applied to the kernel's hessian coefficients as
 E[-H] (`_assemble`), is kept as the oracle the rule's E[s s'] is tested
 against; it does not run in production.  It is the contraction that
-observed_info applies to sample sums, through the one helper
-likelihood._hessian_from_moments.  Also here:
-the scalar reparameterization rule, the conditional-independence and
+observed_info applies to sample sums and the kernel to its rows, through
+the one helper likelihood._contract.  Also here: the scalar
+reparameterization rule, the conditional-independence and
 block-structure predicates, and grid sweeps of the determinant used to
 map where the matrix degenerates.
 """
@@ -27,7 +27,7 @@ import numpy as np
 
 from .cubature import _gram_rule
 from .expectations import CubatureNotConverged
-from .likelihood import (InfoMatrix, _coefficients, _hessian_from_moments,
+from .likelihood import (_COL, _UPPER, InfoMatrix, _coefficients, _contract,
                          _kernel)
 from .model import DpParams, validate
 from .special_fns import zeta
@@ -43,17 +43,19 @@ def _assemble(dp, es):
     """The paper's expected information -E[h] from an expectation set: the
     kernel's hessian coefficients contracted with E[1, Z, Z Z'] and
     E[(1, Z) zeta1(T)], and grad t = G (1, Z) with E[(1, Z)(1, Z)'
-    zeta2(T)], as observed_info contracts them with sample sums."""
-    e_lin = [1.0, es.e_z1, es.e_z2, es.e_z1sq, es.e_z2sq, es.e_z1z2,
-             es.e_zeta1, es.e_z1_zeta1, es.e_z2_zeta1]
+    zeta2(T)], by the `_contract` that observed_info applies to sample
+    sums."""
+    e_lin = np.array([1.0, es.e_z1, es.e_z2, es.e_z1sq, es.e_z2sq,
+                      es.e_z1z2, es.e_zeta1, es.e_z1_zeta1, es.e_z2_zeta1])
     e_zeta2 = np.array([[es.e_zeta2, es.e_z1_zeta2, es.e_z2_zeta2],
                         [es.e_z1_zeta2, es.e_z1sq_zeta2, es.e_z1z2_zeta2],
                         [es.e_z2_zeta2, es.e_z1z2_zeta2, es.e_z2sq_zeta2]])
     coef = _coefficients(dp)
     g = coef.s_coef[:, 6:]
-    m = -_hessian_from_moments(coef, e_lin, g @ e_zeta2 @ g.T)
-    m[7, 7] += zeta(2, dp.tau)
-    return m
+    zeta2 = (es.e_zeta2, (g @ e_zeta2 @ g.T)[_UPPER],
+             es.e_zeta2 - zeta(2, dp.tau))
+    h = _contract(coef, e_lin, es.e_zeta1 - zeta(1, dp.tau), zeta2)[1]
+    return -h[_COL]
 
 
 def _score_rows(dp, z1, z2):

@@ -18,10 +18,10 @@ reads the log density alone, from `_log_density`.
 loglik, score, observed_info and fit_mle go through `_sums` instead.  It
 sums the log density per row as the kernel forms it, and per block the
 sums of b and the zeta2 term summed over the block's rows, without
-forming a derivative row.  `_hessian_from_moments` contracts lin with
-sample sums here and with the paper's expectations in
-expected_info._assemble, and a test holds that E[-H] to the Gram rule's
-E[s s'], read from the score rows.
+forming a derivative row.  One contraction, `_contract`, applies s_coef
+and lin, and writes the tau entries, for the kernel's rows, for these
+sums and for the paper's expectations in expected_info._assemble; a test
+holds that E[-H] to the Gram rule's E[s s'], read from the score rows.
 
 All derivatives are taken with respect to the direct parameter vector
 theta = (xi1, xi2, omega11, omega12, omega22, alpha1, alpha2, tau).  The
@@ -244,12 +244,11 @@ def _kernel(dp, z1, z2, order):
     ``model._residuals``); dp is assumed validated.  The rows serve the
     callers that need each observation: the Gram rule of expected_info
     (order 1) and the Monte Carlo oracle in validation (order 2), which
-    needs the spread of each entry.  Each row applies the record's s_coef
-    and, at order 2, its lin to the basis 1, z1, z2, z1^2, z2^2, z1 z2,
-    zeta1, z1 zeta1, z2 zeta1, which _sums contracts with its sums.  The
-    basis spans all the rows given, so callers pass bounded blocks (at
-    most 3,600 rows from one Gram rule, validation._PASS from the
-    oracle).
+    needs the spread of each entry.  The rows are `_contract` applied to
+    each row's basis 1, z1, z2, z1^2, z2^2, z1 z2, zeta1, z1 zeta1, z2
+    zeta1, as _sums applies it to the basis summed.  The basis spans all
+    the rows given, so callers pass bounded blocks (at most 3,600 rows
+    from one Gram rule, validation._PASS from the oracle).
 
     Returns
     -------
@@ -263,42 +262,40 @@ def _kernel(dp, z1, z2, order):
     zeta1 = at[1]
     basis = np.stack([np.ones_like(z1), z1, z2, z1sq, z2sq, z12, zeta1,
                       z1 * zeta1, z2 * zeta1])
-    s = coef.s_coef @ basis
-    # den zeta1(t) - zeta1(tau), as _sums forms it
-    s[7] = coef.den_m1 * zeta1 + diff[1]
-    out = [log_f, s.T]
-    if order == 1:
-        return out
-
-    zeta2 = at[2]
-    h = coef.lin @ basis
-    # zeta2 g_i g_j from the rows of g = grad t, not expanded in z, where
-    # (c + a z)^2 can cancel; entries (i, i..7) are contiguous
-    g = coef.s_coef[:, 6:] @ basis[:3]
-    gz = g * zeta2
-    for i in range(8):
-        h[_COL[i, i]:_COL[i, 7] + 1] += gz[i] * g[i:]
-    # den^2 zeta2(t) - zeta2(tau), which also vanishes as alpha -> 0
-    h[_COL[7, 7]] = coef.astar2 * zeta2 + diff[2]
-    out.append(h.T)
-    return out
+    zeta2 = None
+    if order == 2:
+        # zeta2 g_i g_j from the rows of g = grad t, not expanded in z,
+        # where (c + a z)^2 can cancel
+        g = coef.s_coef[:, 6:] @ basis[:3]
+        gz = g * at[2]
+        zeta2 = (at[2], gz[_UPPER[0]] * g[_UPPER[1]], diff[2])
+    return [log_f, *(a.T for a in _contract(coef, basis, diff[1], zeta2))]
 
 
-def _hessian_from_moments(coef, m_lin, zeta2_gg):
-    """The hessian summed over rows, or in expectation, from moments.
+def _contract(coef, m, diff1, zeta2=None):
+    """The score and, given zeta2, the hessian from the basis b.
 
-    coef is the `_Coefficients` record, m_lin holds the sums (or
-    expectations) of the basis of its lin, and zeta2_gg the zeta2 term,
-    the sum (or expectation) of zeta2(t) grad t grad t'.  The tau-tau
-    entry is the caller's, which knows its zeta2(tau) term.
+    m is b per row (9, n), its sums (9,) or its expectations, and diff1
+    the matching zeta1(t) - zeta1(tau).  zeta2 is (w, gg, diff2): zeta2(t),
+    the zeta2 term zeta2(t) grad t grad t' in kernel columns, and zeta2(t)
+    - zeta2(tau), each matching m.
 
     Returns
     -------
-    ndarray (8, 8)
-        Symmetric.
+    list of ndarray
+        The score s_coef @ m, (8, ...); with zeta2 also the hessian lin @ m
+        + gg, (36, ...) in kernel columns, so that h[_COL] is symmetric.
+        The tau entries are den zeta1(t) - zeta1(tau) and den^2 zeta2(t) -
+        zeta2(tau), which vanish as alpha -> 0 without cancellation.
     """
-    h = (coef.lin @ m_lin)[_COL] + zeta2_gg
-    return np.triu(h) + np.triu(h, 1).T
+    s = coef.s_coef @ m
+    s[7] = coef.den_m1 * m[6] + diff1
+    if zeta2 is None:
+        return [s]
+    w, gg, diff2 = zeta2
+    h = coef.lin @ m + gg
+    h[_COL[7, 7]] = coef.astar2 * w + diff2
+    return [s, h]
 
 
 def _sums(dp, data, order):
@@ -350,17 +347,11 @@ def _sums(dp, data, order):
                 zeta2_gg += w * np.outer(gc, gc) + g[:, 1:] @ cov @ g[:, 1:].T
     if order == 0:
         return [value]
-
-    grad = coef.s_coef @ m_lin
-    # den zeta1(t) - zeta1(tau), as the kernel forms it
-    grad[7] = coef.den_m1 * m_lin[6] + diff1
     if order == 1:
-        return [value, grad]
-
-    hess = _hessian_from_moments(coef, m_lin, zeta2_gg)
-    # den^2 zeta2(t) - zeta2(tau)
-    hess[7, 7] = coef.astar2 * zeta2_w + diff2
-    return [value, grad, hess]
+        return [value, *_contract(coef, m_lin, diff1)]
+    grad, hess = _contract(coef, m_lin, diff1,
+                           (zeta2_w, zeta2_gg[_UPPER], diff2))
+    return [value, grad, hess[_COL]]
 
 
 def density_esn2(y1, y2, dp):
@@ -508,6 +499,7 @@ def fit_mle(data, init, controls=FitControls()):
     dp = validate(_from_internal(res.x, unit))
     value, grad, hess = sums(dp, 2)
     norm = float(np.max(np.abs(grad)))
+    bfgs_end = dp, value, norm
     for _ in range(50):
         if norm < controls.grad_tol:
             break
@@ -539,9 +531,7 @@ def fit_mle(data, init, controls=FitControls()):
     # the polish tracks the score norm, not the objective; never return a
     # point below the one BFGS ended at
     if -value > res.fun + 1e-9 * (1.0 + abs(res.fun)):
-        dp = validate(_from_internal(res.x, unit))
-        value, grad = sums(dp, 1)
-        norm = float(np.max(np.abs(grad)))
+        dp, value, norm = bfgs_end
 
     return FitResult(dp_hat=dp, converged=norm < controls.grad_tol,
                      final_score_norm=norm, loglik=float(value),

@@ -119,8 +119,9 @@ def validate(dp):
     Raises
     ------
     NonFiniteParameter
-        If any component is NaN or infinite, or the slant is so large that
-        alpha_star^2 = alpha' Omegabar alpha is not finite.
+        If any component is NaN or infinite, omega11 omega22 is not
+        finite, or the slant is so large that alpha_star^2 = alpha'
+        Omegabar alpha is not finite.
     NonPositiveDefiniteScale
         If omega11 <= 0, omega22 <= 0, or det(Omega) is not safely positive.
     """
@@ -131,7 +132,10 @@ def validate(dp):
         raise NonPositiveDefiniteScale(f"omega11 = {dp.omega11} must be > 0")
     if dp.omega22 <= 0.0:
         raise NonPositiveDefiniteScale(f"omega22 = {dp.omega22} must be > 0")
-    det = dp.omega11 * dp.omega22 - dp.omega12 ** 2
+    if not math.isfinite(dp.omega11 * dp.omega22):
+        raise NonFiniteParameter("omega11 omega22 is not finite")
+    # omega12 ** 2 would raise OverflowError where the product gives inf
+    det = dp.omega11 * dp.omega22 - dp.omega12 * dp.omega12
     if det <= DET_EPS * dp.omega11 * dp.omega22:
         raise NonPositiveDefiniteScale(
             f"det(Omega) = {det} is not positive relative to its scale")

@@ -28,7 +28,8 @@ from scipy.special import chdtrc, log_ndtr, ndtri_exp
 
 from .cubature import _panels
 from .expectations import lemma4_expectation
-from .expected_info import _FLIP_SIGNS, expected_info
+from .expected_info import (_FLIP_SIGNS, _det_and_mineig, _info_factor,
+                            expected_info)
 from .likelihood import (_COL, _kernel, density_esn2, loglik, observed_info,
                          score)
 from .model import (PARAM_NAMES, Dataset, DpParams, _alpha_star_sq,
@@ -43,6 +44,9 @@ _CHUNK = 65536
 # long on a 2-core Xeon, in page faults
 _PASS = 2048
 _SHRINK_ROUNDS = 20
+# the sign patterns of the central difference and of the mixed stencil
+_AXIS = ((1,), (-1,))
+_CORNERS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 _GRAD_STEP = 1e-6
 _HESS_STEP = 1e-4
 
@@ -73,22 +77,30 @@ def _try_eval(f, theta):
     return value if math.isfinite(value) else None
 
 
-def _axis_probe(f, theta, j, h, what):
-    """(h, f(theta + h e_j), f(theta - h e_j)), halving h until both
-    evaluate, e.g. while a probe pushes Omega12 past the
-    positive-definiteness boundary."""
+def _probe(f, theta, coords, steps, signs, what):
+    """f at theta + sum_k s_k h_k e_(coords k), for each sign pattern s in
+    signs, halving every step h_k until all of them evaluate, e.g. while a
+    probe pushes Omega12 past the positive-definiteness boundary.
+
+    Returns
+    -------
+    (list of float, list of float)
+        The steps used and f at each pattern, in the order of signs.
+    """
+    steps = [float(h) for h in steps]
     for _ in range(_SHRINK_ROUNDS):
-        up = theta.copy()
-        down = theta.copy()
-        up[j] += h
-        down[j] -= h
-        f_up = _try_eval(f, up)
-        f_down = _try_eval(f, down)
-        if f_up is not None and f_down is not None:
-            return h, f_up, f_down
-        h *= 0.5
-    raise FiniteDifferenceError(
-        f"{what} probe failed in coordinate {PARAM_NAMES[j]}")
+        values = []
+        for pattern in signs:
+            p = theta.copy()
+            for c, sign, h in zip(coords, pattern, steps):
+                p[c] += sign * h
+            values.append(_try_eval(f, p))
+        if all(v is not None for v in values):
+            return steps, values
+        steps = [0.5 * h for h in steps]
+    noun = "coordinate" if len(coords) == 1 else "coordinates"
+    raise FiniteDifferenceError(f"{what} probe failed in {noun} "
+                                + ", ".join(PARAM_NAMES[c] for c in coords))
 
 
 def fd_gradient(f, at):
@@ -100,14 +112,15 @@ def fd_gradient(f, at):
     theta = at.as_array()
     grad = np.empty(8)
     for j in range(8):
-        h, f_up, f_down = _axis_probe(
-            f, theta, j, _GRAD_STEP * max(1.0, abs(theta[j])), "gradient")
+        (h,), (f_up, f_down) = _probe(
+            f, theta, (j,), (_GRAD_STEP * max(1.0, abs(theta[j])),), _AXIS,
+            "gradient")
         grad[j] = (f_up - f_down) / (2.0 * h)
     return grad
 
 
 def fd_hessian(f, at):
-    """Second-order central-difference Hessian, symmetrized.
+    """Second-order central-difference Hessian, symmetric by construction.
 
     Each coordinate's step starts at 1e-4 * max(1, |theta_j|); the axis
     probe that fixes it also gives the diagonal entry, and every mixed
@@ -121,33 +134,19 @@ def fd_hessian(f, at):
     steps = np.empty(8)
     hess = np.empty((8, 8))
     for j in range(8):
-        h, f_up, f_down = _axis_probe(
-            f, theta, j, _HESS_STEP * max(1.0, abs(theta[j])), "hessian")
+        (h,), (f_up, f_down) = _probe(
+            f, theta, (j,), (_HESS_STEP * max(1.0, abs(theta[j])),), _AXIS,
+            "hessian")
         steps[j] = h
         hess[j, j] = (f_up - 2.0 * f0 + f_down) / (h * h)
 
     for i in range(8):
         for j in range(i + 1, 8):
-            hi, hj = steps[i], steps[j]
-            for _ in range(_SHRINK_ROUNDS):
-                corners = []
-                for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-                    p = theta.copy()
-                    p[i] += si * hi
-                    p[j] += sj * hj
-                    corners.append(_try_eval(f, p))
-                if all(c is not None for c in corners):
-                    hess[i, j] = (corners[0] - corners[1]
-                                  - corners[2] + corners[3]) / (4.0 * hi * hj)
-                    break
-                hi *= 0.5
-                hj *= 0.5
-            else:
-                raise FiniteDifferenceError(
-                    f"hessian probe failed in coordinates "
-                    f"{PARAM_NAMES[i]}, {PARAM_NAMES[j]}")
-            hess[j, i] = hess[i, j]
-    return 0.5 * (hess + hess.T)
+            (hi, hj), c = _probe(f, theta, (i, j), (steps[i], steps[j]),
+                                 _CORNERS, "hessian")
+            hess[i, j] = hess[j, i] = (c[0] - c[1] - c[2] + c[3]) / (
+                4.0 * hi * hj)
+    return hess
 
 
 def _seed_value(seed):
@@ -462,10 +461,10 @@ def _check_sampler_chi2(seed):
 
 
 def _check_singularities():
-    dp_star = DpParams(0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0)
-    einfo = expected_info(dp_star).matrix
-    i88 = abs(einfo[7, 7])
-    det = abs(float(np.linalg.det(einfo)))
+    # I = R'R: I[7, 7] = |R e_8|^2, and det I as det_scan takes it
+    r = _info_factor(DpParams(0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0), None)
+    i88 = float(r[:, 7] @ r[:, 7])
+    det = _det_and_mineig(r)[0]
 
     dp = _DP_SET[0]
     flipped = replace(dp, alpha1=-dp.alpha1, alpha2=-dp.alpha2)

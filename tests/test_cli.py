@@ -97,6 +97,15 @@ def test_overflowing_slant_rejected(runner, tmp_path):
     assert "alpha_star" in result.stderr
 
 
+def test_overflowing_scale_rejected(runner, tmp_path):
+    data = write_csv(tmp_path / "d.csv", [0.0], [0.0])
+    result = runner.invoke(main, ["eval", "loglik", "--dp",
+                                  "0,0,1e160,1e155,1e160,0,0,0",
+                                  "--data", data])
+    assert result.exit_code == 2
+    assert "omega11 omega22" in result.stderr
+
+
 def test_data_required(runner):
     result = runner.invoke(main, ["eval", "loglik", "--dp", IDENTITY])
     assert result.exit_code == 2

@@ -31,6 +31,7 @@ from esn2 import (
     standardize,
 )
 from esn2 import likelihood
+from esn2.cli import _default_starts
 from esn2.expected_info import _FLIP_SIGNS
 from esn2.likelihood import _ROWS, _UPPER, _coefficients, _kernel
 from esn2.model import _residuals
@@ -242,6 +243,29 @@ def test_fit_hands_over_when_loglik_stops_resolving(monkeypatch):
                                     0.1))
     assert result.converged and result.final_score_norm < 1e-6
     assert len(calls) == result.evaluations <= 70
+
+
+def test_fit_falls_back_without_a_second_evaluation(monkeypatch):
+    # from this start on this dataset the Newton polish ends below the
+    # point BFGS ended at; the fit returns that point with the value and
+    # score of the polish's first evaluation there, and evaluates it once
+    data = sample_esn2(DpParams(0, 0, 1, 0.5, 1, 0, 0, 0), 2000, 13)
+    sums = likelihood._sums
+    calls = []
+
+    def counted(dp, data, order):
+        calls.append((dp, order, sums(dp, data, order)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(likelihood, "_sums", counted)
+    result = fit_mle(data, _default_starts(data)[3])
+    polish = next(i for i, (_, order, _) in enumerate(calls) if order == 2)
+    bfgs_end, _, (value, grad, _) = calls[polish]
+    assert len(calls) == result.evaluations > polish + 1
+    assert all(order == 2 for _, order, _ in calls[polish:])
+    assert result.dp_hat == bfgs_end
+    assert result.loglik == value
+    assert result.final_score_norm == np.max(np.abs(grad))
 
 
 @pytest.mark.parametrize("truth", [(0, 0, 1, 0.5, 1, 1.5, -1, 0.5),

@@ -99,6 +99,22 @@ def test_overflowing_slant_is_a_typed_error(call):
         call(OVERFLOWING_SLANT)
 
 
+@pytest.mark.parametrize("dp,exc,match", [
+    # omega11 omega22 = 1e320 overflows; omega12 ** 2 raised OverflowError
+    (DpParams(0, 0, 1e160, 1e155, 1e160, 0, 0, 0), NonFiniteParameter,
+     "omega11 omega22"),
+    # the product is inf, and det = inf was reported as not positive
+    (DpParams(0, 0, 1e200, 0, 1e200, 0, 0, 0), NonFiniteParameter,
+     "omega11 omega22"),
+    # a finite product, but omega12^2 = 1e310 > omega11 omega22
+    (DpParams(0, 0, 1e150, 1e155, 1e150, 0, 0, 0), NonPositiveDefiniteScale,
+     "det"),
+])
+def test_validate_huge_scales(dp, exc, match):
+    with pytest.raises(exc, match=match):
+        validate(dp)
+
+
 def test_dataset_validation():
     d = Dataset(np.array([1.0, 2.0]), np.array([3.0, 4.0]))
     assert d.n == 2

@@ -282,6 +282,15 @@ def test_fast_suite_passes_at_largest_seed():
     assert report.passed, report.summary()
 
 
+def test_full_suite_passes():
+    # the Monte Carlo oracles and the chi-square test run only at "full"
+    report = run_validation_suite(ValidationConfig(level="full"))
+    assert report.passed, report.summary()
+    assert [c.name for c in report.checks] == [
+        "score_vs_fd", "oinfo_vs_fd", "lemma4_vs_cubature", "einfo_vs_mc",
+        "tau0_sn2_reduction", "sampler_chi2", "singularity_structure"]
+
+
 # the corners of the Lemma 4 check's sampled ranges; alpha -> -alpha
 # mirrors Z and leaves T, so alpha1 = 3 stands for alpha1 = -3 as well
 @pytest.mark.parametrize("lam,alpha2,tau", itertools.product(
