@@ -21,7 +21,7 @@ import click
 import numpy as np
 
 from .expectations import CubatureNotConverged
-from .expected_info import SweepSpec, det_scan, expected_info
+from .expected_info import SweepSpec, _info_factor, det_scan, expected_info
 from .likelihood import (FitControls, density_esn2, fit_mle, loglik,
                          observed_info, score)
 from .model import PARAM_NAMES, Dataset, DpParams, moments_esn2, validate
@@ -47,18 +47,19 @@ def _dp_options(f):
     return f
 
 
-def _resolve_dp(dp_tuple, named):
-    """Merge --dp with named flags; disagreement is a usage error."""
+def _resolve_dp(dp_tuple, named, flag="--dp"):
+    """Merge the 8-tuple given as flag with named flags; disagreement is a
+    usage error."""
     values = {}
     if dp_tuple is not None:
         parts = dp_tuple.split(",")
         if len(parts) != 8:
             raise click.UsageError(
-                f"--dp needs 8 comma-separated values, got {len(parts)}")
+                f"{flag} needs 8 comma-separated values, got {len(parts)}")
         try:
             values = {name: float(p) for name, p in zip(PARAM_NAMES, parts)}
         except ValueError as exc:
-            raise click.UsageError(f"--dp: {exc}") from None
+            raise click.UsageError(f"{flag}: {exc}") from None
     for name in PARAM_NAMES:
         given = named.get(name)
         if given is None:
@@ -130,7 +131,7 @@ def _emit(payload, fmt, csv_text):
 _FORMAT = click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
                        default="json", help="output format")
 _DATA = click.option("--data", "data_path", type=click.Path(exists=True),
-                     default=None, help="two-column CSV of observations")
+                     required=True, help="two-column CSV of observations")
 
 
 @click.group()
@@ -147,19 +148,13 @@ def _dp_payload(dp):
     return {name: getattr(dp, name) for name in PARAM_NAMES}
 
 
-def _require_data(data_path):
-    if data_path is None:
-        raise click.UsageError("--data is required for this quantity")
-    return _load_table(data_path)
-
-
 @eval_group.command("density")
 @_dp_options
 @_DATA
 @_FORMAT
 def eval_density(dp_tuple, fmt, data_path, **named):
     dp = _resolve_dp(dp_tuple, named)
-    data = _require_data(data_path)
+    data = _load_table(data_path)
     values = density_esn2(data.y1, data.y2, dp)
     _emit({"dp": _dp_payload(dp), "density": [float(v) for v in values]},
           fmt, "".join(_fmt(v) + "\n" for v in values))
@@ -171,7 +166,7 @@ def eval_density(dp_tuple, fmt, data_path, **named):
 @_FORMAT
 def eval_loglik(dp_tuple, fmt, data_path, **named):
     dp = _resolve_dp(dp_tuple, named)
-    data = _require_data(data_path)
+    data = _load_table(data_path)
     value = loglik(dp, data)
     _emit({"dp": _dp_payload(dp), "loglik": value}, fmt, _fmt(value) + "\n")
 
@@ -182,7 +177,7 @@ def eval_loglik(dp_tuple, fmt, data_path, **named):
 @_FORMAT
 def eval_score(dp_tuple, fmt, data_path, **named):
     dp = _resolve_dp(dp_tuple, named)
-    data = _require_data(data_path)
+    data = _load_table(data_path)
     vec = score(dp, data)
     _emit({"dp": _dp_payload(dp), "score": [float(v) for v in vec]},
           fmt, ",".join(_fmt(v) for v in vec) + "\n")
@@ -194,7 +189,7 @@ def eval_score(dp_tuple, fmt, data_path, **named):
 @_FORMAT
 def eval_oinfo(dp_tuple, fmt, data_path, **named):
     dp = _resolve_dp(dp_tuple, named)
-    data = _require_data(data_path)
+    data = _load_table(data_path)
     info = observed_info(dp, data)
     _emit({"dp": _dp_payload(dp), "kind": info.kind,
            "matrix": info.matrix.tolist()},
@@ -292,13 +287,36 @@ def _default_starts(data):
     return (base, mirror, replace(base, tau=1.0), replace(mirror, tau=1.0))
 
 
+def _std_errors(dp, n):
+    """Standard errors of a fit to n rows at dp, from the triangular factor
+    R of the expected information I = R'R: the row norms of R^-1 / sqrt(n),
+    so I is never formed and its condition number never squared.
+
+    Returns (errors by parameter name, None), or (None, a warning) where
+    I is singular, sigma_min(R)^2 <= 1e-12 sigma_max(R)^2, or its rule
+    does not converge.
+    """
+    try:
+        r = _info_factor(dp, None)
+    except CubatureNotConverged as exc:
+        return None, f"expected information did not converge: {exc}"
+    sigma = np.linalg.svd(r, compute_uv=False)
+    if sigma[-1] ** 2 <= 1e-12 * sigma[0] ** 2:
+        return None, ("expected information is singular at the estimate; "
+                      "no standard errors")
+    errors = np.linalg.norm(np.linalg.inv(r), axis=1) / math.sqrt(n)
+    return dict(zip(PARAM_NAMES, errors.tolist())), None
+
+
 @main.command("fit")
-@click.option("--data", "data_path", type=click.Path(exists=True),
-              required=True, help="two-column CSV of observations")
+@_DATA
 @click.option("--init", "init_tuple", default=None, metavar="T",
               help="starting point, 8 comma-separated values "
                    "(default: the best of four moment-based starts)")
-@click.option("--grad-tol", type=float, default=1e-6, show_default=True)
+@click.option("--grad-tol", type=float, default=1e-6, show_default=True,
+              help="stop below this max |gradient|: per unit of the "
+                   "start's scale for xi, per unit of log omega_ii and "
+                   "atanh lambda, and as is for alpha and tau")
 @click.option("--max-iter", type=int, default=500, show_default=True)
 @click.pass_context
 def fit_cmd(ctx, data_path, init_tuple, grad_tol, max_iter):
@@ -319,27 +337,13 @@ def fit_cmd(ctx, data_path, init_tuple, grad_tol, max_iter):
             raise click.UsageError(f"{data_path}: singular sample covariance,"
                                    f" so no moment start ({exc})") from None
     else:
-        starts = [_resolve_dp(init_tuple, {})]
+        starts = [_resolve_dp(init_tuple, {}, "--init")]
     # the converged fit with the highest log-likelihood; if none
     # converged, the highest one, reported as unconverged
     fits = [fit_mle(data, start, controls) for start in starts]
     result = max(fits, key=lambda r: (r.converged, r.loglik))
 
-    std_errors = None
-    warning = None
-    try:
-        info = expected_info(result.dp_hat).matrix
-        eigs = np.linalg.eigvalsh(info)
-        if eigs[0] <= 1e-12 * max(eigs[-1], 0.0):
-            warning = ("expected information is singular at the estimate; "
-                       "no standard errors")
-        else:
-            std_errors = {
-                name: math.sqrt(v / data.n) for name, v in
-                zip(PARAM_NAMES, np.diag(np.linalg.inv(info)))}
-    except CubatureNotConverged as exc:
-        warning = f"expected information did not converge: {exc}"
-
+    std_errors, warning = _std_errors(result.dp_hat, data.n)
     payload = {"dp_hat": _dp_payload(result.dp_hat),
                "std_errors": std_errors,
                "loglik": result.loglik,

@@ -402,6 +402,10 @@ class FitControls:
 
 @dataclass(frozen=True)
 class FitResult:
+    """What fit_mle returns.  final_score_norm is max |g| of the gradient
+    BFGS stops on, in the internal coordinates: per unit of the start's
+    scale for xi, per unit of log omega_ii and atanh lam, and as is for
+    alpha and tau, so it reads the same at any scale of the data."""
     dp_hat: DpParams
     converged: bool
     final_score_norm: float
@@ -448,19 +452,22 @@ def fit_mle(data, init, controls=FitControls()):
 
     BFGS runs in unconstrained internal coordinates so every iterate has
     a positive definite scale matrix; a Newton polish in theta
-    coordinates then drives the score norm below ``controls.grad_tol``.
-    BFGS stops once its gradient is below n sqrt(eps): near the maximum
-    the rise it can still make, about |g|^2 / n, is then below the
-    rounding of -loglik, about eps n, and its line search could only end
-    in precision loss; the polish works from the score alone.  The
-    locations enter BFGS in units of the start's scale, so that the
-    information per observation is of order one, and the stop holds, at
-    any scale of the data.
+    coordinates then drives the gradient norm below ``controls.grad_tol``.
+    Both read one gradient, max |g| in the internal coordinates: per unit
+    of the start's scale for xi, per unit of log omega_ii and atanh lam,
+    and as is for alpha and tau.  The locations enter in units of the
+    start's scale, a power of two near sqrt(omega_ii), so that the
+    information per observation is of order one, and grad_tol means the
+    same, at any scale of the data.  BFGS stops once its gradient is
+    below n sqrt(eps): near the maximum the rise it can still make, about
+    |g|^2 / n, is then below the rounding of -loglik, about eps n, and
+    its line search could only end in precision loss; the polish works
+    from the score alone.
 
     Returns
     -------
     FitResult
-        ``converged`` is False when the score norm target was not met;
+        ``converged`` is False when the gradient norm target was not met;
         no exception is raised for that.
     """
     validate(init)
@@ -496,9 +503,12 @@ def fit_mle(data, init, controls=FitControls()):
         objective, _to_internal(init, unit), jac=True, method="BFGS",
         options={"maxiter": controls.max_iter, "gtol": gtol})
 
+    def grad_norm(dp, grad):
+        return float(np.max(np.abs(_internal_grad(dp, grad, unit))))
+
     dp = validate(_from_internal(res.x, unit))
     value, grad, hess = sums(dp, 2)
-    norm = float(np.max(np.abs(grad)))
+    norm = grad_norm(dp, grad)
     bfgs_end = dp, value, norm
     for _ in range(50):
         if norm < controls.grad_tol:
@@ -519,7 +529,7 @@ def fit_mle(data, init, controls=FitControls()):
             except (ValueError, ArithmeticError):
                 scale *= 0.5
                 continue
-            cand_norm = float(np.max(np.abs(result[1])))
+            cand_norm = grad_norm(cand, result[1])
             if cand_norm < norm:
                 dp, norm = cand, cand_norm
                 value, grad, hess = result
@@ -528,7 +538,7 @@ def fit_mle(data, init, controls=FitControls()):
         else:
             break
 
-    # the polish tracks the score norm, not the objective; never return a
+    # the polish tracks the gradient norm, not the objective; never return a
     # point below the one BFGS ended at
     if -value > res.fun + 1e-9 * (1.0 + abs(res.fun)):
         dp, value, norm = bfgs_end

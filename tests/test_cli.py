@@ -12,7 +12,8 @@ from click.testing import CliRunner
 
 from esn2 import (Dataset, DpParams, fit_mle, observed_info, sample_esn2,
                   score)
-from esn2.cli import CubatureFailure, main
+from esn2.cli import CubatureFailure, _std_errors, main
+from esn2.expected_info import _info_factor
 
 IDENTITY = "0,0,1,0,1,0,0,0"
 SLANTED = "0,0,1,0.6,1,2,3,1"
@@ -364,6 +365,63 @@ def test_fit_singular_estimate_warns(runner, tmp_path):
     assert payload["converged"] is True
     assert payload["std_errors"] is None
     assert "singular" in payload["warning"]
+
+
+def test_fit_converges_on_data_in_small_units(runner, tmp_path):
+    # the stop reads the internal gradient, which does not grow as the
+    # data's units shrink; the score in theta's units stays above 1e-6 here
+    c = 1e-3
+    y = sample_esn2(DpParams(0, 0, 1, 0.5, 1, 1.5, -1, 0.5), 20000, 7000)
+    data = write_csv(tmp_path / "d.csv", c * y.y1, c * y.y2)
+    init = (0.2 * c, -0.2 * c, 1.3 * c * c, 0.3 * c * c, 0.8 * c * c,
+            1.0, -0.5, 0.1)
+    result = runner.invoke(main, ["fit", "--data", data, "--init",
+                                  ",".join(map(repr, init))])
+    assert result.exit_code == 0
+    payload = json.loads(result.output)
+    assert payload["converged"] is True
+    assert payload["final_score_norm"] < 1e-6
+
+
+@pytest.mark.parametrize("init,message", [
+    ("1,2,3", "--init needs 8 comma-separated values, got 3"),
+    ("0,0,1,0,1,1,1,x", "--init: could not convert"),
+])
+def test_fit_init_errors_name_init(runner, tmp_path, init, message):
+    y = sample_esn2(DpParams(0, 0, 1, 0.5, 1, 1.5, -1, 0.5), 50, 33)
+    data = write_csv(tmp_path / "d.csv", y.y1, y.y2)
+    result = runner.invoke(main, ["fit", "--data", data, "--init", init])
+    assert result.exit_code == 2
+    assert message in result.stderr
+    assert "--dp" not in result.stderr
+
+
+@pytest.mark.parametrize("tau", [0.5, -2.0, -4.0, -5.0])
+def test_std_errors_match_high_precision_inverse(tau):
+    # the row norms of R^-1 against a 50-digit inverse of the same R'R; a
+    # double-precision inverse of R'R is off by up to 3.9e-8 at these points
+    mp = pytest.importorskip("mpmath").mp
+    dp = DpParams(0.3, -0.2, 1.5, -0.4, 0.8, 1, 0.5, tau)
+    errors, warning = _std_errors(dp, 1)
+    assert warning is None
+    with mp.workdps(50):
+        r = mp.matrix(_info_factor(dp, None).tolist())
+        cov = (r.T * r) ** -1
+        want = [float(mp.sqrt(cov[i, i])) for i in range(8)]
+    got = [errors[name] for name in ("xi1", "xi2", "omega11", "omega12",
+                                     "omega22", "alpha1", "alpha2", "tau")]
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("tau,singular", [
+    (0.5, False), (-2.0, False), (-4.0, False), (-6.0, True), (-8.0, True)])
+def test_std_errors_singular_verdicts(tau, singular):
+    # sigma_min(R)^2 / sigma_max(R)^2 against 1e-12: the ratio is 8.3e-13
+    # at tau = -6 and 1.7e-14 at tau = -8
+    dp = DpParams(0.3, -0.2, 1.5, -0.4, 0.8, 1, 0.5, tau)
+    errors, warning = _std_errors(dp, 1000)
+    assert (errors is None) == singular
+    assert (warning is not None and "singular" in warning) == singular
 
 
 def test_fit_nonconvergence_exits_4(runner, tmp_path):

@@ -248,7 +248,9 @@ def test_fit_hands_over_when_loglik_stops_resolving(monkeypatch):
 def test_fit_falls_back_without_a_second_evaluation(monkeypatch):
     # from this start on this dataset the Newton polish ends below the
     # point BFGS ended at; the fit returns that point with the value and
-    # score of the polish's first evaluation there, and evaluates it once
+    # gradient norm of the polish's first evaluation there, and evaluates
+    # it once.  The norm is the internal gradient's, which BFGS stops on;
+    # the start is of unit scale, so its locations' unit is 1
     data = sample_esn2(DpParams(0, 0, 1, 0.5, 1, 0, 0, 0), 2000, 13)
     sums = likelihood._sums
     calls = []
@@ -265,7 +267,8 @@ def test_fit_falls_back_without_a_second_evaluation(monkeypatch):
     assert all(order == 2 for _, order, _ in calls[polish:])
     assert result.dp_hat == bfgs_end
     assert result.loglik == value
-    assert result.final_score_norm == np.max(np.abs(grad))
+    assert result.final_score_norm == np.max(np.abs(
+        likelihood._internal_grad(bfgs_end, grad, (1.0, 1.0))))
 
 
 @pytest.mark.parametrize("truth", [(0, 0, 1, 0.5, 1, 1.5, -1, 0.5),
@@ -290,6 +293,23 @@ def test_fit_of_rescaled_data_takes_the_same_path(truth, c):
                     rtol=0, atol=1e-8)
     assert_allclose(scaled.dp_hat.as_array() / scale,
                     unit.dp_hat.as_array(), rtol=1e-8, atol=1e-8)
+
+
+def test_fit_converges_on_data_in_small_units():
+    # at c = 1e-3 the omega score grows as 1 / c^2, and its rounding floor
+    # on this dataset, about 2e-6, lies above grad_tol; the internal
+    # gradient, which BFGS and the polish both stop on, does not scale
+    c = 1e-3
+    data = sample_esn2(DpParams(0, 0, 1, 0.5, 1, 1.5, -1, 0.5), 20000, 7000)
+    start = DpParams(0.2, -0.2, 1.3, 0.3, 0.8, 1.0, -0.5, 0.1)
+    scale = np.array([c, c, c * c, c * c, c * c, 1, 1, 1])
+    unit = fit_mle(data, start)
+    scaled = fit_mle(Dataset(c * data.y1, c * data.y2),
+                     DpParams.from_array(scale * start.as_array()))
+    assert unit.converged and scaled.converged
+    assert scaled.final_score_norm < 1e-6
+    assert_allclose(scaled.loglik, unit.loglik - 2 * data.n * math.log(c),
+                    rtol=1e-9)
 
 
 @pytest.mark.parametrize("truth,n,seed,max_iter", [
