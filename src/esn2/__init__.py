@@ -4,11 +4,11 @@ The parameter order everywhere is theta = (xi1, xi2, omega11, omega12,
 omega22, alpha1, alpha2, tau).
 """
 
-from .cubature import (CubatureControls, CubatureResult, NonFiniteIntegrand,
-                       integrate_2d)
-from .expectations import (ATerms, CubatureNotConverged, ExpectationSet,
-                           UDistribution, a_terms, expectation_set,
-                           lemma4_expectation, u_distribution)
+from .cubature import (CubatureControls, CubatureNotConverged, CubatureResult,
+                       NonFiniteIntegrand, integrate_2d)
+from .expectations import (ATerms, ExpectationSet, UDistribution, a_terms,
+                           expectation_set, lemma4_expectation,
+                           u_distribution)
 from .expected_info import (SweepRow, SweepSpec, block_structure_check,
                             conditional_independence, det_scan, expected_info,
                             reparam_scalar_info)

@@ -20,9 +20,9 @@ from dataclasses import replace
 import click
 import numpy as np
 
-from .expectations import CubatureNotConverged
+from .cubature import CubatureNotConverged
 from .expected_info import SweepSpec, _info_factor, det_scan, expected_info
-from .likelihood import (FitControls, density_esn2, fit_mle, loglik,
+from .likelihood import (FitControls, _unit, density_esn2, fit_mle, loglik,
                          observed_info, score)
 from .model import PARAM_NAMES, Dataset, DpParams, moments_esn2, validate
 from .validation import RngSeed, ValidationConfig, run_validation_suite
@@ -293,14 +293,18 @@ def _std_errors(dp, n):
     so I is never formed and its condition number never squared.
 
     Returns (errors by parameter name, None), or (None, a warning) where
-    I is singular, sigma_min(R)^2 <= 1e-12 sigma_max(R)^2, or its rule
-    does not converge.
+    I is singular, sigma_min(R D)^2 <= 1e-12 sigma_max(R D)^2, or its rule
+    does not converge.  D = diag(u1, u2, u1^2, u1 u2, u2^2, 1, 1, 1), with
+    u the power-of-two scale of dp (likelihood._unit), takes theta to
+    units of that scale, so the verdict does not depend on the data's.
     """
     try:
         r = _info_factor(dp, None)
     except CubatureNotConverged as exc:
         return None, f"expected information did not converge: {exc}"
-    sigma = np.linalg.svd(r, compute_uv=False)
+    u1, u2 = _unit(dp)
+    d = np.array([u1, u2, u1 * u1, u1 * u2, u2 * u2, 1.0, 1.0, 1.0])
+    sigma = np.linalg.svd(r * d, compute_uv=False)
     if sigma[-1] ** 2 <= 1e-12 * sigma[0] ** 2:
         return None, ("expected information is singular at the estimate; "
                       "no standard errors")

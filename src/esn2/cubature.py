@@ -80,6 +80,10 @@ class NonFiniteIntegrand(ValueError):
     """Integrand returned NaN or infinity at an evaluation point."""
 
 
+class CubatureNotConverged(RuntimeError):
+    """A quadrature rule could not reach its error tolerance."""
+
+
 @dataclass(frozen=True)
 class CubatureControls:
     """Stopping rules for integrate_2d and the Gram rule.

@@ -23,13 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cubature import _gram_rule
+from .cubature import CubatureNotConverged, _gram_rule
 from .model import _alpha_star_sq, _lam, _v_entries, delta_vector, validate
 from .special_fns import zeta
-
-
-class CubatureNotConverged(RuntimeError):
-    """A quadrature rule could not reach its error tolerance."""
 
 
 @dataclass(frozen=True)

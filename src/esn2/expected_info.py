@@ -25,8 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cubature import _gram_rule
-from .expectations import CubatureNotConverged
+from .cubature import CubatureNotConverged, _gram_rule
 from .likelihood import (_COL, _UPPER, InfoMatrix, _coefficients, _contract,
                          _kernel)
 from .model import DpParams, validate

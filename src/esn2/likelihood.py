@@ -10,12 +10,13 @@ first use, so order-0 callers pay for neither and only order-2 callers
 pay for lin.
 
 `_kernel` runs the zeta ladder once over the standardized residuals and
-returns the log density, the score rows and at order 2 the hessian rows,
-for the callers that need each observation: the Gram rule of
-expected_info and the Monte Carlo oracle in validation.  density_esn2
-reads the log density alone, from `_log_density`.
+returns the log density, the score rows and at order 2 the hessian rows.
+The Gram rule of expected_info reads the score rows; the hessian rows are
+the tests' reference for `_sums`.  density_esn2 reads the log density
+alone, from `_log_density`.
 
-loglik, score, observed_info and fit_mle go through `_sums` instead.  It
+loglik, score, observed_info, fit_mle and, through observed_info, the
+Monte Carlo oracle in validation go through `_sums` instead.  It
 sums the log density per row as the kernel forms it, and per block the
 sums of b and the zeta2 term summed over the block's rows, without
 forming a derivative row.  One contraction, `_contract`, applies s_coef
@@ -242,13 +243,12 @@ def _kernel(dp, z1, z2, order):
 
     z1 and z2 are 1-d arrays of standardized residuals (see
     ``model._residuals``); dp is assumed validated.  The rows serve the
-    callers that need each observation: the Gram rule of expected_info
-    (order 1) and the Monte Carlo oracle in validation (order 2), which
-    needs the spread of each entry.  The rows are `_contract` applied to
-    each row's basis 1, z1, z2, z1^2, z2^2, z1 z2, zeta1, z1 zeta1, z2
-    zeta1, as _sums applies it to the basis summed.  The basis spans all
-    the rows given, so callers pass bounded blocks (at most 3,600 rows
-    from one Gram rule, validation._PASS from the oracle).
+    caller that needs each observation, the Gram rule of expected_info
+    (order 1); the order-2 rows are the reference the tests hold _sums
+    to.  The rows are `_contract` applied to each row's basis 1, z1, z2,
+    z1^2, z2^2, z1 z2, zeta1, z1 zeta1, z2 zeta1, as _sums applies it to
+    the basis summed.  The basis spans all the rows given, so callers pass
+    bounded blocks (at most 3,600 rows from one Gram rule).
 
     Returns
     -------
@@ -414,6 +414,15 @@ class FitResult:
     evaluations: int
 
 
+def _unit(dp):
+    """The power of two nearest sqrt(omega_jj), j = 1, 2, in log2: dp's
+    scale on each axis.  fit_mle measures the locations in it, and
+    `esn2 fit` judges the expected information singular in it; a power of
+    two divides exactly, so at unit scale nothing changes."""
+    return tuple(2.0 ** round(0.5 * math.log2(o))
+                 for o in (dp.omega11, dp.omega22))
+
+
 def _to_internal(dp, unit):
     # (xi1/u1, xi2/u2, log O11, atanh lam, log O22, alpha1, alpha2, tau):
     # unconstrained, and every point maps back to a valid dp.  With the
@@ -484,10 +493,8 @@ def fit_mle(data, init, controls=FitControls()):
         calls += 1
         return _sums(dp, data, order)
 
-    # the start's scale stands in for the data's; a power of two divides
-    # exactly, so at a start of unit scale the locations are theta's own
-    unit = tuple(2.0 ** round(0.5 * math.log2(o))
-                 for o in (init.omega11, init.omega22))
+    # the start's scale stands in for the data's
+    unit = _unit(init)
 
     def objective(psi):
         try:

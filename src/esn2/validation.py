@@ -14,10 +14,14 @@ chi-square test of its histogram against Gauss-Legendre cell masses of
 alpha_star^2), is checked against a direct integral of zeta1(T) times
 `density_esn2` on one fixed Gauss-Legendre product grid over the box of
 +-9 marginal sd: 4 panels of 32 nodes on each axis, 16,384 nodes in one
-vectorized call.  The suite compares the routes and reports measured
-maxima instead of raising.  Its points, sample sizes and finite-difference
-steps are fixed; a run chooses only the seed and the level, "fast" or
-"full" with the Monte Carlo oracles and the chi-square test.
+vectorized call.  The Monte Carlo oracles compare expected_info with the
+mean -H per row over fresh draws, read from observed_info on 100 equal
+chunks of the sample, the spread of the chunk means giving the standard
+error: they check the summed hessian path that users call.  The suite
+compares the routes and reports measured maxima instead of raising.  Its
+points, sample sizes and finite-difference steps are fixed; a run chooses
+only the seed and the level, "fast" or "full" with the Monte Carlo
+oracles and the chi-square test.
 """
 
 import math
@@ -30,19 +34,12 @@ from .cubature import _panels
 from .expectations import lemma4_expectation
 from .expected_info import (_FLIP_SIGNS, _det_and_mineig, _info_factor,
                             expected_info)
-from .likelihood import (_COL, _kernel, density_esn2, loglik, observed_info,
-                         score)
+from .likelihood import density_esn2, loglik, observed_info, score
 from .model import (PARAM_NAMES, Dataset, DpParams, _alpha_star_sq,
-                    _conditional_factor, _lam, _residuals, delta_vector,
-                    validate)
+                    _conditional_factor, _lam, delta_vector, validate)
 from .special_fns import zeta
 
 _CHUNK = 65536
-# rows per block of the oracle's hessian rows: over blocks of 32768 the
-# kernel's order-2 temporaries (33 values a row) made the allocator hand the
-# heap back after every call, and a pass over 1e6 rows took 1.7 times as
-# long on a 2-core Xeon, in page faults
-_PASS = 2048
 _SHRINK_ROUNDS = 20
 # the sign patterns of the central difference and of the mixed stencil
 _AXIS = ((1,), (-1,))
@@ -209,6 +206,9 @@ _DP_SET = (
 )
 _FD_OBS = 5
 _MC_DRAWS = 200_000
+# the Monte Carlo oracle's standard error is the spread of this many chunk
+# means of the observed information
+_MC_CHUNKS = 100
 _SAMPLER_DRAWS = 1_000_000
 # sampler_chi2_pvalue's histogram: _CELLS cells a side over [-_SPAN, _SPAN]^2,
 # each cell's mass from _CELL_NODES Gauss-Legendre nodes per axis
@@ -345,35 +345,23 @@ def _check_lemma4(seed):
                        f"{_LEMMA4_POINTS} random points, |tau| <= 2")
 
 
-def _pool_entries(acc, block):
-    """Pool two (count, mean, centred sum of squares) triples, entry by
-    entry, by the weighted update of Chan, Golub & LeVeque (1983)."""
-    n_a, mean_a, sq_a = acc
-    n_b, mean_b, sq_b = block
-    n = n_a + n_b
-    shift = mean_b - mean_a
-    return n, mean_a + shift * (n_b / n), sq_a + sq_b + shift ** 2 * (
-        n_a * n_b / n)
-
-
 def _mc_info_sigmas(dp, einfo_block, data, entries):
     """Per-entry |einfo − MC mean| / MC standard error.
 
-    The hessian rows are formed _PASS at a time and each block's means and
-    centred sums of squares pooled, so memory does not grow with the
-    sample.
+    The sample is cut into _MC_CHUNKS equal chunks, and each chunk's mean
+    -H per row read from observed_info; the MC mean is the mean of these,
+    and its standard error their spread over sqrt(_MC_CHUNKS).
     """
-    z1, z2 = _residuals(dp, data.y1, data.y2)
-    cols = [_COL[r, c] for r, c in entries]
-    acc = (0, 0.0, 0.0)
-    for lo in range(0, data.n, _PASS):
-        hess = _kernel(dp, z1[lo:lo + _PASS], z2[lo:lo + _PASS], 2)[2][:, cols]
-        mean = hess.mean(axis=0)
-        hess -= mean
-        acc = _pool_entries(
-            acc, (len(hess), -mean, np.einsum("ij,ij->j", hess, hess)))
-    n, mean, sq = acc
-    se = np.sqrt(sq / (n - 1) / n)
+    if data.n % _MC_CHUNKS:
+        raise ValueError(f"{data.n} rows do not split into {_MC_CHUNKS} "
+                         "equal chunks")
+    m = data.n // _MC_CHUNKS
+    rows, cols = zip(*entries)
+    chunks = np.array([
+        observed_info(dp, Dataset(data.y1[lo:lo + m], data.y2[lo:lo + m]))
+        .matrix[rows, cols] for lo in range(0, data.n, m)]) / m
+    mean = chunks.mean(axis=0)
+    se = chunks.std(axis=0, ddof=1) / math.sqrt(_MC_CHUNKS)
     sigmas = np.empty(len(entries))
     for k, rc in enumerate(entries):
         diff = einfo_block[rc] - mean[k]

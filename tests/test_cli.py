@@ -424,6 +424,22 @@ def test_std_errors_singular_verdicts(tau, singular):
     assert (warning is not None and "singular" in warning) == singular
 
 
+@pytest.mark.parametrize("c", [1e-3, 1e3])
+def test_std_errors_scale_with_the_data(c):
+    # xi scaled by c and Omega by c^2: the verdict is judged in units of
+    # the fit's scale, so the errors are there and scale with c.  In theta's
+    # units sigma_min(R)^2 / sigma_max(R)^2 reads 2.9e-16 at c = 1e-3 and
+    # 6.4e-14 at c = 1e3, against 1.6e-4 at c = 1
+    truth = np.array([0, 0, 1, 0.5, 1, 1.5, -1, 0.5])
+    scale = np.array([c, c, c * c, c * c, c * c, 1, 1, 1])
+    base, _ = _std_errors(DpParams.from_array(truth), 1000)
+    errors, warning = _std_errors(DpParams.from_array(scale * truth), 1000)
+    assert warning is None
+    np.testing.assert_allclose(list(errors.values()),
+                               scale * list(base.values()), rtol=1e-12,
+                               atol=0)
+
+
 def test_fit_nonconvergence_exits_4(runner, tmp_path):
     truth = DpParams(0, 0, 1, 0.5, 1, 1.5, -1, 0.5)
     y = sample_esn2(truth, 200, 32)

@@ -214,25 +214,33 @@ def test_sampler_any_tau(tau):
     assert p > 1e-3
 
 
-def test_mc_sigmas_stream_matches_all_rows():
-    # the oracle pools blocks of hessian rows; the reference forms them all
-    # at once, over 34 full blocks of 2048 rows and a part.  A sigma is the
+def test_mc_sigmas_match_kernel_chunk_means():
+    # the oracle reads each chunk's mean -H from observed_info; the
+    # reference sums the kernel's order-2 rows per chunk.  A sigma is the
     # difference of einfo / se and mean / se, so it is compared relative to
     # those
     dp = DpParams(0.3, -0.2, 1.5, -0.4, 0.8, -1.0, 2.0, -0.7)
-    data = sample_esn2(dp, 2 * _ROWS + 4465, RngSeed(7))
+    data = sample_esn2(dp, 100 * 700, RngSeed(7))
     einfo = expected_info(dp).matrix
     block = {rc: einfo[rc] for rc in _UPPER_36}
     rows = _kernel(dp, *_residuals(dp, data.y1, data.y2), 2)[2]
+    chunks = -rows.reshape(100, 700, 36).mean(axis=1)
     want = np.empty(len(_UPPER_36))
     scale = np.empty(len(_UPPER_36))
     for k, (r, c) in enumerate(_UPPER_36):
-        draws = -rows[:, _COL[r, c]]
-        se = np.std(draws, ddof=1) / math.sqrt(data.n)
-        want[k] = abs(block[(r, c)] - np.mean(draws)) / se
-        scale[k] = (abs(block[(r, c)]) + abs(np.mean(draws))) / se
+        means = chunks[:, _COL[r, c]]
+        se = np.std(means, ddof=1) / math.sqrt(100)
+        want[k] = abs(block[(r, c)] - np.mean(means)) / se
+        scale[k] = (abs(block[(r, c)]) + abs(np.mean(means))) / se
     got = _mc_info_sigmas(dp, block, data, _UPPER_36)
     assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+def test_mc_sigmas_need_equal_chunks():
+    dp = DpParams(0.3, -0.2, 1.5, -0.4, 0.8, -1.0, 2.0, -0.7)
+    data = sample_esn2(dp, 100 * 700 + 1, RngSeed(7))
+    with pytest.raises(ValueError, match="equal chunks"):
+        _mc_info_sigmas(dp, {(0, 0): 1.0}, data, [(0, 0)])
 
 
 def test_sampler_chi2_pvalue():
