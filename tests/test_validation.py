@@ -31,7 +31,7 @@ from esn2 import (
     score,
     zeta,
 )
-from esn2.likelihood import _COL, _ROWS, _kernel
+from esn2.likelihood import _COL, _kernel
 from esn2.model import _alpha_star_sq, _residuals, delta_vector
 from esn2.validation import (_UPPER_36, _check_lemma4, _lemma4_by_cubature,
                              _mc_info_sigmas, _truncated_normal)
