@@ -5,7 +5,10 @@ versions of the package compare with one command each:
 
     PYTHONPATH=src python scripts/fit_outcomes.py [SET ...] [--records F]
 
---records F writes one JSON line per fit, for a fit-by-fit diff.  Sets:
+--records F writes one JSON line per fit, for a fit-by-fit diff: its
+flag, loglik, evaluations, gradient norm, dp_hat and the ratio
+lambda_min / lambda_max of observed_info(dp_hat, data), which is near
+zero or negative where the fit ended on a boundary or a saddle.  Sets:
 A, the bench fit truths x sample_esn2(truth, 2e4, 5000 + s), s = 1-20,
 from criterion 10's start; C, the acceptance tests' three chi-square
 truths x n in {500, 2000} x seeds 100-139, from each of
@@ -21,7 +24,7 @@ import os
 
 import numpy as np
 
-from esn2 import Dataset, DpParams, fit_mle, sample_esn2
+from esn2 import Dataset, DpParams, fit_mle, observed_info, sample_esn2
 from esn2.cli import _default_starts
 
 FIT_TRUTHS = ((0, 0, 1, 0.5, 1, 1.5, -1, 0.5), (0, 0, 1, 0.6, 1, 2, 3, 1))
@@ -76,10 +79,15 @@ def main():
                 count += 1
                 converged += r.converged
                 calls += r.evaluations
-                print(json.dumps({"set": name, "fit": label,
-                                  "converged": r.converged, "loglik": r.loglik,
-                                  "evaluations": r.evaluations,
-                                  "norm": r.final_score_norm}), file=records)
+                if args.records:
+                    eig = np.linalg.eigvalsh(
+                        observed_info(r.dp_hat, data).matrix)
+                    print(json.dumps({
+                        "set": name, "fit": label, "converged": r.converged,
+                        "loglik": r.loglik, "evaluations": r.evaluations,
+                        "norm": r.final_score_norm,
+                        "dp_hat": r.dp_hat.as_array().tolist(),
+                        "eig_ratio": eig[0] / eig[-1]}), file=records)
             print(f"{name}: fits {count}, converged {converged}, "
                   f"evaluations {calls}, sha256 {digest.hexdigest()[:16]}")
 

@@ -194,13 +194,18 @@ def _det_and_mineig(r):
     The sweeps walk straight into near-singular territory where the
     determinant ranges over hundreds of orders of magnitude.  R is
     triangular, so det(I) = prod r_jj^2, accumulated in log space; the
-    smallest eigenvalue is sigma_min(R)^2.  Neither can be negative.
+    smallest eigenvalue is sigma_min(R)^2.  Neither can be negative.  A
+    determinant past the largest double, as at omega_ii = 1e-60, is inf,
+    as one below the smallest, at omega_ii = 1e60, is 0.0.
     """
     diag = np.abs(np.diag(r))
     if np.any(diag == 0.0):
         return 0.0, 0.0
     min_eig = float(np.linalg.svd(r, compute_uv=False)[-1]) ** 2
-    return math.exp(2.0 * float(np.sum(np.log(diag)))), min_eig
+    try:
+        return math.exp(2.0 * float(np.sum(np.log(diag)))), min_eig
+    except OverflowError:
+        return math.inf, min_eig
 
 
 def _scan_row(spec, value, tol):

@@ -410,7 +410,7 @@ class FitResult:
     converged: bool
     final_score_norm: float
     loglik: float
-    # calls of _sums the fit made: objective evaluations and polish steps
+    # calls of _sums the fit made, by BFGS's objective and the Newton finish
     evaluations: int
 
 
@@ -460,18 +460,21 @@ def fit_mle(data, init, controls=FitControls()):
     """Maximum likelihood fit by quasi-Newton ascent with analytic score.
 
     BFGS runs in unconstrained internal coordinates so every iterate has
-    a positive definite scale matrix; a Newton polish in theta
-    coordinates then drives the gradient norm below ``controls.grad_tol``.
-    Both read one gradient, max |g| in the internal coordinates: per unit
-    of the start's scale for xi, per unit of log omega_ii and atanh lam,
-    and as is for alpha and tau.  The locations enter in units of the
-    start's scale, a power of two near sqrt(omega_ii), so that the
-    information per observation is of order one, and grad_tol means the
-    same, at any scale of the data.  BFGS stops once its gradient is
-    below n sqrt(eps): near the maximum the rise it can still make, about
-    |g|^2 / n, is then below the rounding of -loglik, about eps n, and
-    its line search could only end in precision loss; the polish works
-    from the score alone.
+    a positive definite scale matrix; a Newton finish in theta
+    coordinates then climbs the same loglik until the gradient norm is
+    below ``controls.grad_tol``.  It steps only where the observed
+    information is positive definite, so it stops at a saddle or where
+    |alpha| runs to the truncated-normal boundary.  Both read one
+    gradient, max |g| in the internal coordinates: per unit of the
+    start's scale for xi, per unit of log omega_ii and atanh lam, and as
+    is for alpha and tau.  The locations enter in units of the start's
+    scale, a power of two near sqrt(omega_ii), so that the information
+    per observation is of order one, and grad_tol means the same, at any
+    scale of the data.  BFGS stops once its gradient is below n sqrt(eps):
+    near the maximum the rise it can still make, about |g|^2 / n, is then
+    below the rounding of -loglik, about eps n, and its line search could
+    only end in precision loss, where the finish still resolves the
+    gradient.
 
     Returns
     -------
@@ -504,8 +507,8 @@ def fit_mle(data, init, controls=FitControls()):
         value, grad = sums(dp, 1)
         return -float(value), -_internal_grad(dp, grad, unit)
 
-    gtol = max(0.01 * controls.grad_tol,
-               data.n * math.sqrt(np.finfo(float).eps))
+    eps = np.finfo(float).eps
+    gtol = max(0.01 * controls.grad_tol, data.n * math.sqrt(eps))
     res = scipy.optimize.minimize(
         objective, _to_internal(init, unit), jac=True, method="BFGS",
         options={"maxiter": controls.max_iter, "gtol": gtol})
@@ -516,14 +519,16 @@ def fit_mle(data, init, controls=FitControls()):
     dp = validate(_from_internal(res.x, unit))
     value, grad, hess = sums(dp, 2)
     norm = grad_norm(dp, grad)
-    bfgs_end = dp, value, norm
     for _ in range(50):
         if norm < controls.grad_tol:
             break
+        # a Newton step climbs only where -hess is positive definite
         try:
+            np.linalg.cholesky(-hess)
             step = np.linalg.solve(-hess, grad)
         except np.linalg.LinAlgError:
             break
+        slope = grad @ step
         scale = 1.0
         for _ in range(30):
             # a step that overflows the evaluation, as |alpha| -> inf
@@ -536,19 +541,19 @@ def fit_mle(data, init, controls=FitControls()):
             except (ValueError, ArithmeticError):
                 scale *= 0.5
                 continue
+            # Armijo's rise in loglik; where the change is below loglik's
+            # rounding, a fall in the gradient norm instead
+            rise = result[0] - value
             cand_norm = grad_norm(cand, result[1])
-            if cand_norm < norm:
+            if (rise >= 1e-4 * scale * slope
+                    or (abs(rise) <= 4.0 * eps * abs(value)
+                        and cand_norm < norm)):
                 dp, norm = cand, cand_norm
                 value, grad, hess = result
                 break
             scale *= 0.5
         else:
             break
-
-    # the polish tracks the gradient norm, not the objective; never return a
-    # point below the one BFGS ended at
-    if -value > res.fun + 1e-9 * (1.0 + abs(res.fun)):
-        dp, value, norm = bfgs_end
 
     return FitResult(dp_hat=dp, converged=norm < controls.grad_tol,
                      final_score_norm=norm, loglik=float(value),

@@ -62,7 +62,8 @@ class DpParams:
 
 @dataclass(frozen=True)
 class StandardizedState:
-    """Per-observation standardized quantities shared by the derivatives."""
+    """One observation's standardized residuals z1, z2, lam, alpha_star^2,
+    alpha0 and the cdf argument t, as `standardize` returns them."""
     z1: float
     z2: float
     lam: float

@@ -238,6 +238,20 @@ def test_det_scan_single_point(runner):
     assert cells[4] == "true"
 
 
+def test_det_scan_huge_information(runner):
+    # the determinant overflows a double at omega_ii = 1e-60; the row
+    # reads inf and the command succeeds
+    result = runner.invoke(main, ["det-scan", "--dp",
+                                  "0,0,1e-60,0,1e-60,1,0,0", "--sweep",
+                                  "alpha1", "--from", "1", "--to", "1",
+                                  "--points", "1"])
+    assert result.exit_code == 0
+    cells = result.output.strip().splitlines()[1].split(",")
+    assert cells[2] == "inf"
+    assert math.isfinite(float(cells[3]))
+    assert cells[4] == "true"
+
+
 def test_det_scan_writes_file(runner, tmp_path):
     out = tmp_path / "scan.csv"
     result = runner.invoke(main, ["det-scan", "--dp", "0,0,1,0,1,1,0,0",

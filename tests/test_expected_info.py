@@ -277,6 +277,20 @@ def test_det_scan_exact_zero_on_grid():
     assert rows[0].det == rows[2].det
 
 
+def test_det_scan_huge_information_is_inf():
+    # at omega_ii = 1e-60 the log-determinant, about 1086, is past the
+    # largest double's 709.8; the row is inf, as at omega_ii = 1e60 it
+    # underflows to 0.0, and the smallest eigenvalue is still resolved
+    base = DpParams(0, 0, 1e-60, 0, 1e-60, 1, 0, 0)
+    row, = det_scan(SweepSpec("alpha1", (1.0,), base))
+    assert row.converged
+    assert row.det == math.inf
+    assert 0.0 < row.min_eigenvalue < math.inf
+    tiny, = det_scan(SweepSpec("alpha1", (1.0,), replace(
+        base, omega11=1e60, omega22=1e60)))
+    assert tiny.converged and tiny.det == 0.0
+
+
 def test_det_scan_records_cubature_failure():
     base = DpParams(0, 0, 1, 0.6, 1, 2, 3, 1)
     spec = SweepSpec("alpha1", (2.0,), base)

@@ -20,6 +20,7 @@ from esn2 import (
     DpParams,
     FitControls,
     InfoMatrix,
+    NonPositiveDefiniteScale,
     density_esn2,
     expected_info,
     fd_gradient,
@@ -229,7 +230,7 @@ def test_fit_hands_over_when_loglik_stops_resolving(monkeypatch):
     # from criterion 10's start on this dataset the score is below 1e-4 by
     # about the 45th evaluation; BFGS's line searches would then spend
     # about 40 more on values they cannot tell apart (116 in all) before
-    # stopping with precision loss, and the Newton polish finishes instead
+    # stopping with precision loss, and the Newton finish ends it instead
     data = sample_esn2(DpParams(0, 0, 1, 0.6, 1, 2, 3, 1), 20000, 5)
     sums = likelihood._sums
     calls = []
@@ -245,30 +246,45 @@ def test_fit_hands_over_when_loglik_stops_resolving(monkeypatch):
     assert len(calls) == result.evaluations <= 70
 
 
-def test_fit_falls_back_without_a_second_evaluation(monkeypatch):
-    # from this start on this dataset the Newton polish ends below the
-    # point BFGS ended at; the fit returns that point with the value and
-    # gradient norm of the polish's first evaluation there, and evaluates
-    # it once.  The norm is the internal gradient's, which BFGS stops on;
-    # the start is of unit scale, so its locations' unit is 1
+def test_fit_finish_never_falls_below_bfgs_end(monkeypatch):
+    # from this start on this dataset BFGS ends at alpha near (4.9e6,
+    # 1.1e6), where the observed information is numerically singular, so
+    # the finish stops at once.  It climbs loglik, so it never ends below
+    # the point BFGS reached
     data = sample_esn2(DpParams(0, 0, 1, 0.5, 1, 0, 0, 0), 2000, 13)
     sums = likelihood._sums
-    calls = []
+    values = []
 
-    def counted(dp, data, order):
-        calls.append((dp, order, sums(dp, data, order)))
-        return calls[-1][2]
+    def recorded(dp, data, order):
+        result = sums(dp, data, order)
+        if order == 2:
+            values.append(result[0])
+        return result
 
-    monkeypatch.setattr(likelihood, "_sums", counted)
+    monkeypatch.setattr(likelihood, "_sums", recorded)
     result = fit_mle(data, _default_starts(data)[3])
-    polish = next(i for i, (_, order, _) in enumerate(calls) if order == 2)
-    bfgs_end, _, (value, grad, _) = calls[polish]
-    assert len(calls) == result.evaluations > polish + 1
-    assert all(order == 2 for _, order, _ in calls[polish:])
-    assert result.dp_hat == bfgs_end
-    assert result.loglik == value
-    assert result.final_score_norm == np.max(np.abs(
-        likelihood._internal_grad(bfgs_end, grad, (1.0, 1.0))))
+    assert result.loglik >= values[0]
+    assert result.evaluations <= 300
+
+
+def test_fit_finish_stops_at_a_saddle():
+    # from this start BFGS ends near the alpha = 0 stationary point, where
+    # -hess is not positive definite, so the finish takes no Newton step
+    data = sample_esn2(DpParams(0, 0, 1, 0.5, 1, 0, 0, 0), 2000, 6)
+    result = fit_mle(data, _default_starts(data)[1])
+    assert result.evaluations <= 100
+
+
+def test_fit_is_not_converged_on_the_truncation_boundary():
+    # from this start BFGS runs out to alpha near (3.6e6, 4.5e6), toward
+    # the boundary where the ESN becomes a truncated normal and the
+    # observed information is numerically singular.  A Newton step there
+    # could shrink the gradient without a rise in loglik; such a point is
+    # not a maximum
+    data = sample_esn2(DpParams(0.3, -0.2, 1.5, -0.4, 0.8, -1, 2, -0.7),
+                       500, 111)
+    result = fit_mle(data, _default_starts(data)[1])
+    assert not result.converged
 
 
 @pytest.mark.parametrize("truth", [(0, 0, 1, 0.5, 1, 1.5, -1, 0.5),
@@ -298,7 +314,7 @@ def test_fit_of_rescaled_data_takes_the_same_path(truth, c):
 def test_fit_converges_on_data_in_small_units():
     # at c = 1e-3 the omega score grows as 1 / c^2, and its rounding floor
     # on this dataset, about 2e-6, lies above grad_tol; the internal
-    # gradient, which BFGS and the polish both stop on, does not scale
+    # gradient, which BFGS and the finish both stop on, does not scale
     c = 1e-3
     data = sample_esn2(DpParams(0, 0, 1, 0.5, 1, 1.5, -1, 0.5), 20000, 7000)
     start = DpParams(0.2, -0.2, 1.3, 0.3, 0.8, 1.0, -0.5, 0.1)
@@ -319,10 +335,12 @@ def test_fit_converges_on_data_in_small_units():
     ((0, 0, 1, 0.6, 1, 2, 3, 1), 2000, 101, 0),
 ])
 def test_fit_polish_rejects_overflowing_steps(truth, n, seed, max_iter):
-    # from criterion 10's start a Newton step of the polish sends |alpha|
-    # past 1e154 on these datasets, where alpha_star^2 overflows; the
-    # polish halves such a step rather than raise or warn.  max_iter = 0
-    # hands the start to the polish whatever BFGS would do.
+    # from criterion 10's start on these datasets, -hess is not positive
+    # definite at the point handed to the finish, where a Newton step can
+    # send |alpha| past 1e154 and alpha_star^2 overflow.  The finish takes
+    # no step there; whatever it does, it must not raise or warn, nor end
+    # below the start.  max_iter = 0 hands the start to the finish
+    # whatever BFGS would do.
     data = sample_esn2(DpParams(*truth), n, seed)
     start = DpParams(0.2, -0.2, 1.3, 0.3, 0.8, 1.0, -0.5, 0.1)
     result = fit_mle(data, start, FitControls(max_iter=max_iter))
@@ -330,6 +348,35 @@ def test_fit_polish_rejects_overflowing_steps(truth, n, seed, max_iter):
     assert math.isfinite(result.final_score_norm)
     assert_allclose(result.loglik, loglik(result.dp_hat, data), rtol=1e-12)
     assert result.loglik >= loglik(start, data)
+
+
+def test_fit_finish_halves_a_step_out_of_the_parameter_space(monkeypatch):
+    # after 10 BFGS iterations on this small dataset a full Newton step of
+    # the finish makes Omega singular; the finish halves it and goes on
+    data = sample_esn2(DpParams(0, 0, 1, 0.5, 1, 1.5, -1, 0.5), 60, 115)
+    sums, validate = likelihood._sums, likelihood.validate
+    orders, rejected = [], []
+
+    def counted_sums(dp, data, order):
+        orders.append(order)
+        return sums(dp, data, order)
+
+    def counted_validate(dp):
+        try:
+            return validate(dp)
+        except ValueError as exc:
+            if 2 in orders:
+                rejected.append(exc)
+            raise
+
+    monkeypatch.setattr(likelihood, "_sums", counted_sums)
+    monkeypatch.setattr(likelihood, "validate", counted_validate)
+    start = DpParams(0.2, -0.2, 1.3, 0.3, 0.8, 1.0, -0.5, 0.1)
+    result = fit_mle(data, start, FitControls(max_iter=10))
+    assert rejected
+    assert all(isinstance(exc, NonPositiveDefiniteScale) for exc in rejected)
+    assert result.converged
+    assert_allclose(result.loglik, loglik(result.dp_hat, data), rtol=1e-12)
 
 
 def _mp_loglik(mp, theta, data):
