@@ -12,8 +12,9 @@ from .expectations import (ATerms, ExpectationSet, UDistribution, a_terms,
 from .expected_info import (SweepRow, SweepSpec, block_structure_check,
                             conditional_independence, det_scan, expected_info,
                             reparam_scalar_info)
-from .likelihood import (FitControls, FitResult, InfoMatrix, density_esn2,
-                         fit_mle, loglik, observed_info, score)
+from .likelihood import (FitControls, FitResult, InfoMatrix, NonFiniteStart,
+                         density_esn2, fit_mle, loglik, observed_info,
+                         score)
 from .model import (PARAM_NAMES, Dataset, DpParams, NonFiniteParameter,
                     NonPositiveDefiniteScale, cgf_esn2, density_esn1,
                     moments_esn2, standardize, validate)
@@ -27,7 +28,8 @@ __all__ = [
     "ATerms", "CheckResult", "CubatureControls", "CubatureNotConverged",
     "CubatureResult", "Dataset", "DpParams", "ExpectationSet",
     "FiniteDifferenceError", "FitControls", "FitResult", "InfoMatrix",
-    "NonFiniteIntegrand", "NonFiniteParameter", "NonPositiveDefiniteScale",
+    "NonFiniteIntegrand", "NonFiniteParameter", "NonFiniteStart",
+    "NonPositiveDefiniteScale",
     "PARAM_NAMES", "RngSeed", "SweepRow", "SweepSpec", "UDistribution",
     "ValidationConfig", "ValidationReport", "a_terms",
     "block_structure_check", "cgf_esn2", "conditional_independence",

@@ -22,9 +22,10 @@ import numpy as np
 
 from .cubature import CubatureNotConverged
 from .expected_info import SweepSpec, _info_factor, det_scan, expected_info
-from .likelihood import (FitControls, _unit, density_esn2, fit_mle, loglik,
-                         observed_info, score)
-from .model import PARAM_NAMES, Dataset, DpParams, moments_esn2, validate
+from .likelihood import (FitControls, NonFiniteStart, _unit, density_esn2,
+                         fit_mle, loglik, observed_info, score)
+from .model import (PARAM_NAMES, Dataset, DpParams, NonFiniteParameter,
+                    moments_esn2, validate)
 from .validation import RngSeed, ValidationConfig, run_validation_suite
 
 
@@ -261,15 +262,17 @@ def _moment_start(data):
 
     The Gaussian fit with alpha = 0, tau = 0 is an exact stationary
     point of the likelihood (the alpha = 0 singularity), so the slant
-    starts at a skewness-informed kick instead of zero.
+    starts at a skewness-informed kick instead of zero.  Where the data's
+    moments overflow, the start is not finite, which validate reports.
     """
-    cov = np.cov(np.vstack([data.y1, data.y2]), ddof=1)
-    alphas = []
-    for col in (data.y1, data.y2):
-        resid = col - np.mean(col)
-        sd = float(np.std(resid))
-        skew = float(np.mean(resid ** 3)) / sd ** 3 if sd > 0.0 else 0.0
-        alphas.append(float(np.clip(3.0 * skew, -2.0, 2.0)) or 0.1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = np.cov(np.vstack([data.y1, data.y2]), ddof=1)
+        alphas = []
+        for col in (data.y1, data.y2):
+            resid = col - np.mean(col)
+            sd = float(np.std(resid))
+            skew = float(np.mean(resid ** 3)) / sd ** 3 if sd > 0.0 else 0.0
+            alphas.append(float(np.clip(3.0 * skew, -2.0, 2.0)) or 0.1)
     return DpParams(float(np.mean(data.y1)), float(np.mean(data.y2)),
                     float(cov[0, 0]), float(cov[0, 1]), float(cov[1, 1]),
                     alphas[0], alphas[1], 0.0)
@@ -321,7 +324,10 @@ def _std_errors(dp, n):
               help="stop below this max |gradient|: per unit of the "
                    "start's scale for xi, per unit of log omega_ii and "
                    "atanh lambda, and as is for alpha and tau")
-@click.option("--max-iter", type=int, default=500, show_default=True)
+@click.option("--max-iter", type=int, default=500, show_default=True,
+              help="BFGS iterations on each level of rows: from 16,384 "
+                   "rows the fit climbs strided quarter-samples of at "
+                   "least 4,096 rows before all rows")
 @click.pass_context
 def fit_cmd(ctx, data_path, init_tuple, grad_tol, max_iter):
     """Maximum likelihood fit; standard errors from the expected info."""
@@ -337,6 +343,10 @@ def fit_cmd(ctx, data_path, init_tuple, grad_tol, max_iter):
         starts = _default_starts(data)
         try:
             validate(starts[0])
+        except NonFiniteParameter as exc:
+            raise click.UsageError(f"{data_path}: the sample moments "
+                                   f"overflow, so no moment start ({exc})"
+                                   ) from None
         except ValueError as exc:
             raise click.UsageError(f"{data_path}: singular sample covariance,"
                                    f" so no moment start ({exc})") from None
@@ -344,7 +354,10 @@ def fit_cmd(ctx, data_path, init_tuple, grad_tol, max_iter):
         starts = [_resolve_dp(init_tuple, {}, "--init")]
     # the converged fit with the highest log-likelihood; if none
     # converged, the highest one, reported as unconverged
-    fits = [fit_mle(data, start, controls) for start in starts]
+    try:
+        fits = [fit_mle(data, start, controls) for start in starts]
+    except NonFiniteStart as exc:
+        raise click.UsageError(f"{data_path}: {exc}") from None
     result = max(fits, key=lambda r: (r.converged, r.loglik))
 
     std_errors, warning = _std_errors(result.dp_hat, data.n)

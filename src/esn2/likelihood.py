@@ -40,7 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DpParams, _alpha_star_sq, _lam, _residuals, validate
+from .model import (Dataset, DpParams, _alpha_star_sq, _lam, _residuals,
+                    validate)
 # zeta is not called here; bench/ reads it as esn2.likelihood.zeta
 from .special_fns import zeta, zeta_pair  # noqa: F401
 
@@ -53,6 +54,11 @@ _INFO_KINDS = ("observed", "expected")
 # per row as blocks of this size, mostly in page faults on them, and blocks
 # of 8192 paid more in per-call overhead
 _ROWS = 32768
+
+# fit_mle's coarse-to-fine levels: strides 4, 16, ... of the rows, each
+# level keeping at least _FLOOR rows, so that only n >= 4 _FLOOR rows fit on
+# more than one level
+_FLOOR = 4096
 
 # the 36 hessian entries (r, c), r <= c, as kernel columns: _COL[r, c] and
 # _COL[c, r] both index entry (r, c), so h[_COL] is the symmetric matrix
@@ -400,6 +406,10 @@ class FitControls:
             raise ValueError(f"max_iter {self.max_iter} is negative")
 
 
+class NonFiniteStart(ValueError):
+    """The log-likelihood at a fit's start is not finite on the data."""
+
+
 @dataclass(frozen=True)
 class FitResult:
     """What fit_mle returns.  final_score_norm is max |g| of the gradient
@@ -410,8 +420,12 @@ class FitResult:
     converged: bool
     final_score_norm: float
     loglik: float
-    # calls of _sums the fit made, by BFGS's objective and the Newton finish
+    # calls of _sums the fit made, on every level: the start's check, BFGS's
+    # objective and the Newton finish
     evaluations: int
+    # (rows, calls) per level, rows strictly increasing to n; the calls on
+    # all rows include the finish's.  The calls sum to evaluations
+    levels: tuple
 
 
 def _unit(dp):
@@ -456,23 +470,57 @@ def _internal_grad(dp, grad_theta, unit):
     return g
 
 
+def _levels(data):
+    """The datasets fit_mle's BFGS runs on, coarse to fine: y[::4^k] for
+    k = K, ..., 1, K the largest with n // 4^K >= _FLOOR, then all rows.
+    A fixed stride draws no random stream."""
+    parts, stride = [data], 4
+    while data.n // stride >= _FLOOR:
+        parts.insert(0, Dataset(data.y1[::stride], data.y2[::stride]))
+        stride *= 4
+    return parts
+
+
+def _handover(hess_inv, ratio):
+    """One level's inverse hessian from BFGS, symmetrised and scaled by
+    ratio, the previous level's rows over this one's, to start the next;
+    None, the identity, where it is not positive definite."""
+    # the test scipy applies to hess_inv0, which would raise on failure
+    import scipy.linalg
+
+    h = 0.5 * (hess_inv + hess_inv.T) * ratio
+    try:
+        scipy.linalg.cholesky(h)
+    except (np.linalg.LinAlgError, ValueError):
+        return None
+    return h
+
+
 def fit_mle(data, init, controls=FitControls()):
     """Maximum likelihood fit by quasi-Newton ascent with analytic score.
 
     BFGS runs in unconstrained internal coordinates so every iterate has
     a positive definite scale matrix; a Newton finish in theta
-    coordinates then climbs the same loglik until the gradient norm is
-    below ``controls.grad_tol``.  It steps only where the observed
-    information is positive definite, so it stops at a saddle or where
-    |alpha| runs to the truncated-normal boundary.  Both read one
+    coordinates then climbs the same loglik on all rows until the
+    gradient norm is below ``controls.grad_tol``.  It steps only where the
+    observed information is positive definite, so it stops at a saddle or
+    where |alpha| runs to the truncated-normal boundary.  Both read one
     gradient, max |g| in the internal coordinates: per unit of the
     start's scale for xi, per unit of log omega_ii and atanh lam, and as
     is for alpha and tau.  The locations enter in units of the start's
     scale, a power of two near sqrt(omega_ii), so that the information
     per observation is of order one, and grad_tol means the same, at any
-    scale of the data.  BFGS stops once its gradient is below n sqrt(eps):
-    near the maximum the rise it can still make, about |g|^2 / n, is then
-    below the rounding of -loglik, about eps n, and its line search could
+    scale of the data.
+
+    From n >= 4 * 4096 rows BFGS climbs coarse to fine: first on the
+    strided rows y[::4^K], K the largest that keeps at least 4,096 rows,
+    then on y[::4^(K-1)] and so on to all rows (`_levels`).  Each level
+    starts where the one before ended, from its inverse hessian scaled by
+    the ratio of their rows, and runs up to ``controls.max_iter``
+    iterations.  Below 16,384 rows there is one level, all rows.  On each
+    level BFGS stops once its gradient is below rows sqrt(eps): near the
+    maximum the rise it can still make, about |g|^2 / rows, is then below
+    the rounding of -loglik, about eps rows, and its line search could
     only end in precision loss, where the finish still resolves the
     gradient.
 
@@ -481,6 +529,12 @@ def fit_mle(data, init, controls=FitControls()):
     FitResult
         ``converged`` is False when the gradient norm target was not met;
         no exception is raised for that.
+
+    Raises
+    ------
+    NonFiniteStart
+        loglik at ``init`` on all rows is not finite, as where the data
+        overflow the start's scale; checked before any level runs.
     """
     validate(init)
     if data.n < 5:
@@ -489,35 +543,55 @@ def fit_mle(data, init, controls=FitControls()):
     # only the fit needs scipy.optimize, which costs every command's start-up
     import scipy.optimize
 
-    calls = 0
+    parts = _levels(data)
+    calls = {part.n: 0 for part in parts}
 
-    def sums(dp, order):
-        nonlocal calls
-        calls += 1
-        return _sums(dp, data, order)
+    def sums(dp, part, order):
+        calls[part.n] += 1
+        if sum(calls.values()) > 1:
+            return _sums(dp, part, order)
+        # the first call of all reads loglik at the start on all rows: BFGS's
+        # first where all rows are the one level, else an order-0 call
+        # ahead of the levels.  Overflow there is the error raised, not a
+        # warning
+        with np.errstate(all="ignore"):
+            result = _sums(dp, part, order)
+        if not math.isfinite(result[0]):
+            raise NonFiniteStart(f"log-likelihood at the start {init} is "
+                                 f"{result[0]}, not finite")
+        return result
+
+    if len(parts) > 1:
+        sums(init, data, 0)
 
     # the start's scale stands in for the data's
     unit = _unit(init)
 
-    def objective(psi):
+    def objective(psi, part):
         try:
             dp = validate(_from_internal(psi, unit))
         except (ValueError, OverflowError):
             return np.inf, np.zeros(8)
-        value, grad = sums(dp, 1)
+        value, grad = sums(dp, part, 1)
         return -float(value), -_internal_grad(dp, grad, unit)
 
     eps = np.finfo(float).eps
-    gtol = max(0.01 * controls.grad_tol, data.n * math.sqrt(eps))
-    res = scipy.optimize.minimize(
-        objective, _to_internal(init, unit), jac=True, method="BFGS",
-        options={"maxiter": controls.max_iter, "gtol": gtol})
+    psi, hess_inv = _to_internal(init, unit), None
+    for k, part in enumerate(parts):
+        if k:
+            hess_inv = _handover(res.hess_inv, parts[k - 1].n / part.n)
+        res = scipy.optimize.minimize(
+            objective, psi, args=(part,), jac=True, method="BFGS",
+            options={"maxiter": controls.max_iter, "hess_inv0": hess_inv,
+                     "gtol": max(0.01 * controls.grad_tol,
+                                 part.n * math.sqrt(eps))})
+        psi = res.x
 
     def grad_norm(dp, grad):
         return float(np.max(np.abs(_internal_grad(dp, grad, unit))))
 
-    dp = validate(_from_internal(res.x, unit))
-    value, grad, hess = sums(dp, 2)
+    dp = validate(_from_internal(psi, unit))
+    value, grad, hess = sums(dp, data, 2)
     norm = grad_norm(dp, grad)
     for _ in range(50):
         if norm < controls.grad_tol:
@@ -537,7 +611,7 @@ def fit_mle(data, init, controls=FitControls()):
                 cand = validate(DpParams.from_array(dp.as_array()
                                                     + scale * step))
                 with np.errstate(over="raise", invalid="raise"):
-                    result = sums(cand, 2)
+                    result = sums(cand, data, 2)
             except (ValueError, ArithmeticError):
                 scale *= 0.5
                 continue
@@ -557,4 +631,5 @@ def fit_mle(data, init, controls=FitControls()):
 
     return FitResult(dp_hat=dp, converged=norm < controls.grad_tol,
                      final_score_norm=norm, loglik=float(value),
-                     evaluations=calls)
+                     evaluations=sum(calls.values()),
+                     levels=tuple(calls.items()))

@@ -314,6 +314,21 @@ def test_fit_rejects_singular_sample_covariance(runner, tmp_path, column):
     assert "sample covariance" in result.stderr
 
 
+def test_fit_names_data_that_overflow(runner, tmp_path):
+    # at 1e200 the sample moments overflow, so there is no moment start,
+    # and loglik at a given start is -inf: both are bad input, named as such
+    data = write_csv(tmp_path / "d.csv", 1e200 * np.arange(10.0),
+                     np.arange(10.0))
+    result = runner.invoke(main, ["fit", "--data", data])
+    assert result.exit_code == 2
+    assert "sample moments overflow" in result.stderr
+    result = runner.invoke(main, ["fit", "--data", data, "--init",
+                                  "0.2,-0.2,1.3,0.3,0.8,1.0,-0.5,0.1"])
+    assert result.exit_code == 2
+    assert "log-likelihood at the start DpParams(xi1=0.2" in result.stderr
+    assert "not finite" in result.stderr
+    assert result.stdout == ""
+
 def test_byte_order_mark_keeps_first_row(runner, tmp_path):
     plain = write_csv(tmp_path / "plain.csv", A_Y1, A_Y2)
     bom = tmp_path / "bom.csv"

@@ -20,6 +20,7 @@ from esn2 import (
     DpParams,
     FitControls,
     InfoMatrix,
+    NonFiniteStart,
     NonPositiveDefiniteScale,
     density_esn2,
     expected_info,
@@ -34,7 +35,8 @@ from esn2 import (
 from esn2 import likelihood
 from esn2.cli import _default_starts
 from esn2.expected_info import _FLIP_SIGNS
-from esn2.likelihood import _ROWS, _UPPER, _coefficients, _kernel
+from esn2.likelihood import (_FLOOR, _ROWS, _UPPER, _coefficients,
+                             _kernel, _levels)
 from esn2.model import _residuals
 
 POINT_A = DpParams(0, 0, 1, 0.6, 1, 2, 3, 1)
@@ -377,6 +379,81 @@ def test_fit_finish_halves_a_step_out_of_the_parameter_space(monkeypatch):
     assert all(isinstance(exc, NonPositiveDefiniteScale) for exc in rejected)
     assert result.converged
     assert_allclose(result.loglik, loglik(result.dp_hat, data), rtol=1e-12)
+
+
+CRIT10_START = DpParams(0.2, -0.2, 1.3, 0.3, 0.8, 1.0, -0.5, 0.1)
+
+
+@pytest.fixture(scope="module")
+def levels_fit():
+    # the first dataset of scripts/fit_outcomes.py's set A
+    data = sample_esn2(DpParams(0, 0, 1, 0.5, 1, 1.5, -1, 0.5), 20000, 5001)
+    return data, fit_mle(data, CRIT10_START)
+
+
+def test_fit_on_levels_reaches_the_direct_fits_maximum(levels_fit):
+    # the loglik of the fit on all rows alone, without the 5,000-row level
+    data, result = levels_fit
+    assert result.converged and result.final_score_norm < 1e-6
+    assert_allclose(result.loglik, -49707.14682906586, rtol=1e-10, atol=0)
+
+
+def test_fit_records_calls_per_level(levels_fit, monkeypatch):
+    data, result = levels_fit
+    rows = [r for r, _ in result.levels]
+    assert rows == [5000, 20000]
+    assert sum(c for _, c in result.levels) == result.evaluations
+    # each level's calls read that level's rows, the finish's all rows
+    sums, seen = likelihood._sums, []
+
+    def counted(dp, part, order):
+        seen.append(part.n)
+        return sums(dp, part, order)
+
+    monkeypatch.setattr(likelihood, "_sums", counted)
+    again = fit_mle(data, CRIT10_START)
+    assert tuple((r, seen.count(r)) for r in rows) == again.levels
+
+
+@pytest.mark.parametrize("n,rows", [
+    (16383, [16383]), (16384, [4096, 16384]), (20000, [5000, 20000]),
+    (10 ** 6, [15625, 62500, 250000, 10 ** 6])])
+def test_levels_keep_at_least_the_floor(n, rows):
+    data = Dataset(np.arange(n, dtype=float), np.zeros(n))
+    parts = _levels(data)
+    assert [p.n for p in parts] == rows
+    assert parts[-1] is data and rows[0] >= min(n, _FLOOR)
+    # strided rows, all of them from the first
+    assert np.array_equal(parts[0].y1, data.y1[::n // rows[0]])
+
+
+def test_fit_on_levels_is_reproducible(levels_fit):
+    data, result = levels_fit
+    assert fit_mle(data, CRIT10_START) == result
+
+
+def test_fit_on_levels_passes_the_bench_check_at_the_third_truth():
+    # from criterion 10's start a fit on all rows alone reports converged
+    # at a local maximum with 2 (loglik - loglik(truth)) = -1146; the
+    # 5,000-row level leads it to the maximum
+    truth = DpParams(0.3, -0.2, 1.5, -0.4, 0.8, -1, 2, -0.7)
+    data = sample_esn2(truth, 20000, 7000)
+    result = fit_mle(data, CRIT10_START)
+    assert result.converged
+    assert 2.0 * (result.loglik - loglik(truth, data)) >= -1e-6
+
+
+@pytest.mark.parametrize("n,bad", [(10, slice(None)), (16384, 1)])
+def test_fit_rejects_a_start_with_non_finite_loglik(n, bad):
+    # rows that overflow at the start's scale make loglik -inf there.  At
+    # n = 16384 the one such row lies outside the 4,096-row level, so only
+    # a check on all rows before the levels finds it
+    y1 = np.arange(n, dtype=float)
+    y1[bad] *= 1e200
+    data = Dataset(y1, np.arange(n, dtype=float) % 10)
+    with pytest.raises(NonFiniteStart, match="start DpParams") as err:
+        fit_mle(data, CRIT10_START)
+    assert isinstance(err.value, ValueError)
 
 
 def _mp_loglik(mp, theta, data):
