@@ -4,8 +4,7 @@ The parameter order everywhere is theta = (xi1, xi2, omega11, omega12,
 omega22, alpha1, alpha2, tau).
 """
 
-from .cubature import (CubatureControls, CubatureNotConverged, CubatureResult,
-                       NonFiniteIntegrand, integrate_2d)
+from .cubature import CubatureControls, CubatureNotConverged
 from .expectations import (ATerms, ExpectationSet, UDistribution, a_terms,
                            expectation_set, lemma4_expectation,
                            u_distribution)
@@ -26,16 +25,15 @@ from .validation import (CheckResult, FiniteDifferenceError, RngSeed,
 
 __all__ = [
     "ATerms", "CheckResult", "CubatureControls", "CubatureNotConverged",
-    "CubatureResult", "Dataset", "DpParams", "ExpectationSet",
-    "FiniteDifferenceError", "FitControls", "FitResult", "InfoMatrix",
-    "NonFiniteIntegrand", "NonFiniteParameter", "NonFiniteStart",
-    "NonPositiveDefiniteScale",
+    "Dataset", "DpParams", "ExpectationSet", "FiniteDifferenceError",
+    "FitControls", "FitResult", "InfoMatrix", "NonFiniteParameter",
+    "NonFiniteStart", "NonPositiveDefiniteScale",
     "PARAM_NAMES", "RngSeed", "SweepRow", "SweepSpec", "UDistribution",
     "ValidationConfig", "ValidationReport", "a_terms",
     "block_structure_check", "cgf_esn2", "conditional_independence",
     "density_esn1", "density_esn2", "det_scan", "expectation_set",
     "expected_info", "fd_gradient", "fd_hessian", "fit_mle",
-    "integrate_2d", "lemma4_expectation", "loglik", "moments_esn2",
+    "lemma4_expectation", "loglik", "moments_esn2",
     "observed_info", "reparam_scalar_info", "run_validation_suite",
     "sample_esn2", "sampler_chi2_pvalue", "score", "standardize",
     "std_normal_cdf", "std_normal_pdf", "u_distribution", "validate",

@@ -79,9 +79,19 @@ def _resolve_dp(dp_tuple, named, flag="--dp"):
         raise click.UsageError(str(exc)) from None
 
 
+def _is_number(cell):
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def _load_table(path):
     """Two-column CSV to Dataset; optional header; row-numbered errors.
 
+    Row 1 is a header when none of its cells is a number; a row 1 with a
+    number in it is data, and a bad cell there is an error like any other.
     Rows are numbered among the non-empty ones, the header included, and
     converted as they are read, so no row is held as text.
     """
@@ -90,12 +100,9 @@ def _load_table(path):
     # utf-8-sig drops a byte-order mark, which would make row 1 a header
     with open(path, newline="", encoding="utf-8-sig") as handle:
         for k, row in enumerate(filter(None, csv.reader(handle)), start=1):
-            if k == 1:
-                try:
-                    [float(cell) for cell in row]
-                except ValueError:
-                    header = True
-                    continue
+            if k == 1 and not any(map(_is_number, row)):
+                header = True
+                continue
             if len(row) != 2:
                 raise click.UsageError(
                     f"{path} row {k}: expected 2 columns, got {len(row)}")

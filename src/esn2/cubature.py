@@ -1,7 +1,6 @@
 """Every quadrature of the package: a positive-weight Gram rule for
-expectations of outer products under the standardized model, the
-Gauss-Legendre panels it and the validation grids are built from, and
-adaptive cubature over rectangles.
+expectations of outer products under the standardized model, and the
+Gauss-Legendre panels it and the validation grids are built from.
 
 The Gram rule integrates E[b(Z) b(Z)'] for a row function b of the
 standardized bivariate extended skew-normal Z, as A'A, where row k of A is
@@ -25,22 +24,11 @@ construction.
 edges.  Three rules take their nodes from it: the Gram rule's X axis, and
 in validation the chi-square test's cell masses and the Lemma 4 check's
 product grid, 4 panels of 32 nodes on each axis of a box of +-9 marginal
-sd.
-
-The adaptive cubature applies a degree-7 rule with an embedded degree-5
-companion on [-1, 1]^2, scaled to subrectangles.  The rule difference
-drives a priority queue: the region with the largest error estimate is
-split at the midpoint of its longer axis (ties broken toward the x axis,
-queue ties by insertion order), so a given integrand always refines the
-same way and results are bitwise reproducible.  Integrands receive
-ndarray arguments and must evaluate elementwise; worst regions are popped
-in small batches so one integrand call covers all their rule points.  No
-production path calls it: the tests keep it as the oracle, independent of
-the fixed rules, that those rules are checked against.
+sd.  The tests check these fixed rules against SciPy's adaptive cubature
+(tests/oracles.py), which shares nothing with them.
 """
 
 import functools
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -49,36 +37,6 @@ import numpy as np
 from .model import _alpha_star_sq, _lam
 from .special_fns import LOG_RT2PI, zeta_pair
 
-_L2 = math.sqrt(9.0 / 70.0)
-_L3 = math.sqrt(9.0 / 10.0)
-_L5 = math.sqrt(9.0 / 19.0)
-
-# Point layout: center; +-l2 on each axis; +-l3 on each axis; the four
-# (+-l3, +-l3) combinations; the four (+-l5, +-l5) corners.
-_PTS_X = np.array([0.0, _L2, -_L2, 0.0, 0.0, _L3, -_L3, 0.0, 0.0,
-                   _L3, _L3, -_L3, -_L3, _L5, _L5, -_L5, -_L5])
-_PTS_Y = np.array([0.0, 0.0, 0.0, _L2, -_L2, 0.0, 0.0, _L3, -_L3,
-                   _L3, -_L3, _L3, -_L3, _L5, -_L5, _L5, -_L5])
-
-_W7 = np.array([-15264.0 / 19683]
-               + [3920.0 / 6561] * 4
-               + [4080.0 / 19683] * 4
-               + [800.0 / 19683] * 4
-               + [6859.0 / 19683] * 4)
-# The degree-5 companion reuses the first 13 points; corners get zero weight.
-_W5 = np.array([-3884.0 / 729]
-               + [980.0 / 486] * 4
-               + [130.0 / 729] * 4
-               + [100.0 / 729] * 4
-               + [0.0] * 4)
-
-_RULE_SIZE = 17
-_MAX_BATCH = 16
-
-
-class NonFiniteIntegrand(ValueError):
-    """Integrand returned NaN or infinity at an evaluation point."""
-
 
 class CubatureNotConverged(RuntimeError):
     """A quadrature rule could not reach its error tolerance."""
@@ -86,139 +44,16 @@ class CubatureNotConverged(RuntimeError):
 
 @dataclass(frozen=True)
 class CubatureControls:
-    """Stopping rules for integrate_2d and the Gram rule.
+    """Stopping rules for the Gram rule (expected_info, det_scan and
+    a_terms).
 
-    For integrate_2d, max_evals counts integrand evaluations.  For the
-    Gram rule (expected_info, det_scan and a_terms) it counts rule nodes,
-    3 per X node, summed over the rules tried, and rel_tol and abs_tol
-    bound the gap between the last two rules.
+    max_evals counts rule nodes, 3 per X node, summed over the rules
+    tried, and rel_tol and abs_tol bound the gap between the last two
+    rules.
     """
     rel_tol: float = 1e-6
     abs_tol: float = 1e-12
     max_evals: int = 1_000_000
-
-
-@dataclass(frozen=True)
-class CubatureResult:
-    """Integral estimate with its accumulated error bound.
-
-    converged is True only when error_estimate <= max(abs_tol,
-    rel_tol * |value|) within the evaluation budget.
-    """
-    value: float
-    error_estimate: float
-    evals: int
-    converged: bool
-
-
-def _eval_regions(f, regions):
-    """Apply the rule pair to each (ax, bx, ay, by); one integrand call."""
-    k = len(regions)
-    xs = np.empty(k * _RULE_SIZE)
-    ys = np.empty(k * _RULE_SIZE)
-    for i, (ax, bx, ay, by) in enumerate(regions):
-        cx, hx = 0.5 * (ax + bx), 0.5 * (bx - ax)
-        cy, hy = 0.5 * (ay + by), 0.5 * (by - ay)
-        sl = slice(i * _RULE_SIZE, (i + 1) * _RULE_SIZE)
-        xs[sl] = cx + hx * _PTS_X
-        ys[sl] = cy + hy * _PTS_Y
-    vals = np.asarray(f(xs, ys), dtype=float)
-    if vals.shape != xs.shape:
-        raise ValueError(
-            f"integrand returned shape {vals.shape}, expected {xs.shape}")
-    if not np.all(np.isfinite(vals)):
-        j = int(np.flatnonzero(~np.isfinite(vals))[0])
-        raise NonFiniteIntegrand(
-            f"integrand is not finite at ({xs[j]!r}, {ys[j]!r})")
-    vals = vals.reshape(k, _RULE_SIZE)
-    out = []
-    for i, (ax, bx, ay, by) in enumerate(regions):
-        scale = 0.25 * (bx - ax) * (by - ay)
-        i7 = scale * float(vals[i] @ _W7)
-        i5 = scale * float(vals[i] @ _W5)
-        out.append((i7, abs(i7 - i5)))
-    return out
-
-
-def integrate_2d(f, lower, upper, controls=None):
-    """Integrate f over the rectangle [lower[0], upper[0]] x [lower[1], upper[1]].
-
-    Parameters
-    ----------
-    f : callable
-        f(x, y) with ndarray arguments, returning elementwise values of the
-        same shape.  Must be finite at every evaluation point.
-    lower, upper : sequence of 2 floats
-        Rectangle corners, finite with upper > lower componentwise.
-    controls : CubatureControls, optional
-
-    Returns
-    -------
-    CubatureResult
-        Budget exhaustion is reported through converged=False with the best
-        available estimate, never an exception.
-    """
-    controls = controls or CubatureControls()
-    ax, ay = float(lower[0]), float(lower[1])
-    bx, by = float(upper[0]), float(upper[1])
-    if not all(map(math.isfinite, (ax, ay, bx, by))):
-        raise ValueError("integration bounds must be finite")
-    if not (bx > ax and by > ay):
-        raise ValueError("upper bounds must exceed lower bounds")
-
-    # A single coarse pass can mistake a localized integrand for zero (all
-    # 17 points miss the mass, so value and error both come back ~0), so
-    # adaptation starts from a fixed 4x4 partition of the rectangle.
-    gx = np.linspace(ax, bx, 5)
-    gy = np.linspace(ay, by, 5)
-    initial = [(gx[i], gx[i + 1], gy[j], gy[j + 1])
-               for i in range(4) for j in range(4)]
-    results = _eval_regions(f, initial)
-    evals = len(initial) * _RULE_SIZE
-    value = 0.0
-    total_err = 0.0
-    heap = []
-    counter = 0
-    for region, (rval, rerr) in zip(initial, results):
-        value += rval
-        total_err += rerr
-        heap.append((-rerr, counter, region, rval, rerr))
-        counter += 1
-    heapq.heapify(heap)
-
-    def done():
-        return total_err <= max(controls.abs_tol,
-                                controls.rel_tol * abs(value))
-
-    while not done() and heap:
-        budget = (controls.max_evals - evals) // (2 * _RULE_SIZE)
-        if budget <= 0:
-            break
-        take = min(_MAX_BATCH, budget, len(heap))
-        parents = [heapq.heappop(heap) for _ in range(take)]
-        children = []
-        for _, _, (pax, pbx, pay, pby), _, _ in parents:
-            if pbx - pax >= pby - pay:
-                mid = 0.5 * (pax + pbx)
-                children.append((pax, mid, pay, pby))
-                children.append((mid, pbx, pay, pby))
-            else:
-                mid = 0.5 * (pay + pby)
-                children.append((pax, pbx, pay, mid))
-                children.append((pax, pbx, mid, pby))
-        results = _eval_regions(f, children)
-        evals += len(children) * _RULE_SIZE
-        for (_, _, _, pval, perr) in parents:
-            value -= pval
-            total_err -= perr
-        for region, (cval, cerr) in zip(children, results):
-            value += cval
-            total_err += cerr
-            heapq.heappush(heap, (-cerr, counter, region, cval, cerr))
-            counter += 1
-
-    return CubatureResult(value=value, error_estimate=total_err,
-                          evals=evals, converged=done())
 
 
 # X = delta* V + W / den, V ~ N(0, 1) truncated to V > -tau, W ~ N(0, 1) and
@@ -305,7 +140,7 @@ def _x_rule(tau, alpha_star, n):
              if alpha_star > 0.0 else [])
     edges = np.array([lo, *(k for k in knees if lo < k < hi), hi])
     x, w = _panels(edges, n)
-    # zeta0(t) - zeta0(tau), with t - tau formed as the kernel forms it
+    # zeta0(t) - zeta0(tau), with t - tau formed as _log_density forms it
     h = tau * alpha_star * alpha_star / (1.0 + den) + alpha_star * x
     return x, (np.log(w) - 0.5 * x * x - LOG_RT2PI
                + zeta_pair(tau, h, 0)[1][0])

@@ -11,9 +11,10 @@ E[zeta1(T)^2 B B'], B = (1, Z1, Z2), integrated here by the same
 positive-weight rule that gives the expected information.
 
 These are the paper's route to the expected information, which they reach
-through the kernel's hessian coefficients as E[-H] (expected_info._assemble).
-Production takes it by a Gram rule over the score rows (`expected_info`);
-this module and the assembly are kept as the oracle that rule is checked by.
+through the likelihood's hessian coefficients as E[-H]
+(expected_info._assemble).  Production takes it by a Gram rule over the
+score rows (`expected_info`); this module and the assembly are kept as the
+oracle that rule is checked by.
 The a-terms share the rule's nodes but not its integrand, so the check
 still sets the closed forms and the assembly against the score rows.
 """

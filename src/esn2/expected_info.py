@@ -10,11 +10,11 @@ from the singular values of R: the condition number of I is never
 squared, and a determinant is never negative.
 
 The paper's route, closed-form expectations plus the a-terms
-(`expectation_set`) applied to the kernel's hessian coefficients as
+(`expectation_set`) applied to the likelihood's hessian coefficients as
 E[-H] (`_assemble`), is kept as the oracle the rule's E[s s'] is tested
 against; it does not run in production.  It is the contraction that
-observed_info applies to sample sums and the kernel to its rows, through
-the one helper likelihood._contract.  Also here: the scalar
+observed_info applies to sample sums and likelihood._score_rows to its
+rows, through the one helper likelihood._contract.  Also here: the scalar
 reparameterization rule, the conditional-independence and
 block-structure predicates, and grid sweeps of the determinant used to
 map where the matrix degenerates.
@@ -27,7 +27,7 @@ import numpy as np
 
 from .cubature import CubatureNotConverged, _gram_rule
 from .likelihood import (_COL, _UPPER, InfoMatrix, _coefficients, _contract,
-                         _kernel)
+                         _score_rows)
 from .model import DpParams, validate
 from .special_fns import zeta
 
@@ -40,7 +40,7 @@ _FLIP_SIGNS = np.array([-1.0, -1.0, 1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
 
 def _assemble(dp, es):
     """The paper's expected information -E[h] from an expectation set: the
-    kernel's hessian coefficients contracted with E[1, Z, Z Z'] and
+    likelihood's hessian coefficients contracted with E[1, Z, Z Z'] and
     E[(1, Z) zeta1(T)], and grad t = G (1, Z) with E[(1, Z)(1, Z)'
     zeta2(T)], by the `_contract` that observed_info applies to sample
     sums."""
@@ -55,11 +55,6 @@ def _assemble(dp, es):
              es.e_zeta2 - zeta(2, dp.tau))
     h = _contract(coef, e_lin, es.e_zeta1 - zeta(1, dp.tau), zeta2)[1]
     return -h[_COL]
-
-
-def _score_rows(dp, z1, z2):
-    """The score rows s(z), one per node: the Gram rule's b for I."""
-    return _kernel(dp, z1, z2, 1)[1]
 
 
 def _info_factor(dp, tol):

@@ -9,20 +9,20 @@ The record holds what the log density reads and builds s_coef and lin on
 first use, so order-0 callers pay for neither and only order-2 callers
 pay for lin.
 
-`_kernel` runs the zeta ladder once over the standardized residuals and
-returns the log density, the score rows and at order 2 the hessian rows.
-The Gram rule of expected_info reads the score rows; the hessian rows are
-the tests' reference for `_sums`.  density_esn2 reads the log density
-alone, from `_log_density`.
+`_score_rows` runs the zeta ladder once over the standardized residuals
+and returns the score rows, one per row of residuals: the b the Gram rule
+of expected_info integrates.  density_esn2 reads the log density alone,
+from `_log_density`.
 
 loglik, score, observed_info, fit_mle and, through observed_info, the
-Monte Carlo oracle in validation go through `_sums` instead.  It
-sums the log density per row as the kernel forms it, and per block the
-sums of b and the zeta2 term summed over the block's rows, without
-forming a derivative row.  One contraction, `_contract`, applies s_coef
-and lin, and writes the tau entries, for the kernel's rows, for these
-sums and for the paper's expectations in expected_info._assemble; a test
-holds that E[-H] to the Gram rule's E[s s'], read from the score rows.
+Monte Carlo oracle in validation go through `_sums` instead.  It sums the
+log density per row and per block the sums of b and the zeta2 term summed
+over the block's rows, without forming a derivative row.  One
+contraction, `_contract`, applies s_coef and lin, and writes the tau
+entries, for the score rows, for these sums and for the paper's
+expectations in expected_info._assemble; a test holds that E[-H] to the
+Gram rule's E[s s'], read from the score rows, and the tests' hessian
+rows (tests/oracles.py) are the reference for `_sums`.
 
 All derivatives are taken with respect to the direct parameter vector
 theta = (xi1, xi2, omega11, omega12, omega22, alpha1, alpha2, tau).  The
@@ -60,7 +60,7 @@ _ROWS = 32768
 # more than one level
 _FLOOR = 4096
 
-# the 36 hessian entries (r, c), r <= c, as kernel columns: _COL[r, c] and
+# the 36 hessian entries (r, c), r <= c, as packed columns: _COL[r, c] and
 # _COL[c, r] both index entry (r, c), so h[_COL] is the symmetric matrix
 _UPPER = np.triu_indices(8)
 _COL = np.empty((8, 8), dtype=int)
@@ -167,7 +167,7 @@ class _Coefficients:
 
     @functools.cached_property
     def lin(self):
-        """H_N + zeta1(t) grad^2 t on b, (36, 9) in the kernel's columns,
+        """H_N + zeta1(t) grad^2 t on b, (36, 9) in packed columns,
         read-only.  Built on first use: only order-2 callers read it, and
         it costs about twice as much as s_coef."""
         dp, lam = self.dp, self.lam
@@ -228,7 +228,7 @@ def _coefficients(dp):
 
 
 def _log_density(coef, z1, z2, order):
-    """What _kernel and _sums both form per row, from the record coef.
+    """What _score_rows and _sums both form per row, from the record coef.
 
     Returns the log density (n,); the zeta ladder at t and its differences
     from tau to the given order (see zeta_pair); and z1^2, z2^2 and
@@ -244,38 +244,23 @@ def _log_density(coef, z1, z2, order):
     return log_f, at, diff, (z1sq, z2sq, z12)
 
 
-def _kernel(dp, z1, z2, order):
-    """Per-observation log density and its derivatives, order 1 or 2.
+def _score_rows(dp, z1, z2):
+    """Per-observation score rows (n, 8), ordered as theta.
 
     z1 and z2 are 1-d arrays of standardized residuals (see
     ``model._residuals``); dp is assumed validated.  The rows serve the
-    caller that needs each observation, the Gram rule of expected_info
-    (order 1); the order-2 rows are the reference the tests hold _sums
-    to.  The rows are `_contract` applied to each row's basis 1, z1, z2,
-    z1^2, z2^2, z1 z2, zeta1, z1 zeta1, z2 zeta1, as _sums applies it to
-    the basis summed.  The basis spans all the rows given, so callers pass
+    caller that needs each observation, the Gram rule of expected_info.
+    They are `_contract` applied to each row's basis 1, z1, z2, z1^2,
+    z2^2, z1 z2, zeta1, z1 zeta1, z2 zeta1, as _sums applies it to the
+    basis summed.  The basis spans all the rows given, so callers pass
     bounded blocks (at most 3,600 rows from one Gram rule).
-
-    Returns
-    -------
-    list of ndarray
-        The log density (n,) and the score rows (n, 8), ordered as theta;
-        with order 2 also the hessian rows (n, 36), column _COL[r, c]
-        holding entry (r, c).
     """
     coef = _coefficients(dp)
-    log_f, at, diff, (z1sq, z2sq, z12) = _log_density(coef, z1, z2, order)
+    _, at, diff, (z1sq, z2sq, z12) = _log_density(coef, z1, z2, 1)
     zeta1 = at[1]
     basis = np.stack([np.ones_like(z1), z1, z2, z1sq, z2sq, z12, zeta1,
                       z1 * zeta1, z2 * zeta1])
-    zeta2 = None
-    if order == 2:
-        # zeta2 g_i g_j from the rows of g = grad t, not expanded in z,
-        # where (c + a z)^2 can cancel
-        g = coef.s_coef[:, 6:] @ basis[:3]
-        gz = g * at[2]
-        zeta2 = (at[2], gz[_UPPER[0]] * g[_UPPER[1]], diff[2])
-    return [log_f, *(a.T for a in _contract(coef, basis, diff[1], zeta2))]
+    return _contract(coef, basis, diff[1])[0].T
 
 
 def _contract(coef, m, diff1, zeta2=None):
@@ -283,14 +268,14 @@ def _contract(coef, m, diff1, zeta2=None):
 
     m is b per row (9, n), its sums (9,) or its expectations, and diff1
     the matching zeta1(t) - zeta1(tau).  zeta2 is (w, gg, diff2): zeta2(t),
-    the zeta2 term zeta2(t) grad t grad t' in kernel columns, and zeta2(t)
+    the zeta2 term zeta2(t) grad t grad t' in packed columns, and zeta2(t)
     - zeta2(tau), each matching m.
 
     Returns
     -------
     list of ndarray
         The score s_coef @ m, (8, ...); with zeta2 also the hessian lin @ m
-        + gg, (36, ...) in kernel columns, so that h[_COL] is symmetric.
+        + gg, (36, ...) in packed columns, so that h[_COL] is symmetric.
         The tau entries are den zeta1(t) - zeta1(tau) and den^2 zeta2(t) -
         zeta2(tau), which vanish as alpha -> 0 without cancellation.
     """
@@ -307,7 +292,7 @@ def _contract(coef, m, diff1, zeta2=None):
 def _sums(dp, data, order):
     """Log-likelihood and, by order, score (8,) and hessian (8, 8) at dp.
 
-    The log density is formed per row as the kernel forms it and summed,
+    The log density is formed per row by _log_density and summed,
     _ROWS rows at a time.  The derivatives are never formed per row: each
     block adds its sums of B = (1, z1, z2) as B B' and B zeta1(t), and of
     the zeta differences from tau; for order 2 also its zeta2 term, the sum

@@ -11,6 +11,7 @@ import time
 import numpy as np
 
 from conftest import MASTER_SEED, philox, random_dp
+from oracles import integrate_2d
 from esn2 import (
     CubatureControls,
     Dataset,
@@ -22,7 +23,6 @@ from esn2 import (
     fd_gradient,
     fd_hessian,
     fit_mle,
-    integrate_2d,
     lemma4_expectation,
     loglik,
     moments_esn2,

@@ -158,6 +158,11 @@ def test_header_detected(runner, tmp_path):
     ("y1,y2\n\n0.1,0.2\n0.3\n", "{path} row 3: expected 2 columns, got 1"),
     ("0.1,0.2\n\nx,0.4\n",
      "{path} row 2: could not convert string to float: 'x'"),
+    # a row 1 with a number in it is data, not a header
+    ("1.5,x\n0.1,0.2\n",
+     "{path} row 1: could not convert string to float: 'x'"),
+    ("1.5,\n0.1,0.2\n",
+     "{path} row 1: could not convert string to float: ''"),
 ])
 def test_table_errors_name_the_file_and_row(runner, tmp_path, text, message):
     path = tmp_path / "d.csv"
@@ -514,11 +519,12 @@ def test_check_rejects_seed_outside_64_bits(runner, seed):
 
 
 @pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize",
-                                    "scipy.linalg"])
+                                    "scipy.linalg", "scipy.integrate"])
 def test_import_leaves_out_scipy_stats(module):
     # scipy.stats costs about 0.4 s of every command's start-up, and
     # scipy.optimize, which only fit_mle uses, about 0.14 s; the Gram
-    # rule's QR is numpy's, so nothing else needs scipy.linalg
+    # rule's QR is numpy's, so nothing else needs scipy.linalg, and only
+    # the tests' cubature oracle reads scipy.integrate
     code = f"import sys, esn2.cli; print({module!r} in sys.modules)"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,

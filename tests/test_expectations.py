@@ -18,7 +18,6 @@ from esn2 import (
     DpParams,
     a_terms,
     expectation_set,
-    integrate_2d,
     lemma4_expectation,
     sample_esn2,
     standardize,
@@ -27,6 +26,7 @@ from esn2 import (
 )
 from esn2.expectations import UDistribution
 from esn2.model import delta_vector
+from oracles import integrate_2d
 
 SLANTED = DpParams(0, 0, 1, 0.6, 1, 2, 3, 1)
 TIGHT = CubatureControls(rel_tol=1e-10, abs_tol=1e-13, max_evals=4_000_000)

@@ -38,8 +38,8 @@ from esn2 import (
 )
 from esn2.cubature import _axes, _gram_factor, _gram_rule, _x_rule
 from esn2.expectations import _zeta1_rows
-from esn2.expected_info import _FLIP_SIGNS, _assemble, _score_rows
-from esn2.likelihood import _coefficients
+from esn2.expected_info import _FLIP_SIGNS, _assemble
+from esn2.likelihood import _coefficients, _score_rows
 from esn2.special_fns import LOG_RT2PI, zeta
 
 SEPARABLE = DpParams(0, 0, 1, 0, 1, 0.5, 0, -2)

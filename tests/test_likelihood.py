@@ -35,9 +35,10 @@ from esn2 import (
 from esn2 import likelihood
 from esn2.cli import _default_starts
 from esn2.expected_info import _FLIP_SIGNS
-from esn2.likelihood import (_FLOOR, _ROWS, _UPPER, _coefficients,
-                             _kernel, _levels)
+from esn2.likelihood import (_FLOOR, _ROWS, _UPPER, _coefficients, _levels,
+                             _score_rows)
 from esn2.model import _residuals
+from oracles import kernel_rows
 
 POINT_A = DpParams(0, 0, 1, 0.6, 1, 2, 3, 1)
 DATA_A = Dataset(np.array([0.7, -0.4, 1.1]), np.array([-1.2, 0.5, 0.9]))
@@ -584,12 +585,13 @@ def test_observed_info_centred_against_cancellation():
 def test_observed_info_zeta2_across_blocks(dp):
     # z sits near where grad t cancels; each block contracts its zeta2 term
     # about its own centre, and the blocks' terms are added.  An exact sum of
-    # the kernel's rows is the reference
+    # kernel_rows' hessian rows is the reference
     for seed in (1, 2, 3):
         data = sample_esn2(dp, 2 * _ROWS + 1000, seed)
         z1, z2 = _residuals(dp, data.y1, data.y2)
-        rows = np.vstack([_kernel(dp, z1[lo:lo + _ROWS], z2[lo:lo + _ROWS],
-                                  2)[2] for lo in range(0, data.n, _ROWS)])
+        rows = np.vstack([kernel_rows(dp, z1[lo:lo + _ROWS],
+                                      z2[lo:lo + _ROWS])[2]
+                          for lo in range(0, data.n, _ROWS)])
         want = np.array([math.fsum(col) for col in rows.T])
         got = -observed_info(dp, data).matrix[_UPPER]
         nonzero = got != 0.0
@@ -598,7 +600,7 @@ def test_observed_info_zeta2_across_blocks(dp):
 
 
 def test_sums_match_kernel_rows():
-    # loglik, score and observed_info contract moment sums; the kernel's
+    # loglik, score and observed_info contract moment sums; kernel_rows'
     # rows, summed in the same blocks, are the reference
     rng = philox(20260815, 45)
     points = [random_dp(rng) for _ in range(20)] + EXTREME_DPS + [IDENTITY]
@@ -607,7 +609,7 @@ def test_sums_match_kernel_rows():
         n = 70_000 if k == 0 else 300
         data = sample_esn2(dp, n, k + 1)
         z1, z2 = _residuals(dp, data.y1, data.y2)
-        blocks = [_kernel(dp, z1[lo:lo + _ROWS], z2[lo:lo + _ROWS], 2)
+        blocks = [kernel_rows(dp, z1[lo:lo + _ROWS], z2[lo:lo + _ROWS])
                   for lo in range(0, n, _ROWS)]
         assert loglik(dp, data) == float(sum(b[0].sum() for b in blocks))
         for got, rows in ((score(dp, data), [b[1] for b in blocks]),
@@ -620,11 +622,11 @@ def test_sums_match_kernel_rows():
 
 @pytest.mark.parametrize("k", range(len(EXTREME_DPS)))
 def test_one_score_coefficient_source(k):
-    # the order-1 and order-2 rows read the same score coefficients
+    # the Gram rule's score rows and kernel_rows read the same coefficients
     dp = EXTREME_DPS[k]
     data = sample_esn2(dp, 300, k + 1)
     z1, z2 = _residuals(dp, data.y1, data.y2)
-    assert np.array_equal(_kernel(dp, z1, z2, 1)[1], _kernel(dp, z1, z2, 2)[1])
+    assert np.array_equal(_score_rows(dp, z1, z2), kernel_rows(dp, z1, z2)[1])
 
 
 def test_only_order_two_builds_the_hessian_coefficients():
@@ -666,7 +668,7 @@ def test_kernel_score_rows_match_high_precision(k):
     mp = pytest.importorskip("mpmath").mp
     dp = EXTREME_DPS[k]
     data = sample_esn2(dp, 4, k + 1)
-    rows = _kernel(dp, *_residuals(dp, data.y1, data.y2), 1)[1]
+    rows = _score_rows(dp, *_residuals(dp, data.y1, data.y2))
     with mp.workdps(50):
         theta = [mp.mpf(v) for v in dp.as_array()]
         for row, y1, y2 in zip(rows, data.y1, data.y2):

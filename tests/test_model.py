@@ -44,6 +44,19 @@ def test_param_names_order():
                            "alpha1", "alpha2", "tau")
 
 
+def test_public_names_resolve():
+    # adaptive cubature is SciPy's job (tests/oracles.py), so the package
+    # exports none
+    import esn2
+    import esn2.cubature
+    for name in esn2.__all__:
+        assert getattr(esn2, name) is not None, name
+    for name in ("integrate_2d", "CubatureResult", "NonFiniteIntegrand"):
+        assert name not in esn2.__all__
+        assert not hasattr(esn2, name), name
+        assert not hasattr(esn2.cubature, name), name
+
+
 def test_dp_round_trip():
     arr = SLANTED.as_array()
     assert arr.shape == (8,)

@@ -27,14 +27,14 @@ from esn2 import (
     sample_esn2,
     sampler_chi2_pvalue,
     expected_info,
-    integrate_2d,
     score,
     zeta,
 )
-from esn2.likelihood import _COL, _kernel
+from esn2.likelihood import _COL
 from esn2.model import _alpha_star_sq, _residuals, delta_vector
 from esn2.validation import (_UPPER_36, _check_lemma4, _lemma4_by_cubature,
                              _mc_info_sigmas, _truncated_normal)
+from oracles import integrate_2d, kernel_rows
 
 TIGHT = CubatureControls(rel_tol=1e-10, abs_tol=1e-13, max_evals=4_000_000)
 
@@ -216,14 +216,14 @@ def test_sampler_any_tau(tau):
 
 def test_mc_sigmas_match_kernel_chunk_means():
     # the oracle reads each chunk's mean -H from observed_info; the
-    # reference sums the kernel's order-2 rows per chunk.  A sigma is the
+    # reference sums kernel_rows' hessian rows per chunk.  A sigma is the
     # difference of einfo / se and mean / se, so it is compared relative to
     # those
     dp = DpParams(0.3, -0.2, 1.5, -0.4, 0.8, -1.0, 2.0, -0.7)
     data = sample_esn2(dp, 100 * 700, RngSeed(7))
     einfo = expected_info(dp).matrix
     block = {rc: einfo[rc] for rc in _UPPER_36}
-    rows = _kernel(dp, *_residuals(dp, data.y1, data.y2), 2)[2]
+    rows = kernel_rows(dp, *_residuals(dp, data.y1, data.y2))[2]
     chunks = -rows.reshape(100, 700, 36).mean(axis=1)
     want = np.empty(len(_UPPER_36))
     scale = np.empty(len(_UPPER_36))
