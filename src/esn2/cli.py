@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import math
-import sys
 from array import array
 from dataclasses import replace
 
@@ -25,7 +24,7 @@ from .expected_info import SweepSpec, _info_factor, det_scan, expected_info
 from .likelihood import (FitControls, NonFiniteStart, _unit, density_esn2,
                          fit_mle, loglik, observed_info, score)
 from .model import (PARAM_NAMES, Dataset, DpParams, NonFiniteParameter,
-                    moments_esn2, validate)
+                    moments_esn2)
 from .validation import RngSeed, ValidationConfig, run_validation_suite
 
 
@@ -74,7 +73,7 @@ def _resolve_dp(dp_tuple, named, flag="--dp"):
         raise click.UsageError(
             "missing parameter components: " + ", ".join(missing))
     try:
-        return validate(DpParams(**values))
+        return DpParams(**values)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from None
 
@@ -270,7 +269,8 @@ def _moment_start(data):
     The Gaussian fit with alpha = 0, tau = 0 is an exact stationary
     point of the likelihood (the alpha = 0 singularity), so the slant
     starts at a skewness-informed kick instead of zero.  Where the data's
-    moments overflow, the start is not finite, which validate reports.
+    moments overflow or their covariance is singular, building the start
+    raises, as DpParams does for any invalid point.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         cov = np.cov(np.vstack([data.y1, data.y2]), ddof=1)
@@ -347,9 +347,8 @@ def fit_cmd(ctx, data_path, init_tuple, grad_tol, max_iter):
     except ValueError as exc:
         raise click.UsageError(str(exc)) from None
     if init_tuple is None:
-        starts = _default_starts(data)
         try:
-            validate(starts[0])
+            starts = _default_starts(data)
         except NonFiniteParameter as exc:
             raise click.UsageError(f"{data_path}: the sample moments "
                                    f"overflow, so no moment start ({exc})"

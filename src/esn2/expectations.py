@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cubature import CubatureNotConverged, _gram_rule
-from .model import _alpha_star_sq, _lam, _v_entries, delta_vector, validate
+from .model import _alpha_star_sq, _lam, _v_entries, delta_vector
 from .special_fns import zeta
 
 
@@ -123,7 +123,6 @@ def a_terms(dp, tol=None):
     the tilt is constant and the normal-moment closed forms are returned
     exactly.
     """
-    validate(dp)
     if dp.alpha1 == 0.0 and dp.alpha2 == 0.0:
         z1_sq = zeta(1, dp.tau) ** 2
         return ATerms(a0=z1_sq, a_1_1=0.0, a_2_1=0.0, a_1_2=z1_sq,
@@ -172,7 +171,6 @@ def expectation_set(dp, tol=None):
     CubatureNotConverged
         If the a-term rule is flagged unconverged.
     """
-    validate(dp)
     terms = a_terms(dp, tol)
     if not terms.converged:
         raise CubatureNotConverged(

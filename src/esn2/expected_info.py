@@ -28,7 +28,7 @@ import numpy as np
 from .cubature import CubatureNotConverged, _gram_rule
 from .likelihood import (_COL, _UPPER, InfoMatrix, _coefficients, _contract,
                          _score_rows)
-from .model import DpParams, validate
+from .model import DpParams
 from .special_fns import zeta
 
 _SWEEPABLE = ("alpha1", "alpha2", "tau")
@@ -96,7 +96,6 @@ def expected_info(dp, tol=None):
     CubatureNotConverged
         When the rule does not converge within tol.max_evals nodes.
     """
-    validate(dp)
     r = _info_factor(dp, tol)
     m = r.T @ r
     # InfoMatrix requires exact symmetry, which a matrix product lacks
@@ -120,7 +119,6 @@ def conditional_independence(dp):
     alpha1 * alpha2 are both zero; zero is tested against a 1e-14
     relative scale so round-tripped parameters still qualify.
     """
-    validate(dp)
     scale_tol = 1e-14 * math.sqrt(dp.omega11 * dp.omega22)
     alpha_tol = 1e-14 * max(1.0, dp.alpha1 ** 2, dp.alpha2 ** 2)
     return (abs(dp.omega12) <= scale_tol
@@ -135,7 +133,6 @@ def block_structure_check(dp, tol=None):
     Rows and columns are reordered into (xi1, omega11 | xi2, omega22,
     alpha2, tau) and the largest off-block entry is reported.
     """
-    validate(dp)
     scale_tol = 1e-14 * math.sqrt(dp.omega11 * dp.omega22)
     if abs(dp.omega12) > scale_tol:
         raise ValueError("block structure requires omega12 = 0")
@@ -167,8 +164,9 @@ class SweepSpec:
         if len(grid) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
             raise ValueError("grid must be strictly monotone")
         object.__setattr__(self, "grid", grid)
+        # each grid point is a DpParams, which checks itself
         for g in grid:
-            validate(self.dp_at(g))
+            self.dp_at(g)
 
     def dp_at(self, value):
         return replace(self.base, **{self.sweep_param: float(value)})

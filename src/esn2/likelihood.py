@@ -40,8 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (Dataset, DpParams, _alpha_star_sq, _lam, _residuals,
-                    validate)
+from .model import Dataset, DpParams, _alpha_star_sq, _lam, _residuals
 # zeta is not called here; bench/ reads it as esn2.likelihood.zeta
 from .special_fns import zeta, zeta_pair  # noqa: F401
 
@@ -248,7 +247,7 @@ def _score_rows(dp, z1, z2):
     """Per-observation score rows (n, 8), ordered as theta.
 
     z1 and z2 are 1-d arrays of standardized residuals (see
-    ``model._residuals``); dp is assumed validated.  The rows serve the
+    ``model._residuals``).  The rows serve the
     caller that needs each observation, the Gram rule of expected_info.
     They are `_contract` applied to each row's basis 1, z1, z2, z1^2,
     z2^2, z1 z2, zeta1, z1 zeta1, z2 zeta1, as _sums applies it to the
@@ -347,7 +346,6 @@ def _sums(dp, data, order):
 
 def density_esn2(y1, y2, dp):
     """Bivariate density at (y1, y2); accepts scalars or ndarrays."""
-    validate(dp)
     z1, z2 = np.broadcast_arrays(*_residuals(dp, y1, y2))
     log_f = _log_density(_coefficients(dp), z1.ravel(), z2.ravel(), 0)[0]
     out = np.exp(log_f).reshape(z1.shape)
@@ -356,7 +354,6 @@ def density_esn2(y1, y2, dp):
 
 def loglik(dp, data):
     """Log-likelihood of the dataset; the constant is -log 2 pi per row."""
-    validate(dp)
     return float(_sums(dp, data, 0)[0])
 
 
@@ -368,13 +365,11 @@ def score(dp, data):
     ndarray (8,)
         Partial derivatives of ``loglik`` ordered as theta.
     """
-    validate(dp)
     return _sums(dp, data, 1)[1]
 
 
 def observed_info(dp, data):
     """Observed information (negated hessian) summed over the dataset."""
-    validate(dp)
     return InfoMatrix(matrix=-_sums(dp, data, 2)[2], kind="observed")
 
 
@@ -409,7 +404,8 @@ class FitResult:
     # objective and the Newton finish
     evaluations: int
     # (rows, calls) per level, rows strictly increasing to n; the calls on
-    # all rows include the finish's.  The calls sum to evaluations
+    # all rows include the start's check and the finish's.  The calls sum
+    # to evaluations
     levels: tuple
 
 
@@ -495,7 +491,10 @@ def fit_mle(data, init, controls=FitControls()):
     is for alpha and tau.  The locations enter in units of the start's
     scale, a power of two near sqrt(omega_ii), so that the information
     per observation is of order one, and grad_tol means the same, at any
-    scale of the data.
+    scale of the data.  Every point tried is built as a DpParams, which
+    checks itself: one that leaves the parameter space, as where Omega
+    rounds to singular, raises there and is rejected, BFGS's objective
+    reading inf and the finish halving its step.
 
     From n >= 4 * 4096 rows BFGS climbs coarse to fine: first on the
     strided rows y[::4^K], K the largest that keeps at least 4,096 rows,
@@ -519,9 +518,9 @@ def fit_mle(data, init, controls=FitControls()):
     ------
     NonFiniteStart
         loglik at ``init`` on all rows is not finite, as where the data
-        overflow the start's scale; checked before any level runs.
+        overflow the start's scale.  It is read once, before any level
+        runs, and counts as one of the evaluations on all rows.
     """
-    validate(init)
     if data.n < 5:
         raise ValueError(f"need at least 5 observations to fit, got {data.n}")
 
@@ -533,28 +532,21 @@ def fit_mle(data, init, controls=FitControls()):
 
     def sums(dp, part, order):
         calls[part.n] += 1
-        if sum(calls.values()) > 1:
-            return _sums(dp, part, order)
-        # the first call of all reads loglik at the start on all rows: BFGS's
-        # first where all rows are the one level, else an order-0 call
-        # ahead of the levels.  Overflow there is the error raised, not a
-        # warning
-        with np.errstate(all="ignore"):
-            result = _sums(dp, part, order)
-        if not math.isfinite(result[0]):
-            raise NonFiniteStart(f"log-likelihood at the start {init} is "
-                                 f"{result[0]}, not finite")
-        return result
+        return _sums(dp, part, order)
 
-    if len(parts) > 1:
-        sums(init, data, 0)
+    # overflow at the start is the error raised, not a warning
+    with np.errstate(all="ignore"):
+        start = sums(init, data, 0)[0]
+    if not math.isfinite(start):
+        raise NonFiniteStart(f"log-likelihood at the start {init} is "
+                             f"{start}, not finite")
 
     # the start's scale stands in for the data's
     unit = _unit(init)
 
     def objective(psi, part):
         try:
-            dp = validate(_from_internal(psi, unit))
+            dp = _from_internal(psi, unit)
         except (ValueError, OverflowError):
             return np.inf, np.zeros(8)
         value, grad = sums(dp, part, 1)
@@ -575,7 +567,7 @@ def fit_mle(data, init, controls=FitControls()):
     def grad_norm(dp, grad):
         return float(np.max(np.abs(_internal_grad(dp, grad, unit))))
 
-    dp = validate(_from_internal(psi, unit))
+    dp = _from_internal(psi, unit)
     value, grad, hess = sums(dp, data, 2)
     norm = grad_norm(dp, grad)
     for _ in range(50):
@@ -593,8 +585,7 @@ def fit_mle(data, init, controls=FitControls()):
             # a step that overflows the evaluation, as |alpha| -> inf
             # does, is rejected like one that leaves the parameter space
             try:
-                cand = validate(DpParams.from_array(dp.as_array()
-                                                    + scale * step))
+                cand = DpParams.from_array(dp.as_array() + scale * step)
                 with np.errstate(over="raise", invalid="raise"):
                     result = sums(cand, data, 2)
             except (ValueError, ArithmeticError):

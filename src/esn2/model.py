@@ -35,7 +35,13 @@ class NonPositiveDefiniteScale(ValueError):
 
 @dataclass(frozen=True)
 class DpParams:
-    """Direct parameters in the fixed (xi, Omega, alpha, tau) order."""
+    """Direct parameters in the fixed (xi, Omega, alpha, tau) order.
+
+    Every instance is a valid point, however it is built: after coercing
+    its components to float, construction calls `validate`, so an invalid
+    point raises NonFiniteParameter or NonPositiveDefiniteScale and no
+    function taking a DpParams checks it again.
+    """
     xi1: float
     xi2: float
     omega11: float
@@ -48,6 +54,7 @@ class DpParams:
     def __post_init__(self):
         for name in PARAM_NAMES:
             object.__setattr__(self, name, float(getattr(self, name)))
+        validate(self)
 
     def as_array(self):
         return np.array([getattr(self, name) for name in PARAM_NAMES])
@@ -115,7 +122,8 @@ class Dataset:
 
 
 def validate(dp):
-    """Check dp and return it unchanged.
+    """Check dp and return it unchanged.  DpParams calls it on
+    construction, so every DpParams has passed it.
 
     Raises
     ------
@@ -202,7 +210,6 @@ def _residuals(dp, y1, y2):
 
 def standardize(dp, y1, y2):
     """Standardized residuals and cdf argument for one observation."""
-    validate(dp)
     lam = _lam(dp)
     astar2 = _alpha_star_sq(lam, dp.alpha1, dp.alpha2)
     alpha0 = dp.tau * math.sqrt(1.0 + astar2)
@@ -251,7 +258,6 @@ def moments_esn2(dp):
     -------
     (mean, cov) : ndarray (2,), ndarray (2, 2)
     """
-    validate(dp)
     lam = _lam(dp)
     delta = delta_vector(lam, dp.alpha1, dp.alpha2)
     d = np.array([delta.delta1, delta.delta2])
@@ -266,7 +272,6 @@ def moments_esn2(dp):
 
 def cgf_esn2(t1, t2, dp):
     """Cumulant generating function at (t1, t2)."""
-    validate(dp)
     if not (math.isfinite(float(t1)) and math.isfinite(float(t2))):
         raise ValueError("t must be finite")
     lam = _lam(dp)

@@ -36,7 +36,7 @@ from .expected_info import (_FLIP_SIGNS, _det_and_mineig, _info_factor,
                             expected_info)
 from .likelihood import density_esn2, loglik, observed_info, score
 from .model import (PARAM_NAMES, Dataset, DpParams, _alpha_star_sq,
-                    _conditional_factor, _lam, delta_vector, validate)
+                    _conditional_factor, _lam, delta_vector)
 from .special_fns import zeta
 
 _CHUNK = 65536
@@ -176,7 +176,6 @@ def sample_esn2(dp, n, seed):
     and normals and then slices, so the first m rows are the same for
     every n >= m.
     """
-    validate(dp)
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError("n must be a positive integer")
     key = _seed_value(seed)
@@ -345,8 +344,9 @@ def _check_lemma4(seed):
                        f"{_LEMMA4_POINTS} random points, |tau| <= 2")
 
 
-def _mc_info_sigmas(dp, einfo_block, data, entries):
-    """Per-entry |einfo − MC mean| / MC standard error.
+def _mc_info_sigmas(dp, einfo, data, entries):
+    """Per-entry |einfo − MC mean| / MC standard error, for each (r, c) of
+    entries; einfo is the expected information, indexed by (r, c).
 
     The sample is cut into _MC_CHUNKS equal chunks, and each chunk's mean
     -H per row read from observed_info; the MC mean is the mean of these,
@@ -364,7 +364,7 @@ def _mc_info_sigmas(dp, einfo_block, data, entries):
     se = chunks.std(axis=0, ddof=1) / math.sqrt(_MC_CHUNKS)
     sigmas = np.empty(len(entries))
     for k, rc in enumerate(entries):
-        diff = einfo_block[rc] - mean[k]
+        diff = einfo[rc] - mean[k]
         sigmas[k] = 0.0 if (se[k] == 0.0 and diff == 0.0) else (
             math.inf if se[k] == 0.0 else abs(diff) / se[k])
     return sigmas
@@ -377,9 +377,7 @@ _UPPER_28 = [(r, c) for r in range(7) for c in range(r, 7)]
 def _mc_sigmas(dp, seed, entries):
     """_mc_info_sigmas of expected_info(dp) on _MC_DRAWS fresh draws."""
     data = sample_esn2(dp, _MC_DRAWS, seed)
-    einfo = expected_info(dp).matrix
-    return _mc_info_sigmas(dp, {rc: einfo[rc] for rc in entries}, data,
-                           entries)
+    return _mc_info_sigmas(dp, expected_info(dp).matrix, data, entries)
 
 
 def _check_einfo_vs_mc(seed):

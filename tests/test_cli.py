@@ -12,8 +12,10 @@ from click.testing import CliRunner
 
 from esn2 import (Dataset, DpParams, fit_mle, observed_info, sample_esn2,
                   score)
+from esn2 import cli
 from esn2.cli import CubatureFailure, _std_errors, main
 from esn2.expected_info import _info_factor
+from esn2.validation import CheckResult, ValidationReport
 
 IDENTITY = "0,0,1,0,1,0,0,0"
 SLANTED = "0,0,1,0.6,1,2,3,1"
@@ -229,6 +231,29 @@ def test_cubature_failure_exit_code():
     assert CubatureFailure("boom").exit_code == 3
 
 
+# test_gram_rule_stops_at_panel_cap's point, where the rule stops
+# unconverged at its panel cap
+PANEL_CAP = ("-6.9547270538069235,-12.909498855346367,0.9194331757076565,"
+             "1.8388682056516397,3.6777401198208306,-34303.18853977436,"
+             "34303.36682099898,-41.86585501029693")
+
+
+def test_einfo_not_converged_exits_3(runner):
+    result = runner.invoke(main, ["eval", "einfo", "--dp", PANEL_CAP])
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert ("expected-information rule not converged after 2322 nodes"
+            in result.stderr)
+
+
+def test_std_errors_report_an_unconverged_rule():
+    dp = DpParams(*(float(v) for v in PANEL_CAP.split(",")))
+    errors, warning = _std_errors(dp, 1000)
+    assert errors is None
+    assert warning.startswith("expected information did not converge: "
+                              "expected-information rule not converged")
+
+
 def test_det_scan_single_point(runner):
     result = runner.invoke(main, ["det-scan", "--dp", "0,0,1,0,1,1,0,0",
                                   "--sweep", "alpha1", "--from", "0.5",
@@ -280,6 +305,14 @@ def test_det_scan_rejects_zero_points(runner):
                                   "--sweep", "alpha1", "--from", "0",
                                   "--to", "1", "--points", "0"])
     assert result.exit_code == 2
+
+
+def test_det_scan_rejects_a_repeated_grid_point(runner):
+    result = runner.invoke(main, ["det-scan", "--dp", "0,0,1,0,1,1,0,0",
+                                  "--sweep", "alpha1", "--from", "1",
+                                  "--to", "1", "--points", "2"])
+    assert result.exit_code == 2
+    assert "grid must be strictly monotone" in result.stderr
 
 
 def test_det_scan_zero_slant_grid_minimum(runner):
@@ -508,6 +541,15 @@ def test_check_fast(runner):
         "score_vs_fd", "oinfo_vs_fd", "lemma4_vs_cubature",
         "singularity_structure"]
     assert result.stderr.strip().endswith("OK")
+
+
+def test_check_failure_exits_1(runner, monkeypatch):
+    report = ValidationReport((CheckResult("score_vs_fd", False, 1.0, 1e-5),))
+    monkeypatch.setattr(cli, "run_validation_suite", lambda config: report)
+    result = runner.invoke(main, ["check", "--level", "fast"])
+    assert result.exit_code == 1
+    assert json.loads(result.stdout)["passed"] is False
+    assert result.stderr.strip().endswith("FAILED")
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])

@@ -8,6 +8,7 @@ without it.
 """
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -32,7 +33,7 @@ from esn2 import (
     score,
     standardize,
 )
-from esn2 import likelihood
+from esn2 import likelihood, model
 from esn2.cli import _default_starts
 from esn2.expected_info import _FLIP_SIGNS
 from esn2.likelihood import (_FLOOR, _ROWS, _UPPER, _coefficients, _levels,
@@ -357,7 +358,7 @@ def test_fit_finish_halves_a_step_out_of_the_parameter_space(monkeypatch):
     # after 10 BFGS iterations on this small dataset a full Newton step of
     # the finish makes Omega singular; the finish halves it and goes on
     data = sample_esn2(DpParams(0, 0, 1, 0.5, 1, 1.5, -1, 0.5), 60, 115)
-    sums, validate = likelihood._sums, likelihood.validate
+    sums, validate = likelihood._sums, model.validate
     orders, rejected = [], []
 
     def counted_sums(dp, data, order):
@@ -373,13 +374,38 @@ def test_fit_finish_halves_a_step_out_of_the_parameter_space(monkeypatch):
             raise
 
     monkeypatch.setattr(likelihood, "_sums", counted_sums)
-    monkeypatch.setattr(likelihood, "validate", counted_validate)
+    monkeypatch.setattr(model, "validate", counted_validate)
     start = DpParams(0.2, -0.2, 1.3, 0.3, 0.8, 1.0, -0.5, 0.1)
     result = fit_mle(data, start, FitControls(max_iter=10))
     assert rejected
     assert all(isinstance(exc, NonPositiveDefiniteScale) for exc in rejected)
     assert result.converged
     assert_allclose(result.loglik, loglik(result.dp_hat, data), rtol=1e-12)
+
+
+def test_fit_objective_rejects_a_point_out_of_the_parameter_space(
+        monkeypatch):
+    # from the fourth default start on this dataset one BFGS trial has
+    # psi3 = 17.9, so lam rounds to 1 and det Omega = 9.5e-20: building the
+    # point raises, and the objective reads inf there and goes on
+    data = sample_esn2(DpParams(0, 0, 1, 0.6, 1, 2, 3, 1), 500, 111)
+    from_internal, rejected = likelihood._from_internal, []
+
+    def counted_from_internal(psi, unit):
+        try:
+            return from_internal(psi, unit)
+        except ValueError as exc:
+            rejected.append(exc)
+            raise
+
+    monkeypatch.setattr(likelihood, "_from_internal", counted_from_internal)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = fit_mle(data, _default_starts(data)[3])
+    assert len(rejected) == 1
+    assert isinstance(rejected[0], NonPositiveDefiniteScale)
+    assert not result.converged
+    assert_allclose(result.loglik, -1175.259714810966, rtol=1e-12, atol=0)
 
 
 CRIT10_START = DpParams(0.2, -0.2, 1.3, 0.3, 0.8, 1.0, -0.5, 0.1)

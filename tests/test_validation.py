@@ -49,7 +49,7 @@ def test_fd_gradient_quadratic():
     rng = philox(20260815, 50)
     a = rng.normal(size=(8, 8))
     a = 0.5 * (a + a.T)
-    at = DpParams.from_array(rng.normal(size=8))
+    at = random_dp(rng)
     grad = fd_gradient(lambda th: 0.5 * th @ a @ th, at)
     assert np.max(np.abs(grad - a @ at.as_array())) < 1e-8
 
@@ -58,8 +58,7 @@ def test_fd_hessian_quadratic():
     rng = philox(20260815, 51)
     a = rng.normal(size=(8, 8))
     a = 0.5 * (a + a.T)
-    hess = fd_hessian(lambda th: 0.5 * th @ a @ th,
-                      DpParams.from_array(rng.normal(size=8)))
+    hess = fd_hessian(lambda th: 0.5 * th @ a @ th, random_dp(rng))
     # second differences of an O(1) quadratic carry ~eps/h^2 rounding noise
     assert np.max(np.abs(hess - a)) < 1e-6
     assert np.array_equal(hess, hess.T)
