@@ -16,7 +16,12 @@ from esn2 import (
     cgf_esn2,
     density_esn1,
     density_esn2,
+    expected_info,
+    loglik,
     moments_esn2,
+    observed_info,
+    sample_esn2,
+    score,
     standardize,
     validate,
 )
@@ -86,12 +91,26 @@ def test_validate_rejects(field, value, exc):
         validate(DpParams(**bad))
 
 
-def test_overflowing_slant_is_a_typed_error():
+OVERFLOWING_SLANT = (0, 0, 1, 0.5, 1, 1e200, 0, 0)
+ONE_ROW = Dataset(np.array([0.0]), np.array([0.0]))
+
+
+@pytest.mark.parametrize("call", [
+    lambda dp: loglik(dp, ONE_ROW),
+    lambda dp: score(dp, ONE_ROW),
+    lambda dp: observed_info(dp, ONE_ROW),
+    lambda dp: expected_info(dp),
+    lambda dp: density_esn2(0.0, 0.0, dp),
+    lambda dp: moments_esn2(dp),
+    lambda dp: sample_esn2(dp, 10, 1),
+], ids=["loglik", "score", "observed_info", "expected_info", "density_esn2",
+        "moments_esn2", "sample_esn2"])
+def test_overflowing_slant_is_a_typed_error(call):
     # alpha_star^2 = 1e400 * 3 / 4 is past the float range; before validate
-    # checked it, each entry point raised a bare OverflowError.  Such a
-    # point cannot be built, so no entry point can be handed it
+    # checked it, each entry point raised a bare OverflowError.  Building
+    # the point now raises, so no entry point is reached with it
     with pytest.raises(NonFiniteParameter, match="alpha_star"):
-        DpParams(0, 0, 1, 0.5, 1, 1e200, 0, 0)
+        call(DpParams(*OVERFLOWING_SLANT))
 
 
 @pytest.mark.parametrize("dp,exc,match", [
