@@ -10,11 +10,11 @@ Exit codes: 0 success, 1 check-suite failure, 2 bad flags or input,
 """
 
 import csv
-import io
 import json
 import math
 from array import array
 from dataclasses import replace
+from typing import Callable, NamedTuple
 
 import click
 import numpy as np
@@ -36,44 +36,18 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
-def _dp_options(f):
-    for name in reversed(PARAM_NAMES):
-        f = click.option(f"--{name}", type=float, default=None,
-                         help=f"{name} component")(f)
-    f = click.option("--dp", "dp_tuple", default=None, metavar="T",
-                     help="all 8 parameters, comma separated, in "
-                          "(xi1,xi2,omega11,omega12,omega22,"
-                          "alpha1,alpha2,tau) order")(f)
-    return f
-
-
-def _resolve_dp(dp_tuple, named, flag="--dp"):
-    """Merge the 8-tuple given as flag with named flags; disagreement is a
-    usage error."""
-    values = {}
-    if dp_tuple is not None:
-        parts = dp_tuple.split(",")
-        if len(parts) != 8:
-            raise click.UsageError(
-                f"{flag} needs 8 comma-separated values, got {len(parts)}")
-        try:
-            values = {name: float(p) for name, p in zip(PARAM_NAMES, parts)}
-        except ValueError as exc:
-            raise click.UsageError(f"{flag}: {exc}") from None
-    for name in PARAM_NAMES:
-        given = named.get(name)
-        if given is None:
-            continue
-        if name in values and values[name] != given:
-            raise click.UsageError(
-                f"--{name}={given} conflicts with --dp value {values[name]}")
-        values[name] = given
-    missing = [name for name in PARAM_NAMES if name not in values]
-    if missing:
+def _parse_point(text, flag):
+    """The parameter point given to flag as 8 comma-separated values."""
+    parts = text.split(",")
+    if len(parts) != 8:
         raise click.UsageError(
-            "missing parameter components: " + ", ".join(missing))
+            f"{flag} needs 8 comma-separated values, got {len(parts)}")
     try:
-        return DpParams(**values)
+        values = [float(p) for p in parts]
+    except ValueError as exc:
+        raise click.UsageError(f"{flag}: {exc}") from None
+    try:
+        return DpParams(*values)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from None
 
@@ -121,20 +95,56 @@ def _load_table(path):
     return Dataset(np.frombuffer(y1), np.frombuffer(y2))
 
 
-def _matrix_csv(matrix):
-    out = io.StringIO()
-    for row in matrix:
-        out.write(",".join(_fmt(v) for v in row) + "\n")
-    return out.getvalue()
+def _dp_payload(dp):
+    return {name: getattr(dp, name) for name in PARAM_NAMES}
 
 
-def _emit(payload, fmt, csv_text):
-    if fmt == "csv":
-        click.echo(csv_text, nl=False)
-    else:
-        click.echo(json.dumps(payload, indent=2, sort_keys=True))
+def _info_fields(info):
+    return {"kind": info.kind, "matrix": info.matrix}
 
 
+class _Eval(NamedTuple):
+    """One `esn2 eval` subcommand: whether it reads --data, the library
+    call at dp (data None where it reads none) giving the JSON fields, and
+    the rows of numbers its CSV holds, made from those fields."""
+    reads_data: bool
+    fields: Callable
+    csv_rows: Callable
+
+
+_EVALS = {
+    "density": _Eval(
+        reads_data=True,
+        fields=lambda dp, data: {
+            "density": density_esn2(data.y1, data.y2, dp)},
+        csv_rows=lambda f: [[v] for v in f["density"]]),
+    "loglik": _Eval(
+        reads_data=True,
+        fields=lambda dp, data: {"loglik": loglik(dp, data)},
+        csv_rows=lambda f: [[f["loglik"]]]),
+    "score": _Eval(
+        reads_data=True,
+        fields=lambda dp, data: {"score": score(dp, data)},
+        csv_rows=lambda f: [f["score"]]),
+    "oinfo": _Eval(
+        reads_data=True,
+        fields=lambda dp, data: _info_fields(observed_info(dp, data)),
+        csv_rows=lambda f: f["matrix"]),
+    "einfo": _Eval(
+        reads_data=False,
+        fields=lambda dp, data: _info_fields(expected_info(dp)),
+        csv_rows=lambda f: f["matrix"]),
+    "moments": _Eval(
+        reads_data=False,
+        fields=lambda dp, data: dict(zip(("mean", "cov"), moments_esn2(dp))),
+        csv_rows=lambda f: [f["mean"], *f["cov"]]),
+}
+
+
+_DP = click.option("--dp", "dp_text", required=True, metavar="T",
+                   help="all 8 parameters, comma separated, in "
+                        "(xi1,xi2,omega11,omega12,omega22,"
+                        "alpha1,alpha2,tau) order")
 _FORMAT = click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
                        default="json", help="output format")
 _DATA = click.option("--data", "data_path", type=click.Path(exists=True),
@@ -151,85 +161,38 @@ def eval_group():
     """Evaluate model quantities at a parameter point."""
 
 
-def _dp_payload(dp):
-    return {name: getattr(dp, name) for name in PARAM_NAMES}
+def _eval_command(spec):
+    """The one body of the `esn2 eval` subcommands, over a row of _EVALS."""
+    def command(dp_text, fmt, data_path=None):
+        dp = _parse_point(dp_text, "--dp")
+        data = _load_table(data_path) if spec.reads_data else None
+        try:
+            fields = spec.fields(dp, data)
+        except CubatureNotConverged as exc:
+            raise CubatureFailure(str(exc)) from None
+        if fmt == "csv":
+            click.echo("".join(",".join(map(_fmt, row)) + "\n"
+                               for row in spec.csv_rows(fields)), nl=False)
+        else:
+            # tolist() gives arrays as nested lists of floats, and hands a
+            # float or a string back as it is
+            payload = {key: np.asarray(value).tolist()
+                       for key, value in fields.items()}
+            payload["dp"] = _dp_payload(dp)
+            click.echo(json.dumps(payload, indent=2, sort_keys=True))
+
+    command = _FORMAT(command)
+    if spec.reads_data:
+        command = _DATA(command)
+    return _DP(command)
 
 
-@eval_group.command("density")
-@_dp_options
-@_DATA
-@_FORMAT
-def eval_density(dp_tuple, fmt, data_path, **named):
-    dp = _resolve_dp(dp_tuple, named)
-    data = _load_table(data_path)
-    values = density_esn2(data.y1, data.y2, dp)
-    _emit({"dp": _dp_payload(dp), "density": [float(v) for v in values]},
-          fmt, "".join(_fmt(v) + "\n" for v in values))
-
-
-@eval_group.command("loglik")
-@_dp_options
-@_DATA
-@_FORMAT
-def eval_loglik(dp_tuple, fmt, data_path, **named):
-    dp = _resolve_dp(dp_tuple, named)
-    data = _load_table(data_path)
-    value = loglik(dp, data)
-    _emit({"dp": _dp_payload(dp), "loglik": value}, fmt, _fmt(value) + "\n")
-
-
-@eval_group.command("score")
-@_dp_options
-@_DATA
-@_FORMAT
-def eval_score(dp_tuple, fmt, data_path, **named):
-    dp = _resolve_dp(dp_tuple, named)
-    data = _load_table(data_path)
-    vec = score(dp, data)
-    _emit({"dp": _dp_payload(dp), "score": [float(v) for v in vec]},
-          fmt, ",".join(_fmt(v) for v in vec) + "\n")
-
-
-@eval_group.command("oinfo")
-@_dp_options
-@_DATA
-@_FORMAT
-def eval_oinfo(dp_tuple, fmt, data_path, **named):
-    dp = _resolve_dp(dp_tuple, named)
-    data = _load_table(data_path)
-    info = observed_info(dp, data)
-    _emit({"dp": _dp_payload(dp), "kind": info.kind,
-           "matrix": info.matrix.tolist()},
-          fmt, _matrix_csv(info.matrix))
-
-
-@eval_group.command("einfo")
-@_dp_options
-@_FORMAT
-def eval_einfo(dp_tuple, fmt, **named):
-    dp = _resolve_dp(dp_tuple, named)
-    try:
-        info = expected_info(dp)
-    except CubatureNotConverged as exc:
-        raise CubatureFailure(str(exc)) from None
-    _emit({"dp": _dp_payload(dp), "kind": info.kind,
-           "matrix": info.matrix.tolist()},
-          fmt, _matrix_csv(info.matrix))
-
-
-@eval_group.command("moments")
-@_dp_options
-@_FORMAT
-def eval_moments(dp_tuple, fmt, **named):
-    dp = _resolve_dp(dp_tuple, named)
-    mean, cov = moments_esn2(dp)
-    csv_text = (",".join(_fmt(v) for v in mean) + "\n") + _matrix_csv(cov)
-    _emit({"dp": _dp_payload(dp), "mean": mean.tolist(),
-           "cov": cov.tolist()}, fmt, csv_text)
+for _name, _spec in _EVALS.items():
+    eval_group.command(_name)(_eval_command(_spec))
 
 
 @main.command("det-scan")
-@_dp_options
+@_DP
 @click.option("--sweep", "sweep_param",
               type=click.Choice(["alpha1", "alpha2", "tau"]), required=True,
               help="parameter to sweep (only alpha1, alpha2, tau)")
@@ -238,10 +201,9 @@ def eval_moments(dp_tuple, fmt, **named):
 @click.option("--points", type=int, required=True)
 @click.option("--out", "out_path", type=click.Path(), default=None,
               help="output CSV path (default: standard output)")
-def det_scan_cmd(dp_tuple, sweep_param, start, stop, points, out_path,
-                 **named):
+def det_scan_cmd(dp_text, sweep_param, start, stop, points, out_path):
     """Determinant of the expected information along a parameter sweep."""
-    base = _resolve_dp(dp_tuple, named)
+    base = _parse_point(dp_text, "--dp")
     if points < 1:
         raise click.UsageError("--points must be at least 1")
     grid = np.linspace(start, stop, points)
@@ -250,17 +212,12 @@ def det_scan_cmd(dp_tuple, sweep_param, start, stop, points, out_path,
     except ValueError as exc:
         raise click.UsageError(str(exc)) from None
     rows = det_scan(spec)
-    out = io.StringIO()
-    out.write("param,value,det,min_eig,converged\n")
-    for row in rows:
-        out.write(f"{sweep_param},{_fmt(row.param_value)},{_fmt(row.det)},"
-                  f"{_fmt(row.min_eigenvalue)},"
-                  f"{'true' if row.converged else 'false'}\n")
-    if out_path is None:
-        click.echo(out.getvalue(), nl=False)
-    else:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(out.getvalue())
+    with click.open_file(out_path or "-", "w", encoding="utf-8") as out:
+        out.write("param,value,det,min_eig,converged\n")
+        for row in rows:
+            out.write(f"{sweep_param},{_fmt(row.param_value)},"
+                      f"{_fmt(row.det)},{_fmt(row.min_eigenvalue)},"
+                      f"{'true' if row.converged else 'false'}\n")
 
 
 def _moment_start(data):
@@ -332,9 +289,8 @@ def _std_errors(dp, n):
                    "start's scale for xi, per unit of log omega_ii and "
                    "atanh lambda, and as is for alpha and tau")
 @click.option("--max-iter", type=int, default=500, show_default=True,
-              help="BFGS iterations on each level of rows: from 16,384 "
-                   "rows the fit climbs strided quarter-samples of at "
-                   "least 4,096 rows before all rows")
+              help="BFGS iterations on each level of rows "
+                   "(esn2.likelihood.fit_mle sets the levels)")
 @click.pass_context
 def fit_cmd(ctx, data_path, init_tuple, grad_tol, max_iter):
     """Maximum likelihood fit; standard errors from the expected info."""
@@ -357,7 +313,7 @@ def fit_cmd(ctx, data_path, init_tuple, grad_tol, max_iter):
             raise click.UsageError(f"{data_path}: singular sample covariance,"
                                    f" so no moment start ({exc})") from None
     else:
-        starts = [_resolve_dp(init_tuple, {}, "--init")]
+        starts = [_parse_point(init_tuple, "--init")]
     # the converged fit with the highest log-likelihood; if none
     # converged, the highest one, reported as unconverged
     try:

@@ -1,10 +1,21 @@
-"""Shared test helpers: counter-based RNG streams and random parameter points."""
+"""Shared test helpers: counter-based RNG streams, random parameter points,
+and the constants more than one test module reads."""
 
 import numpy as np
 
-from esn2 import DpParams
+from esn2 import CubatureControls, DpParams
+from esn2.validation import _DP_SET
 
 MASTER_SEED = 20260815
+
+# a cubature tolerance far below the default, for reference values
+TIGHT = CubatureControls(rel_tol=1e-10, abs_tol=1e-13, max_evals=4_000_000)
+# criterion 7's tolerance: near-singular determinant chains span ~90
+# orders of magnitude, so the sweep integrals run far below the default
+SWEEP_TOL = CubatureControls(rel_tol=5e-13, abs_tol=1e-14,
+                             max_evals=40_000_000)
+# criterion 8's chi-square points: the validation suite's three, in order
+CHI2_DPS = _DP_SET
 
 
 def philox(*key):

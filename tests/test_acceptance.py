@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from conftest import MASTER_SEED, philox, random_dp
+from conftest import CHI2_DPS, MASTER_SEED, SWEEP_TOL, philox, random_dp
 from oracles import integrate_2d
 from esn2 import (
     CubatureControls,
@@ -36,14 +36,6 @@ from esn2.model import delta_vector
 from esn2.validation import _UPPER_28, _UPPER_36, _mc_info_sigmas
 
 APPENDIX_DP = DpParams(0, 0, 1, 0.6, 1, 2, 3, 1)
-CHI2_DPS = (APPENDIX_DP,
-            DpParams(0.3, -0.2, 1.5, -0.4, 0.8, -1, 2, -0.7),
-            DpParams(0, 0, 1, 0.5, 1, 1.5, -1, 0.5))
-
-# near-singular determinant chains span ~90 orders of magnitude, so the
-# sweep integrals run far below the default tolerance
-SWEEP_TOL = CubatureControls(rel_tol=5e-13, abs_tol=1e-14,
-                             max_evals=40_000_000)
 
 ORACLE_TOL = CubatureControls(rel_tol=1e-9, abs_tol=1e-15,
                               max_evals=8_000_000)

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from esn2 import (Dataset, DpParams, fit_mle, observed_info, sample_esn2,
-                  score)
+from esn2 import (PARAM_NAMES, Dataset, DpParams, density_esn2,
+                  expected_info, fit_mle, loglik, moments_esn2, observed_info,
+                  sample_esn2, score)
 from esn2 import cli
 from esn2.cli import CubatureFailure, _std_errors, main
 from esn2.expected_info import _info_factor
@@ -49,32 +50,23 @@ def test_loglik_single_origin(runner, tmp_path):
     assert payload["dp"]["omega11"] == 1.0
 
 
-def test_named_flags_equal_tuple(runner, tmp_path):
-    data = write_csv(tmp_path / "d.csv", [0.0], [0.0])
-    by_tuple = runner.invoke(main, ["eval", "loglik", "--dp", SLANTED,
-                                    "--data", data])
-    by_names = runner.invoke(main, [
-        "eval", "loglik", "--xi1", "0", "--xi2", "0", "--omega11", "1",
-        "--omega12", "0.6", "--omega22", "1", "--alpha1", "2",
-        "--alpha2", "3", "--tau", "1", "--data", data])
-    assert by_tuple.exit_code == 0 and by_names.exit_code == 0
-    assert by_tuple.output == by_names.output
-
-
-def test_conflicting_flags_rejected(runner, tmp_path):
-    data = write_csv(tmp_path / "d.csv", [0.0], [0.0])
-    result = runner.invoke(main, ["eval", "loglik", "--dp", SLANTED,
-                                  "--tau", "2", "--data", data])
+@pytest.mark.parametrize("command", ["density", "loglik", "score", "oinfo",
+                                     "einfo", "moments", "det-scan"])
+def test_dp_is_the_one_spelling_of_a_point(runner, tmp_path, command):
+    if command == "det-scan":
+        args = ["det-scan", "--sweep", "tau", "--from", "0", "--to", "1",
+                "--points", "2"]
+    elif command in ("einfo", "moments"):
+        args = ["eval", command]
+    else:
+        args = ["eval", command, "--data",
+                write_csv(tmp_path / "d.csv", [0.0], [0.0])]
+    result = runner.invoke(main, args)
     assert result.exit_code == 2
-    assert "conflicts" in result.stderr
-
-
-def test_missing_components_listed(runner, tmp_path):
-    data = write_csv(tmp_path / "d.csv", [0.0], [0.0])
-    result = runner.invoke(main, ["eval", "loglik", "--xi1", "0",
-                                  "--data", data])
+    assert "Missing option '--dp'" in result.stderr
+    result = runner.invoke(main, [*args, "--dp", IDENTITY, "--xi1", "0"])
     assert result.exit_code == 2
-    assert "omega11" in result.stderr and "tau" in result.stderr
+    assert "No such option '--xi1'" in result.stderr
 
 
 def test_short_dp_rejected(runner, tmp_path):
@@ -173,6 +165,59 @@ def test_table_errors_name_the_file_and_row(runner, tmp_path, text, message):
                                   "--data", str(path)])
     assert result.exit_code == 2
     assert result.stderr.rstrip().endswith(message.format(path=path))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _eval_expected(command):
+    """The library's answer for `esn2 eval <command>` at SLANTED on the A
+    data: the JSON payload less its "dp", and the CSV rows."""
+    dp = DpParams(0, 0, 1, 0.6, 1, 2, 3, 1)
+    data = Dataset(np.array(A_Y1), np.array(A_Y2))
+    if command == "density":
+        values = density_esn2(data.y1, data.y2, dp)
+        return {"density": values}, [[v] for v in values]
+    if command == "loglik":
+        value = loglik(dp, data)
+        return {"loglik": value}, [[value]]
+    if command == "score":
+        vec = score(dp, data)
+        return {"score": vec}, [vec]
+    if command in ("oinfo", "einfo"):
+        info = (observed_info(dp, data) if command == "oinfo"
+                else expected_info(dp))
+        return {"kind": info.kind, "matrix": info.matrix}, list(info.matrix)
+    mean, cov = moments_esn2(dp)
+    return {"mean": mean, "cov": cov}, [mean, *cov]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("command", ["density", "loglik", "score", "oinfo",
+                                     "einfo", "moments"])
+def test_eval_equals_the_library_bitwise(runner, tmp_path, command, fmt):
+    args = ["eval", command, "--dp", SLANTED, "--format", fmt]
+    if command not in ("einfo", "moments"):
+        args += ["--data", write_csv(tmp_path / "d.csv", A_Y1, A_Y2)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0
+    fields, rows = _eval_expected(command)
+    if fmt == "json":
+        payload = json.loads(result.output)
+        assert payload.pop("dp") == dict(zip(
+            PARAM_NAMES, DpParams(0, 0, 1, 0.6, 1, 2, 3, 1).as_array()))
+        assert payload.keys() == fields.keys()
+        for key, want in fields.items():
+            if key == "kind":
+                assert payload[key] == want
+            else:
+                assert _bits(payload[key]) == _bits(want), key
+    else:
+        lines = result.output.splitlines()
+        assert len(lines) == len(rows)
+        for line, want in zip(lines, rows):
+            assert _bits([float(v) for v in line.split(",")]) == _bits(want)
 
 
 def test_score_csv_round_trips_bitwise(runner, tmp_path):

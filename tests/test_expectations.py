@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import TIGHT
 from esn2 import (
     CubatureControls,
     CubatureNotConverged,
@@ -29,7 +30,6 @@ from esn2.model import delta_vector
 from oracles import integrate_2d
 
 SLANTED = DpParams(0, 0, 1, 0.6, 1, 2, 3, 1)
-TIGHT = CubatureControls(rel_tol=1e-10, abs_tol=1e-13, max_evals=4_000_000)
 
 # 30-digit quadrature values at SLANTED
 A_TERMS_ORACLE = {

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import philox, random_dp
+from conftest import SWEEP_TOL, TIGHT, philox, random_dp
 from esn2 import (
     CubatureControls,
     CubatureNotConverged,
@@ -43,7 +43,6 @@ from esn2.likelihood import _coefficients, _score_rows
 from esn2.special_fns import LOG_RT2PI, zeta
 
 SEPARABLE = DpParams(0, 0, 1, 0, 1, 0.5, 0, -2)
-TIGHT = CubatureControls(rel_tol=1e-10, abs_tol=1e-13, max_evals=4_000_000)
 
 # upper triangle of the 30-digit reference at SEPARABLE
 EINFO_ORACLE = {
@@ -67,9 +66,6 @@ EINFO_ORACLE = {
 
 SINGULAR = DpParams(0, 0, 1, 0, 1, 0, 0, 0)
 SLANTED = DpParams(0, 0, 1, 0.6, 1, 2, 3, 1)
-# criterion 7's tolerance
-SWEEP_TOL = CubatureControls(rel_tol=5e-13, abs_tol=1e-14,
-                             max_evals=40_000_000)
 # the benchmark's fit truths and Monte Carlo points
 FIT_MC_POINTS = [
     (0.0, 0.0, 1.0, 0.5, 1.0, 1.5, -1.0, 0.5),

@@ -36,8 +36,8 @@ from esn2 import (
 from esn2 import likelihood, model
 from esn2.cli import _default_starts
 from esn2.expected_info import _FLIP_SIGNS
-from esn2.likelihood import (_FLOOR, _ROWS, _UPPER, _coefficients, _levels,
-                             _score_rows)
+from esn2.likelihood import (_FLOOR, _ROWS, _UPPER, _coefficients, _handover,
+                             _levels, _score_rows)
 from esn2.model import _residuals
 from oracles import kernel_rows
 
@@ -381,6 +381,50 @@ def test_fit_finish_halves_a_step_out_of_the_parameter_space(monkeypatch):
     assert all(isinstance(exc, NonPositiveDefiniteScale) for exc in rejected)
     assert result.converged
     assert_allclose(result.loglik, loglik(result.dp_hat, data), rtol=1e-12)
+
+
+def test_fit_finish_ends_where_every_halving_is_rejected(monkeypatch):
+    # the dataset and BFGS run of the test above; with every candidate of
+    # the finish rejected, all 30 halvings of its first step fail, and the
+    # fit ends where BFGS did, unconverged, having evaluated no candidate
+    data = sample_esn2(DpParams(0, 0, 1, 0.5, 1, 1.5, -1, 0.5), 60, 115)
+    sums, calls, candidates = likelihood._sums, [], []
+
+    def recorded(dp, data, order):
+        calls.append((dp, order))
+        return sums(dp, data, order)
+
+    def rejected(values):
+        candidates.append(values)
+        raise ValueError("rejected candidate")
+
+    monkeypatch.setattr(likelihood, "_sums", recorded)
+    monkeypatch.setattr(likelihood.DpParams, "from_array", rejected)
+    start = DpParams(0.2, -0.2, 1.3, 0.3, 0.8, 1.0, -0.5, 0.1)
+    result = fit_mle(data, start, FitControls(max_iter=10))
+    assert len(candidates) == 30
+    # one order-2 read, the finish's at BFGS's end point
+    finish = [dp for dp, order in calls if order == 2]
+    assert finish == [result.dp_hat]
+    assert not result.converged
+    assert result.evaluations == len(calls)
+    assert result.loglik == loglik(result.dp_hat, data)
+
+
+@pytest.mark.parametrize("hess_inv", [
+    np.diag([1.0, -1.0]),
+    # positive diagonal, but its symmetric part is singular
+    np.array([[1.0, 3.0], [-1.0, 1.0]]),
+    np.full((2, 2), np.nan),
+])
+def test_handover_drops_a_matrix_not_positive_definite(hess_inv):
+    assert _handover(hess_inv, 0.25) is None
+
+
+def test_handover_symmetrises_and_scales():
+    hess_inv = np.array([[2.0, 0.7], [0.3, 1.0]])
+    assert np.array_equal(_handover(hess_inv, 0.25),
+                          np.array([[0.5, 0.125], [0.125, 0.25]]))
 
 
 def test_fit_objective_rejects_a_point_out_of_the_parameter_space(

@@ -10,9 +10,8 @@ import pytest
 import scipy.stats
 from numpy.testing import assert_allclose
 
-from conftest import philox, random_dp
+from conftest import TIGHT, philox, random_dp
 from esn2 import (
-    CubatureControls,
     Dataset,
     DpParams,
     FiniteDifferenceError,
@@ -35,8 +34,6 @@ from esn2.model import _alpha_star_sq, _residuals, delta_vector
 from esn2.validation import (_UPPER_36, _check_lemma4, _lemma4_by_cubature,
                              _mc_info_sigmas, _truncated_normal)
 from oracles import integrate_2d, kernel_rows
-
-TIGHT = CubatureControls(rel_tol=1e-10, abs_tol=1e-13, max_evals=4_000_000)
 
 
 def test_fd_gradient_linear_exact():
