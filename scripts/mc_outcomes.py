@@ -13,8 +13,7 @@ import argparse
 
 import numpy as np
 
-from esn2.validation import (RngSeed, _check_einfo_vs_mc,
-                             _check_tau0_reduction)
+from esn2.validation import _check_einfo_vs_mc, _check_tau0_reduction
 
 CHECKS = (_check_einfo_vs_mc, _check_tau0_reduction)
 
@@ -40,7 +39,7 @@ def main():
         worst = []
         failed = []
         for s in args.seeds:
-            result = check(RngSeed(s))
+            result = check(s)
             worst.append(result.measured)
             if not result.passed:
                 failed.append(f"{s} ({result.measured:.2f}; {result.detail})")

@@ -11,25 +11,22 @@ from .expectations import (ATerms, ExpectationSet, UDistribution, a_terms,
 from .expected_info import (SweepRow, SweepSpec, block_structure_check,
                             conditional_independence, det_scan, expected_info,
                             reparam_scalar_info)
-from .likelihood import (FitControls, FitResult, InfoMatrix, NonFiniteStart,
-                         density_esn2, fit_mle, loglik, observed_info,
-                         score)
+from .likelihood import (FitResult, InfoMatrix, NonFiniteStart, density_esn2,
+                         fit_mle, loglik, observed_info, score)
 from .model import (PARAM_NAMES, Dataset, DpParams, NonFiniteParameter,
                     NonPositiveDefiniteScale, cgf_esn2, density_esn1,
                     moments_esn2, standardize, validate)
 from .special_fns import std_normal_cdf, std_normal_pdf, zeta
-from .validation import (CheckResult, FiniteDifferenceError, RngSeed,
-                         ValidationConfig, ValidationReport,
+from .validation import (CheckResult, FiniteDifferenceError, ValidationReport,
                          fd_gradient, fd_hessian, run_validation_suite,
                          sample_esn2, sampler_chi2_pvalue)
 
 __all__ = [
     "ATerms", "CheckResult", "CubatureControls", "CubatureNotConverged",
     "Dataset", "DpParams", "ExpectationSet", "FiniteDifferenceError",
-    "FitControls", "FitResult", "InfoMatrix", "NonFiniteParameter",
-    "NonFiniteStart", "NonPositiveDefiniteScale",
-    "PARAM_NAMES", "RngSeed", "SweepRow", "SweepSpec", "UDistribution",
-    "ValidationConfig", "ValidationReport", "a_terms",
+    "FitResult", "InfoMatrix", "NonFiniteParameter", "NonFiniteStart",
+    "NonPositiveDefiniteScale", "PARAM_NAMES", "SweepRow", "SweepSpec",
+    "UDistribution", "ValidationReport", "a_terms",
     "block_structure_check", "cgf_esn2", "conditional_independence",
     "density_esn1", "density_esn2", "det_scan", "expectation_set",
     "expected_info", "fd_gradient", "fd_hessian", "fit_mle",

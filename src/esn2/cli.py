@@ -21,11 +21,11 @@ import numpy as np
 
 from .cubature import CubatureNotConverged
 from .expected_info import SweepSpec, _info_factor, det_scan, expected_info
-from .likelihood import (FitControls, NonFiniteStart, _unit, density_esn2,
-                         fit_mle, loglik, observed_info, score)
+from .likelihood import (NonFiniteStart, _unit, density_esn2, fit_mle,
+                         loglik, observed_info, score)
 from .model import (PARAM_NAMES, Dataset, DpParams, NonFiniteParameter,
                     moments_esn2)
-from .validation import RngSeed, ValidationConfig, run_validation_suite
+from .validation import run_validation_suite
 
 
 class CubatureFailure(click.ClickException):
@@ -104,9 +104,10 @@ def _info_fields(info):
 
 
 class _Eval(NamedTuple):
-    """One `esn2 eval` subcommand: whether it reads --data, the library
-    call at dp (data None where it reads none) giving the JSON fields, and
-    the rows of numbers its CSV holds, made from those fields."""
+    """One `esn2 eval` subcommand: its help line, whether it reads --data,
+    the library call at dp (data None where it reads none) giving the JSON
+    fields, and the rows of numbers its CSV holds, made from them."""
+    help: str
     reads_data: bool
     fields: Callable
     csv_rows: Callable
@@ -114,27 +115,33 @@ class _Eval(NamedTuple):
 
 _EVALS = {
     "density": _Eval(
+        help="Density at each row of the data.",
         reads_data=True,
         fields=lambda dp, data: {
             "density": density_esn2(data.y1, data.y2, dp)},
         csv_rows=lambda f: [[v] for v in f["density"]]),
     "loglik": _Eval(
+        help="Log-likelihood of the data.",
         reads_data=True,
         fields=lambda dp, data: {"loglik": loglik(dp, data)},
         csv_rows=lambda f: [[f["loglik"]]]),
     "score": _Eval(
+        help="Score vector of the log-likelihood, summed over the data.",
         reads_data=True,
         fields=lambda dp, data: {"score": score(dp, data)},
         csv_rows=lambda f: [f["score"]]),
     "oinfo": _Eval(
+        help="Observed information, summed over the data.",
         reads_data=True,
         fields=lambda dp, data: _info_fields(observed_info(dp, data)),
         csv_rows=lambda f: f["matrix"]),
     "einfo": _Eval(
+        help="Expected information for one observation.",
         reads_data=False,
         fields=lambda dp, data: _info_fields(expected_info(dp)),
         csv_rows=lambda f: f["matrix"]),
     "moments": _Eval(
+        help="Mean vector and covariance matrix of the model.",
         reads_data=False,
         fields=lambda dp, data: dict(zip(("mean", "cov"), moments_esn2(dp))),
         csv_rows=lambda f: [f["mean"], *f["cov"]]),
@@ -188,7 +195,7 @@ def _eval_command(spec):
 
 
 for _name, _spec in _EVALS.items():
-    eval_group.command(_name)(_eval_command(_spec))
+    eval_group.command(_name, help=_spec.help)(_eval_command(_spec))
 
 
 @main.command("det-scan")
@@ -284,24 +291,13 @@ def _std_errors(dp, n):
 @click.option("--init", "init_tuple", default=None, metavar="T",
               help="starting point, 8 comma-separated values "
                    "(default: the best of four moment-based starts)")
-@click.option("--grad-tol", type=float, default=1e-6, show_default=True,
-              help="stop below this max |gradient|: per unit of the "
-                   "start's scale for xi, per unit of log omega_ii and "
-                   "atanh lambda, and as is for alpha and tau")
-@click.option("--max-iter", type=int, default=500, show_default=True,
-              help="BFGS iterations on each level of rows "
-                   "(esn2.likelihood.fit_mle sets the levels)")
 @click.pass_context
-def fit_cmd(ctx, data_path, init_tuple, grad_tol, max_iter):
+def fit_cmd(ctx, data_path, init_tuple):
     """Maximum likelihood fit; standard errors from the expected info."""
     data = _load_table(data_path)
     if data.n < 5:
         raise click.UsageError(
             f"need at least 5 rows to fit, got {data.n}")
-    try:
-        controls = FitControls(grad_tol=grad_tol, max_iter=max_iter)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
     if init_tuple is None:
         try:
             starts = _default_starts(data)
@@ -317,7 +313,7 @@ def fit_cmd(ctx, data_path, init_tuple, grad_tol, max_iter):
     # the converged fit with the highest log-likelihood; if none
     # converged, the highest one, reported as unconverged
     try:
-        fits = [fit_mle(data, start, controls) for start in starts]
+        fits = [fit_mle(data, start) for start in starts]
     except NonFiniteStart as exc:
         raise click.UsageError(f"{data_path}: {exc}") from None
     result = max(fits, key=lambda r: (r.converged, r.loglik))
@@ -346,8 +342,7 @@ def fit_cmd(ctx, data_path, init_tuple, grad_tol, max_iter):
 @click.pass_context
 def check_cmd(ctx, level, seed):
     """Run the validation suite; exit 0 only if every check passes."""
-    report = run_validation_suite(
-        ValidationConfig(level=level, seed=RngSeed(seed)))
+    report = run_validation_suite(seed, level)
     click.echo(report.summary(), err=True)
     click.echo(json.dumps(report.as_dict(), indent=2, sort_keys=True))
     if not report.passed:

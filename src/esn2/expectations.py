@@ -11,10 +11,10 @@ E[zeta1(T)^2 B B'], B = (1, Z1, Z2), integrated here by the same
 positive-weight rule that gives the expected information.
 
 These are the paper's route to the expected information, which they reach
-through the likelihood's hessian coefficients as E[-H]
-(expected_info._assemble).  Production takes it by a Gram rule over the
-score rows (`expected_info`); this module and the assembly are kept as the
-oracle that rule is checked by.
+through the likelihood's hessian coefficients as E[-H] (`_assemble`, by
+likelihood._contract, as observed_info does from sample sums).  Production
+takes it by a Gram rule over the score rows (`expected_info`); this module
+and the assembly are kept as the oracle that rule is checked by.
 The a-terms share the rule's nodes but not its integrand, so the check
 still sets the closed forms and the assembly against the score rows.
 """
@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cubature import CubatureNotConverged, _gram_rule
+from .likelihood import _COL, _UPPER, _coefficients, _contract
 from .model import _alpha_star_sq, _lam, _v_entries, delta_vector
 from .special_fns import zeta
 
@@ -241,3 +242,22 @@ def expectation_set(dp, tol=None):
         e_z1z2=lam + d1 * d2 * moment_shift,
         e_z1sq=1.0 + d1 ** 2 * moment_shift,
         e_z2sq=1.0 + d2 ** 2 * moment_shift)
+
+
+def _assemble(dp, es):
+    """The paper's expected information -E[h] from an expectation set: the
+    likelihood's hessian coefficients contracted with E[1, Z, Z Z'] and
+    E[(1, Z) zeta1(T)], and grad t = G (1, Z) with E[(1, Z)(1, Z)'
+    zeta2(T)], by the `_contract` that observed_info applies to sample
+    sums."""
+    e_lin = np.array([1.0, es.e_z1, es.e_z2, es.e_z1sq, es.e_z2sq,
+                      es.e_z1z2, es.e_zeta1, es.e_z1_zeta1, es.e_z2_zeta1])
+    e_zeta2 = np.array([[es.e_zeta2, es.e_z1_zeta2, es.e_z2_zeta2],
+                        [es.e_z1_zeta2, es.e_z1sq_zeta2, es.e_z1z2_zeta2],
+                        [es.e_z2_zeta2, es.e_z1z2_zeta2, es.e_z2sq_zeta2]])
+    coef = _coefficients(dp)
+    g = coef.s_coef[:, 6:]
+    zeta2 = (es.e_zeta2, (g @ e_zeta2 @ g.T)[_UPPER],
+             es.e_zeta2 - zeta(2, dp.tau))
+    h = _contract(coef, e_lin, es.e_zeta1 - zeta(1, dp.tau), zeta2)[1]
+    return -h[_COL]

@@ -9,12 +9,10 @@ an 8x8 triangular factor R with I = R'R.  Determinants and eigenvalues come
 from the singular values of R: the condition number of I is never
 squared, and a determinant is never negative.
 
-The paper's route, closed-form expectations plus the a-terms
-(`expectation_set`) applied to the likelihood's hessian coefficients as
-E[-H] (`_assemble`), is kept as the oracle the rule's E[s s'] is tested
-against; it does not run in production.  It is the contraction that
-observed_info applies to sample sums and likelihood._score_rows to its
-rows, through the one helper likelihood._contract.  Also here: the scalar
+The paper's route, closed-form expectations plus the a-terms applied to
+the likelihood's hessian coefficients as E[-H], lives in expectations
+(`expectation_set`, `_assemble`) as the oracle the rule's E[s s'] is
+tested against; it does not run in production.  Also here: the scalar
 reparameterization rule, the conditional-independence and
 block-structure predicates, and grid sweeps of the determinant used to
 map where the matrix degenerates.
@@ -26,35 +24,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cubature import CubatureNotConverged, _gram_rule
-from .likelihood import (_COL, _UPPER, InfoMatrix, _coefficients, _contract,
-                         _score_rows)
+from .likelihood import InfoMatrix, _score_rows
 from .model import DpParams
-from .special_fns import zeta
 
 _SWEEPABLE = ("alpha1", "alpha2", "tau")
 
 # sign pattern of each coordinate under the mirror alpha -> -alpha:
 # xi and alpha rows change sign, scale and tau rows do not
 _FLIP_SIGNS = np.array([-1.0, -1.0, 1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
-
-
-def _assemble(dp, es):
-    """The paper's expected information -E[h] from an expectation set: the
-    likelihood's hessian coefficients contracted with E[1, Z, Z Z'] and
-    E[(1, Z) zeta1(T)], and grad t = G (1, Z) with E[(1, Z)(1, Z)'
-    zeta2(T)], by the `_contract` that observed_info applies to sample
-    sums."""
-    e_lin = np.array([1.0, es.e_z1, es.e_z2, es.e_z1sq, es.e_z2sq,
-                      es.e_z1z2, es.e_zeta1, es.e_z1_zeta1, es.e_z2_zeta1])
-    e_zeta2 = np.array([[es.e_zeta2, es.e_z1_zeta2, es.e_z2_zeta2],
-                        [es.e_z1_zeta2, es.e_z1sq_zeta2, es.e_z1z2_zeta2],
-                        [es.e_z2_zeta2, es.e_z1z2_zeta2, es.e_z2sq_zeta2]])
-    coef = _coefficients(dp)
-    g = coef.s_coef[:, 6:]
-    zeta2 = (es.e_zeta2, (g @ e_zeta2 @ g.T)[_UPPER],
-             es.e_zeta2 - zeta(2, dp.tau))
-    h = _contract(coef, e_lin, es.e_zeta1 - zeta(1, dp.tau), zeta2)[1]
-    return -h[_COL]
 
 
 def _info_factor(dp, tol):

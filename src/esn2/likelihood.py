@@ -20,7 +20,7 @@ log density per row and per block the sums of b and the zeta2 term summed
 over the block's rows, without forming a derivative row.  One
 contraction, `_contract`, applies s_coef and lin, and writes the tau
 entries, for the score rows, for these sums and for the paper's
-expectations in expected_info._assemble; a test holds that E[-H] to the
+expectations in expectations._assemble; a test holds that E[-H] to the
 Gram rule's E[s s'], read from the score rows, and the tests' hessian
 rows (tests/oracles.py) are the reference for `_sums`.
 
@@ -53,6 +53,11 @@ _INFO_KINDS = ("observed", "expected")
 # per row as blocks of this size, mostly in page faults on them, and blocks
 # of 8192 paid more in per-call overhead
 _ROWS = 32768
+
+# fit_mle converges once max |g| of its gradient in the internal coordinates
+# is below _GRAD_TOL, and BFGS runs at most _MAX_ITER iterations a level
+_GRAD_TOL = 1e-6
+_MAX_ITER = 500
 
 # fit_mle's coarse-to-fine levels: strides 4, 16, ... of the rows, each
 # level keeping at least _FLOOR rows, so that only n >= 4 _FLOOR rows fit on
@@ -373,19 +378,6 @@ def observed_info(dp, data):
     return InfoMatrix(matrix=-_sums(dp, data, 2)[2], kind="observed")
 
 
-@dataclass(frozen=True)
-class FitControls:
-    grad_tol: float = 1e-6
-    max_iter: int = 500
-
-    def __post_init__(self):
-        # a fit under these could never report convergence
-        if not (math.isfinite(self.grad_tol) and self.grad_tol > 0.0):
-            raise ValueError(f"grad_tol {self.grad_tol} is not finite and > 0")
-        if self.max_iter < 0:
-            raise ValueError(f"max_iter {self.max_iter} is negative")
-
-
 class NonFiniteStart(ValueError):
     """The log-likelihood at a fit's start is not finite on the data."""
 
@@ -477,20 +469,20 @@ def _handover(hess_inv, ratio):
     return h
 
 
-def fit_mle(data, init, controls=FitControls()):
+def fit_mle(data, init):
     """Maximum likelihood fit by quasi-Newton ascent with analytic score.
 
     BFGS runs in unconstrained internal coordinates so every iterate has
     a positive definite scale matrix; a Newton finish in theta
     coordinates then climbs the same loglik on all rows until the
-    gradient norm is below ``controls.grad_tol``.  It steps only where the
+    gradient norm is below ``_GRAD_TOL``, 1e-6.  It steps only where the
     observed information is positive definite, so it stops at a saddle or
     where |alpha| runs to the truncated-normal boundary.  Both read one
     gradient, max |g| in the internal coordinates: per unit of the
     start's scale for xi, per unit of log omega_ii and atanh lam, and as
     is for alpha and tau.  The locations enter in units of the start's
     scale, a power of two near sqrt(omega_ii), so that the information
-    per observation is of order one, and grad_tol means the same, at any
+    per observation is of order one, and the target means the same, at any
     scale of the data.  Every point tried is built as a DpParams, which
     checks itself: one that leaves the parameter space, as where Omega
     rounds to singular, raises there and is rejected, BFGS's objective
@@ -500,7 +492,7 @@ def fit_mle(data, init, controls=FitControls()):
     strided rows y[::4^K], K the largest that keeps at least 4,096 rows,
     then on y[::4^(K-1)] and so on to all rows (`_levels`).  Each level
     starts where the one before ended, from its inverse hessian scaled by
-    the ratio of their rows, and runs up to ``controls.max_iter``
+    the ratio of their rows, and runs up to ``_MAX_ITER``, 500,
     iterations.  Below 16,384 rows there is one level, all rows.  On each
     level BFGS stops once its gradient is below rows sqrt(eps): near the
     maximum the rise it can still make, about |g|^2 / rows, is then below
@@ -559,8 +551,8 @@ def fit_mle(data, init, controls=FitControls()):
             hess_inv = _handover(res.hess_inv, parts[k - 1].n / part.n)
         res = scipy.optimize.minimize(
             objective, psi, args=(part,), jac=True, method="BFGS",
-            options={"maxiter": controls.max_iter, "hess_inv0": hess_inv,
-                     "gtol": max(0.01 * controls.grad_tol,
+            options={"maxiter": _MAX_ITER, "hess_inv0": hess_inv,
+                     "gtol": max(0.01 * _GRAD_TOL,
                                  part.n * math.sqrt(eps))})
         psi = res.x
 
@@ -571,7 +563,7 @@ def fit_mle(data, init, controls=FitControls()):
     value, grad, hess = sums(dp, data, 2)
     norm = grad_norm(dp, grad)
     for _ in range(50):
-        if norm < controls.grad_tol:
+        if norm < _GRAD_TOL:
             break
         # a Newton step climbs only where -hess is positive definite
         try:
@@ -605,7 +597,7 @@ def fit_mle(data, init, controls=FitControls()):
         else:
             break
 
-    return FitResult(dp_hat=dp, converged=norm < controls.grad_tol,
+    return FitResult(dp_hat=dp, converged=norm < _GRAD_TOL,
                      final_score_norm=norm, loglik=float(value),
                      evaluations=sum(calls.values()),
                      levels=tuple(calls.items()))

@@ -52,19 +52,6 @@ class FiniteDifferenceError(RuntimeError):
     """A probe point kept failing after the step was shrunk."""
 
 
-@dataclass(frozen=True)
-class RngSeed:
-    """Sampler seed; the same value always yields the same stream."""
-    seed: int
-
-    def __post_init__(self):
-        if not isinstance(self.seed, (int, np.integer)):
-            raise ValueError("seed must be an integer")
-        if not 0 <= int(self.seed) < 2 ** 64:
-            raise ValueError("seed must fit in 64 unsigned bits")
-        object.__setattr__(self, "seed", int(self.seed))
-
-
 def _try_eval(f, theta):
     """f(theta) as a finite float, or None when the probe is unusable."""
     try:
@@ -146,10 +133,13 @@ def fd_hessian(f, at):
     return hess
 
 
-def _seed_value(seed):
-    if isinstance(seed, RngSeed):
-        return seed.seed
-    return RngSeed(seed).seed
+def _checked_seed(seed):
+    """seed as a Python int, checked to be an integer in [0, 2^64)."""
+    if not isinstance(seed, (int, np.integer)):
+        raise ValueError("seed must be an integer")
+    if not 0 <= int(seed) < 2 ** 64:
+        raise ValueError("seed must fit in 64 unsigned bits")
+    return int(seed)
 
 
 def _truncated_normal(u, tau):
@@ -174,11 +164,11 @@ def sample_esn2(dp, n, seed):
     works.  Rows come in fixed blocks of 65536, block b from the Philox
     stream keyed by (seed, b); each block draws its full 65536 uniforms
     and normals and then slices, so the first m rows are the same for
-    every n >= m.
+    every n >= m.  seed is a Python or numpy integer in [0, 2^64).
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError("n must be a positive integer")
-    key = _seed_value(seed)
+    key = _checked_seed(seed)
     d, l11, l21, l22 = _conditional_factor(_lam(dp), dp.alpha1, dp.alpha2)
     o1, o2 = math.sqrt(dp.omega11), math.sqrt(dp.omega22)
 
@@ -219,18 +209,6 @@ _LEMMA4_POINTS = 10
 _LEMMA4_PANELS = 4
 _LEMMA4_NODES = 32
 _LEVELS = ("fast", "full")
-
-
-@dataclass(frozen=True)
-class ValidationConfig:
-    seed: RngSeed = RngSeed(20260815)
-    level: str = "full"
-
-    def __post_init__(self):
-        if self.level not in _LEVELS:
-            raise ValueError(f"level must be one of {_LEVELS}")
-        # a plain int seed, as sample_esn2 takes, is checked here
-        object.__setattr__(self, "seed", RngSeed(_seed_value(self.seed)))
 
 
 @dataclass(frozen=True)
@@ -279,7 +257,7 @@ class ValidationReport:
 def _offset_seed(seed, offset):
     """Each check's stream: the suite seed plus an offset, wrapped into
     64 bits so that every valid suite seed gives valid check seeds."""
-    return RngSeed((seed.seed + offset) % 2 ** 64)
+    return (seed + offset) % 2 ** 64
 
 
 def _loglik_of_theta(data):
@@ -331,7 +309,7 @@ def _lemma4_by_cubature(lam, alpha1, alpha2, tau):
 
 def _check_lemma4(seed):
     rng = np.random.Generator(np.random.Philox(
-        key=np.array([seed.seed, 10], dtype=np.uint64)))
+        key=np.array([seed, 10], dtype=np.uint64)))
     worst = 0.0
     for _ in range(_LEMMA4_POINTS):
         lam = rng.uniform(-0.9, 0.9)
@@ -465,11 +443,17 @@ def _check_singularities():
                        "i88 and det at the alpha=0 point; mirror symmetry")
 
 
-def run_validation_suite(config=ValidationConfig()):
-    """Run the cross-check suite; failures become report entries."""
-    seed = config.seed
+def run_validation_suite(seed=20260815, level="full"):
+    """Run the cross-check suite; failures become report entries.
+
+    seed, an integer in [0, 2^64), keys every check's stream; level "full"
+    adds the Monte Carlo oracles and the chi-square test to "fast".  A bad
+    seed or level raises ValueError before any check runs."""
+    if level not in _LEVELS:
+        raise ValueError(f"level must be one of {_LEVELS}")
+    seed = _checked_seed(seed)
     checks = [*_check_fd(seed), _check_lemma4(seed)]
-    if config.level == "full":
+    if level == "full":
         checks.append(_check_einfo_vs_mc(seed))
         checks.append(_check_tau0_reduction(seed))
         checks.append(_check_sampler_chi2(seed))

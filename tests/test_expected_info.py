@@ -37,8 +37,8 @@ from esn2 import (
     sample_esn2,
 )
 from esn2.cubature import _axes, _gram_factor, _gram_rule, _x_rule
-from esn2.expectations import _zeta1_rows
-from esn2.expected_info import _FLIP_SIGNS, _assemble
+from esn2.expectations import _assemble, _zeta1_rows
+from esn2.expected_info import _FLIP_SIGNS
 from esn2.likelihood import _coefficients, _score_rows
 from esn2.special_fns import LOG_RT2PI, zeta
 

@@ -19,7 +19,6 @@ from conftest import philox, random_dp
 from esn2 import (
     Dataset,
     DpParams,
-    FitControls,
     InfoMatrix,
     NonFiniteStart,
     NonPositiveDefiniteScale,
@@ -196,25 +195,6 @@ def test_fit_requires_enough_rows():
                 IDENTITY)
 
 
-def test_fit_controls_defaults():
-    fc = FitControls()
-    assert fc.grad_tol == 1e-6
-    assert fc.max_iter == 500
-
-
-@pytest.mark.parametrize("kwargs", [
-    {"grad_tol": -1.0}, {"grad_tol": 0.0}, {"grad_tol": math.nan},
-    {"grad_tol": math.inf}, {"max_iter": -3},
-])
-def test_fit_controls_reject_unreachable_targets(kwargs):
-    with pytest.raises(ValueError):
-        FitControls(**kwargs)
-
-
-def test_fit_controls_accept_zero_iterations():
-    assert FitControls(max_iter=0).max_iter == 0
-
-
 def test_fit_recovers_truth_roughly():
     truth = DpParams(0, 0, 1, 0.5, 1, 1.5, -1, 0.5)
     data = sample_esn2(truth, 2000, 7)
@@ -317,7 +297,7 @@ def test_fit_of_rescaled_data_takes_the_same_path(truth, c):
 
 def test_fit_converges_on_data_in_small_units():
     # at c = 1e-3 the omega score grows as 1 / c^2, and its rounding floor
-    # on this dataset, about 2e-6, lies above grad_tol; the internal
+    # on this dataset, about 2e-6, lies above the 1e-6 target; the internal
     # gradient, which BFGS and the finish both stop on, does not scale
     c = 1e-3
     data = sample_esn2(DpParams(0, 0, 1, 0.5, 1, 1.5, -1, 0.5), 20000, 7000)
@@ -338,16 +318,18 @@ def test_fit_converges_on_data_in_small_units():
     ((0, 0, 1, 0.5, 1, 1.5, -1, 0.5), 2000, 100, 0),
     ((0, 0, 1, 0.6, 1, 2, 3, 1), 2000, 101, 0),
 ])
-def test_fit_polish_rejects_overflowing_steps(truth, n, seed, max_iter):
+def test_fit_polish_rejects_overflowing_steps(truth, n, seed, max_iter,
+                                              monkeypatch):
     # from criterion 10's start on these datasets, -hess is not positive
     # definite at the point handed to the finish, where a Newton step can
     # send |alpha| past 1e154 and alpha_star^2 overflow.  The finish takes
     # no step there; whatever it does, it must not raise or warn, nor end
     # below the start.  max_iter = 0 hands the start to the finish
     # whatever BFGS would do.
+    monkeypatch.setattr(likelihood, "_MAX_ITER", max_iter)
     data = sample_esn2(DpParams(*truth), n, seed)
     start = DpParams(0.2, -0.2, 1.3, 0.3, 0.8, 1.0, -0.5, 0.1)
-    result = fit_mle(data, start, FitControls(max_iter=max_iter))
+    result = fit_mle(data, start)
     assert np.all(np.isfinite(result.dp_hat.as_array()))
     assert math.isfinite(result.final_score_norm)
     assert_allclose(result.loglik, loglik(result.dp_hat, data), rtol=1e-12)
@@ -375,8 +357,9 @@ def test_fit_finish_halves_a_step_out_of_the_parameter_space(monkeypatch):
 
     monkeypatch.setattr(likelihood, "_sums", counted_sums)
     monkeypatch.setattr(model, "validate", counted_validate)
+    monkeypatch.setattr(likelihood, "_MAX_ITER", 10)
     start = DpParams(0.2, -0.2, 1.3, 0.3, 0.8, 1.0, -0.5, 0.1)
-    result = fit_mle(data, start, FitControls(max_iter=10))
+    result = fit_mle(data, start)
     assert rejected
     assert all(isinstance(exc, NonPositiveDefiniteScale) for exc in rejected)
     assert result.converged
@@ -400,8 +383,9 @@ def test_fit_finish_ends_where_every_halving_is_rejected(monkeypatch):
 
     monkeypatch.setattr(likelihood, "_sums", recorded)
     monkeypatch.setattr(likelihood.DpParams, "from_array", rejected)
+    monkeypatch.setattr(likelihood, "_MAX_ITER", 10)
     start = DpParams(0.2, -0.2, 1.3, 0.3, 0.8, 1.0, -0.5, 0.1)
-    result = fit_mle(data, start, FitControls(max_iter=10))
+    result = fit_mle(data, start)
     assert len(candidates) == 30
     # one order-2 read, the finish's at BFGS's end point
     finish = [dp for dp, order in calls if order == 2]

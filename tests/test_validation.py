@@ -15,8 +15,6 @@ from esn2 import (
     Dataset,
     DpParams,
     FiniteDifferenceError,
-    RngSeed,
-    ValidationConfig,
     density_esn2,
     fd_gradient,
     fd_hessian,
@@ -108,19 +106,25 @@ def test_fd_error_names_the_parameter():
         fd_gradient(broken, DpParams(0, 0, 1, 0, 1, 0, 0, 0))
 
 
-def test_rng_seed_validation():
-    assert RngSeed(0).seed == 0
-    assert RngSeed(2 ** 64 - 1).seed == 2 ** 64 - 1
-    with pytest.raises(ValueError):
-        RngSeed(-1)
-    with pytest.raises(ValueError):
-        RngSeed(2 ** 64)
+BAD_SEEDS = ((-1, "64 unsigned bits"), (2 ** 64, "64 unsigned bits"),
+             (1.5, "an integer"), ("5", "an integer"))
+
+
+def test_sampler_seed_validation():
+    dp = DpParams(0, 0, 1, 0.6, 1, 2, 3, 1)
+    assert sample_esn2(dp, 10, 0).n == 10
+    top = sample_esn2(dp, 10, 2 ** 64 - 1)
+    again = sample_esn2(dp, 10, np.uint64(2 ** 64 - 1))
+    assert np.array_equal(top.y1, again.y1)
+    for bad, message in BAD_SEEDS:
+        with pytest.raises(ValueError, match=message):
+            sample_esn2(dp, 10, bad)
 
 
 def test_sampler_deterministic_and_shaped():
     dp = DpParams(0, 0, 1, 0.6, 1, 2, 3, 1)
     y = sample_esn2(dp, 5000, 123)
-    again = sample_esn2(dp, 5000, RngSeed(123))
+    again = sample_esn2(dp, 5000, np.int64(123))
     other = sample_esn2(dp, 5000, 124)
     assert isinstance(y, Dataset) and y.n == 5000
     assert np.array_equal(y.y1, again.y1) and np.array_equal(y.y2, again.y2)
@@ -216,7 +220,7 @@ def test_mc_sigmas_match_kernel_chunk_means():
     # difference of einfo / se and mean / se, so it is compared relative to
     # those
     dp = DpParams(0.3, -0.2, 1.5, -0.4, 0.8, -1.0, 2.0, -0.7)
-    data = sample_esn2(dp, 100 * 700, RngSeed(7))
+    data = sample_esn2(dp, 100 * 700, 7)
     einfo = expected_info(dp).matrix
     block = {rc: einfo[rc] for rc in _UPPER_36}
     rows = kernel_rows(dp, *_residuals(dp, data.y1, data.y2))[2]
@@ -234,7 +238,7 @@ def test_mc_sigmas_match_kernel_chunk_means():
 
 def test_mc_sigmas_need_equal_chunks():
     dp = DpParams(0.3, -0.2, 1.5, -0.4, 0.8, -1.0, 2.0, -0.7)
-    data = sample_esn2(dp, 100 * 700 + 1, RngSeed(7))
+    data = sample_esn2(dp, 100 * 700 + 1, 7)
     with pytest.raises(ValueError, match="equal chunks"):
         _mc_info_sigmas(dp, {(0, 0): 1.0}, data, [(0, 0)])
 
@@ -246,23 +250,23 @@ def test_sampler_chi2_pvalue():
     assert stat > 0.0 and dof > 100
 
 
-def test_validation_config_validation():
-    with pytest.raises(ValueError):
-        ValidationConfig(level="exhaustive")
+def test_suite_rejects_an_unknown_level():
+    with pytest.raises(ValueError, match="level must be one of"):
+        run_validation_suite(level="exhaustive")
 
 
 def test_fast_suite_runs_with_plain_int_seed():
-    config = ValidationConfig(seed=5, level="fast")
-    assert config == ValidationConfig(seed=RngSeed(5), level="fast")
-    report = run_validation_suite(config)
+    report = run_validation_suite(seed=5, level="fast")
     assert report.passed, report.summary()
-    for bad in (-1, 2 ** 64, 1.5, "5"):
-        with pytest.raises(ValueError):
-            ValidationConfig(seed=bad, level="fast")
+    # a bad seed is rejected before any check runs, as -1 would otherwise
+    # wrap to a valid check seed
+    for bad, message in BAD_SEEDS:
+        with pytest.raises(ValueError, match=message):
+            run_validation_suite(seed=bad, level="fast")
 
 
 def test_fast_suite_passes_and_serializes():
-    report = run_validation_suite(ValidationConfig(level="fast"))
+    report = run_validation_suite(level="fast")
     assert report.passed
     names = [c.name for c in report.checks]
     assert names == ["score_vs_fd", "oinfo_vs_fd",
@@ -281,14 +285,13 @@ def test_fast_suite_passes_and_serializes():
 
 def test_fast_suite_passes_at_largest_seed():
     # check seeds are offsets from the suite seed, wrapped into 64 bits
-    report = run_validation_suite(
-        ValidationConfig(seed=RngSeed(2 ** 64 - 1), level="fast"))
+    report = run_validation_suite(seed=2 ** 64 - 1, level="fast")
     assert report.passed, report.summary()
 
 
 def test_full_suite_passes():
     # the Monte Carlo oracles and the chi-square test run only at "full"
-    report = run_validation_suite(ValidationConfig(level="full"))
+    report = run_validation_suite(level="full")
     assert report.passed, report.summary()
     assert [c.name for c in report.checks] == [
         "score_vs_fd", "oinfo_vs_fd", "lemma4_vs_cubature", "einfo_vs_mc",
@@ -320,7 +323,7 @@ def test_lemma4_grid_matches_adaptive_cubature(lam, alpha2, tau):
 
 
 def test_lemma4_check_resolves_the_closed_form():
-    check = _check_lemma4(ValidationConfig().seed)
+    check = _check_lemma4(20260815)
     assert check.passed
     assert check.measured < 1e-12
 
