@@ -9,14 +9,13 @@ from .expectations import (ATerms, ExpectationSet, UDistribution, a_terms,
                            expectation_set, lemma4_expectation,
                            u_distribution)
 from .expected_info import (SweepRow, SweepSpec, block_structure_check,
-                            conditional_independence, det_scan, expected_info,
-                            reparam_scalar_info)
+                            conditional_independence, det_scan, expected_info)
 from .likelihood import (FitResult, InfoMatrix, NonFiniteStart, density_esn2,
                          fit_mle, loglik, observed_info, score)
 from .model import (PARAM_NAMES, Dataset, DpParams, NonFiniteParameter,
                     NonPositiveDefiniteScale, cgf_esn2, density_esn1,
-                    moments_esn2, standardize, validate)
-from .special_fns import std_normal_cdf, std_normal_pdf, zeta
+                    moments_esn2)
+from .special_fns import zeta
 from .validation import (CheckResult, FiniteDifferenceError, ValidationReport,
                          fd_gradient, fd_hessian, run_validation_suite,
                          sample_esn2, sampler_chi2_pvalue)
@@ -30,9 +29,7 @@ __all__ = [
     "block_structure_check", "cgf_esn2", "conditional_independence",
     "density_esn1", "density_esn2", "det_scan", "expectation_set",
     "expected_info", "fd_gradient", "fd_hessian", "fit_mle",
-    "lemma4_expectation", "loglik", "moments_esn2",
-    "observed_info", "reparam_scalar_info", "run_validation_suite",
-    "sample_esn2", "sampler_chi2_pvalue", "score", "standardize",
-    "std_normal_cdf", "std_normal_pdf", "u_distribution", "validate",
-    "zeta",
+    "lemma4_expectation", "loglik", "moments_esn2", "observed_info",
+    "run_validation_suite", "sample_esn2", "sampler_chi2_pvalue", "score",
+    "u_distribution", "zeta",
 ]

@@ -99,10 +99,6 @@ class ATerms:
     error_estimate: float
     evals: int
 
-    def as_tuple(self):
-        return (self.a0, self.a_1_1, self.a_2_1,
-                self.a_1_2, self.a_2_2, self.a_12)
-
 
 def _zeta1_rows(dp, z1, z2):
     """zeta1(T) (1, Z1, Z2), one row per node: the Gram rule's b for the

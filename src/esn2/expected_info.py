@@ -12,10 +12,9 @@ squared, and a determinant is never negative.
 The paper's route, closed-form expectations plus the a-terms applied to
 the likelihood's hessian coefficients as E[-H], lives in expectations
 (`expectation_set`, `_assemble`) as the oracle the rule's E[s s'] is
-tested against; it does not run in production.  Also here: the scalar
-reparameterization rule, the conditional-independence and
-block-structure predicates, and grid sweeps of the determinant used to
-map where the matrix degenerates.
+tested against; it does not run in production.  Also here: the
+conditional-independence and block-structure predicates, and grid sweeps
+of the determinant used to map where the matrix degenerates.
 """
 
 import math
@@ -80,13 +79,6 @@ def expected_info(dp, tol=None):
     if dp.tau == 0.0:
         m[3, 5:7] = m[5:7, 3] = 0.0
     return InfoMatrix(matrix=m, kind="expected")
-
-
-def reparam_scalar_info(info_value, dpsi_dnu):
-    """Map a scalar information value through psi(nu): divide by psi'^2."""
-    if dpsi_dnu == 0.0:
-        raise ValueError("reparameterization derivative must be nonzero")
-    return info_value / dpsi_dnu ** 2
 
 
 def conditional_independence(dp):

@@ -1,4 +1,4 @@
-"""Bivariate extended skew-normal model: parameters, standardization, moments.
+"""Bivariate extended skew-normal model: parameters, densities, moments.
 
 The direct parameter vector is ordered (xi1, xi2, omega11, omega12, omega22,
 alpha1, alpha2, tau): location xi, symmetric positive definite scale matrix
@@ -38,7 +38,7 @@ class DpParams:
     """Direct parameters in the fixed (xi, Omega, alpha, tau) order.
 
     Every instance is a valid point, however it is built: after coercing
-    its components to float, construction calls `validate`, so an invalid
+    its components to float, construction calls `_validate`, so an invalid
     point raises NonFiniteParameter or NonPositiveDefiniteScale and no
     function taking a DpParams checks it again.
     """
@@ -54,7 +54,7 @@ class DpParams:
     def __post_init__(self):
         for name in PARAM_NAMES:
             object.__setattr__(self, name, float(getattr(self, name)))
-        validate(self)
+        _validate(self)
 
     def as_array(self):
         return np.array([getattr(self, name) for name in PARAM_NAMES])
@@ -65,22 +65,6 @@ class DpParams:
         if values.shape != (8,):
             raise ValueError(f"expected 8 parameters, got shape {values.shape}")
         return cls(*values)
-
-
-@dataclass(frozen=True)
-class StandardizedState:
-    """One observation's standardized residuals z1, z2, lam, alpha_star^2,
-    alpha0 and the cdf argument t, as `standardize` returns them."""
-    z1: float
-    z2: float
-    lam: float
-    alpha_star_sq: float
-    alpha0: float
-    t: float
-
-    def __post_init__(self):
-        assert -1.0 < self.lam < 1.0
-        assert 1.0 + self.alpha_star_sq > 0.0
 
 
 @dataclass(frozen=True)
@@ -121,9 +105,9 @@ class Dataset:
         return len(self.y1)
 
 
-def validate(dp):
-    """Check dp and return it unchanged.  DpParams calls it on
-    construction, so every DpParams has passed it.
+def _validate(dp):
+    """Raise unless dp is a valid point.  DpParams.__post_init__ is its
+    one caller, so every DpParams has passed it.
 
     Raises
     ------
@@ -155,7 +139,6 @@ def validate(dp):
     if not math.isfinite(astar2):
         raise NonFiniteParameter(
             "alpha_star^2 = alpha' Omegabar alpha is not finite")
-    return dp
 
 
 def _lam(dp):
@@ -206,17 +189,6 @@ def _residuals(dp, y1, y2):
     elementwise, with omega_j = sqrt(omega_jj)."""
     return ((np.asarray(y1, dtype=float) - dp.xi1) / math.sqrt(dp.omega11),
             (np.asarray(y2, dtype=float) - dp.xi2) / math.sqrt(dp.omega22))
-
-
-def standardize(dp, y1, y2):
-    """Standardized residuals and cdf argument for one observation."""
-    lam = _lam(dp)
-    astar2 = _alpha_star_sq(lam, dp.alpha1, dp.alpha2)
-    alpha0 = dp.tau * math.sqrt(1.0 + astar2)
-    z1, z2 = (float(z) for z in _residuals(dp, y1, y2))
-    t = alpha0 + dp.alpha1 * z1 + dp.alpha2 * z2
-    return StandardizedState(z1=z1, z2=z2, lam=lam, alpha_star_sq=astar2,
-                             alpha0=alpha0, t=t)
 
 
 def density_esn1(y, xi, omega_sq, alpha, tau):

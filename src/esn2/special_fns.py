@@ -1,11 +1,11 @@
-"""Standard normal pdf, cdf, and the log-cdf derivative ladder.
+"""The log-cdf derivative ladder of the standard normal.
 
 zeta(0, x) = log Phi(x), zeta(1, x) = phi(x) / Phi(x) is the inverse Mills
 ratio, and zeta(2, x) = zeta1'(x) = -(x zeta1 + zeta1^2).  Far left-tail
 arguments are routed through a Mills-ratio asymptotic series so the ladder
 stays finite and fully accurate long after Phi itself underflows.
 
-All three functions accept scalars or ndarrays and are elementwise.
+zeta accepts scalars or ndarrays and is elementwise.
 """
 
 import functools
@@ -35,41 +35,6 @@ _TAIL_MAX_TERMS = 40
 # about eps |zeta1(tau) / h| <= 4 eps tau^2 of its relative accuracy.
 _SHIFT_REACH = 0.25
 _SHIFT_TERMS = 17
-
-
-def _as_finite_array(x, name):
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite")
-    return arr
-
-
-def std_normal_pdf(x):
-    """Standard normal density phi(x).
-
-    Parameters
-    ----------
-    x : float or ndarray
-        Finite argument(s).
-
-    Returns
-    -------
-    float or ndarray
-    """
-    arr = _as_finite_array(x, "x")
-    out = np.exp(-0.5 * arr * arr) / RT2PI
-    return float(out) if out.ndim == 0 else out
-
-
-def std_normal_cdf(x):
-    """Standard normal distribution function Phi(x).
-
-    Monotone, with Phi(x) + Phi(-x) = 1 to rounding.  Deep left-tail values
-    may underflow to 0.0 but never produce NaN.
-    """
-    arr = _as_finite_array(x, "x")
-    out = 0.5 * erfc(-arr / RT2)
-    return float(out) if out.ndim == 0 else out
 
 
 def _mills_sums(x):
@@ -145,7 +110,9 @@ def zeta(m, x):
     """
     if m not in (0, 1, 2):
         raise ValueError(f"order must be 0, 1, or 2, got {m!r}")
-    arr = _as_finite_array(x, "x")
+    arr = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("x must be finite")
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr).astype(float, copy=False)
     out = _ladder(arr, m)[m]

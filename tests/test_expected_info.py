@@ -33,7 +33,6 @@ from esn2 import (
     expectation_set,
     expected_info,
     observed_info,
-    reparam_scalar_info,
     sample_esn2,
 )
 from esn2.cubature import _axes, _gram_factor, _gram_rule, _x_rule
@@ -209,14 +208,6 @@ def test_tau_block_shrinks_determinant():
         det8 = np.linalg.det(m)
         det7 = np.linalg.det(m[:7, :7])
         assert det8 <= det7 * m[7, 7] + 1e-10
-
-
-def test_reparam_scalar_info():
-    assert reparam_scalar_info(1.0, 2.0) == 0.25     # psi = w^2 at w = 1
-    assert reparam_scalar_info(1.0, 1.0) == 1.0
-    assert reparam_scalar_info(1.0, 4.0) == 0.0625   # psi = w^2 at w = 2
-    with pytest.raises(ValueError):
-        reparam_scalar_info(1.0, 0.0)
 
 
 def test_conditional_independence():

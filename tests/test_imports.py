@@ -1,11 +1,13 @@
 """No module of the package keeps a module-level import it does not use,
 nor a module-level name that nothing reads: a private one, or a public one
-that the package does not export.
+that the package does not export.  Nor does the package export a name
+that neither it, the benchmark nor the scripts read, unless the name is a
+quantity of the paper.
 
 No linter ships with the test environment, so these are the one check of
-either: AST scans of src/esn2/*.py.  __init__.py is left out, since its
-imports are the package's re-exports, and so is an import marked
-``# noqa: F401``.
+each: AST scans of src/esn2/*.py, bench/*.py and scripts/*.py.
+__init__.py is left out, since its imports are the package's re-exports,
+and so is an import marked ``# noqa: F401``.
 """
 
 import ast
@@ -13,7 +15,8 @@ from pathlib import Path
 
 import esn2
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "esn2"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "esn2"
 
 
 def _unused_imports(path):
@@ -118,3 +121,28 @@ def test_every_public_definition_is_exported_or_read():
               for file, name, node in _unread(public=True)
               if name not in esn2.__all__ and not _is_click_command(node)]
     assert unread == []
+
+
+# exports that nothing in src/esn2, bench/ or scripts/ reads: each is a
+# quantity of the paper that the tests pin
+PAPER_QUANTITIES = {
+    "block_structure_check",  # I is block diagonal at omega12 = alpha1 = 0
+    "cgf_esn2",  # the cumulant generating function of the bivariate ESN
+    "conditional_independence",  # holds iff omega12 = alpha1 alpha2 = 0
+    "density_esn1",  # the univariate ESN density, the marginal law
+    "expectation_set",  # the closed-form expectations that assemble E[-H]
+    "u_distribution",  # the Gaussian law U of the zeta1 tilt identity
+}
+
+
+def test_every_export_is_read_or_a_paper_quantity():
+    # __init__.py's re-export and a name's own definition are no read; an
+    # entry of PAPER_QUANTITIES that is read, or no longer exported, fails
+    unread_in_src = {name for _, name, _ in _unread(public=True)}
+    read_outside = {name for folder in ("bench", "scripts")
+                    for path in sorted((ROOT / folder).glob("*.py"))
+                    for name, _ in _reads(ast.parse(
+                        path.read_text(encoding="utf-8")))}
+    unread = sorted(name for name in esn2.__all__
+                    if name in unread_in_src and name not in read_outside)
+    assert unread == sorted(PAPER_QUANTITIES)

@@ -30,14 +30,13 @@ from esn2 import (
     observed_info,
     sample_esn2,
     score,
-    standardize,
 )
 from esn2 import likelihood, model
 from esn2.cli import _default_starts
 from esn2.expected_info import _FLIP_SIGNS
 from esn2.likelihood import (_FLOOR, _ROWS, _UPPER, _coefficients, _handover,
                              _levels, _score_rows)
-from esn2.model import _residuals
+from esn2.model import _alpha_star_sq, _lam, _residuals
 from oracles import kernel_rows
 
 POINT_A = DpParams(0, 0, 1, 0.6, 1, 2, 3, 1)
@@ -340,7 +339,7 @@ def test_fit_finish_halves_a_step_out_of_the_parameter_space(monkeypatch):
     # after 10 BFGS iterations on this small dataset a full Newton step of
     # the finish makes Omega singular; the finish halves it and goes on
     data = sample_esn2(DpParams(0, 0, 1, 0.5, 1, 1.5, -1, 0.5), 60, 115)
-    sums, validate = likelihood._sums, model.validate
+    sums, validate = likelihood._sums, model._validate
     orders, rejected = [], []
 
     def counted_sums(dp, data, order):
@@ -356,7 +355,7 @@ def test_fit_finish_halves_a_step_out_of_the_parameter_space(monkeypatch):
             raise
 
     monkeypatch.setattr(likelihood, "_sums", counted_sums)
-    monkeypatch.setattr(model, "validate", counted_validate)
+    monkeypatch.setattr(model, "_validate", counted_validate)
     monkeypatch.setattr(likelihood, "_MAX_ITER", 10)
     start = DpParams(0.2, -0.2, 1.3, 0.3, 0.8, 1.0, -0.5, 0.1)
     result = fit_mle(data, start)
@@ -561,8 +560,10 @@ def _assert_matches_high_precision(dp):
 ])
 def test_deep_tail_matches_high_precision(dp):
     # every t here lies in the Mills-series branch of the zeta ladder
-    assert all(standardize(dp, y1, y2).t < -10.0
-               for y1, y2 in zip(DATA_C.y1, DATA_C.y2))
+    z1, z2 = _residuals(dp, DATA_C.y1, DATA_C.y2)
+    alpha0 = dp.tau * math.sqrt(
+        1.0 + _alpha_star_sq(_lam(dp), dp.alpha1, dp.alpha2))
+    assert all(alpha0 + dp.alpha1 * z1 + dp.alpha2 * z2 < -10.0)
     _assert_matches_high_precision(dp)
 
 
