@@ -40,10 +40,12 @@ import numpy as np
 from esn2 import (CubatureNotConverged, Dataset, DpParams, expected_info,
                   fit_mle, loglik, observed_info, sample_esn2)
 from esn2.cli import _default_starts
+from esn2.validation import _DP_SET
 
-FIT_TRUTHS = ((0, 0, 1, 0.5, 1, 1.5, -1, 0.5), (0, 0, 1, 0.6, 1, 2, 3, 1))
-CHI2_TRUTHS = (FIT_TRUTHS[1], (0.3, -0.2, 1.5, -0.4, 0.8, -1, 2, -0.7),
-               FIT_TRUTHS[0])
+# the suite's three points, which are the acceptance tests' chi-square
+# truths; the bench fit truths are its third and first
+CHI2_TRUTHS = _DP_SET
+FIT_TRUTHS = (_DP_SET[2], _DP_SET[0])
 START = DpParams(0.2, -0.2, 1.3, 0.3, 0.8, 1.0, -0.5, 0.1)
 C = 1e-3
 SCALE = np.array([C, C, C * C, C * C, C * C, 1, 1, 1])
@@ -54,13 +56,13 @@ def fits(name):
     if name == "A":
         for t in FIT_TRUTHS:
             for s in range(1, 21):
-                data = sample_esn2(DpParams(*t), 20_000, 5000 + s)
+                data = sample_esn2(t, 20_000, 5000 + s)
                 yield f"{t} {s}", data, START
     elif name == "C":
         for t in CHI2_TRUTHS:
             for n in (500, 2000):
                 for s in range(100, 140):
-                    data = sample_esn2(DpParams(*t), n, s)
+                    data = sample_esn2(t, n, s)
                     for k, start in enumerate(_default_starts(data)):
                         yield f"{t} {n} {s} {k}", data, start
     elif name == "H":
@@ -70,13 +72,13 @@ def fits(name):
     elif name == "S":
         start = DpParams.from_array(SCALE * START.as_array())
         for s in range(7000, 7030):
-            data = sample_esn2(DpParams(*FIT_TRUTHS[0]), 20_000, s)
+            data = sample_esn2(FIT_TRUTHS[0], 20_000, s)
             yield f"{s}", Dataset(C * data.y1, C * data.y2), start
     elif name == "L":
         for t, s in zip((*FIT_TRUTHS, CHI2_TRUTHS[1]), (3, 4, 5)):
-            yield f"{t} {s}", sample_esn2(DpParams(*t), 1_000_000, s), START
+            yield f"{t} {s}", sample_esn2(t, 1_000_000, s), START
     else:
-        truth = DpParams(*CHI2_TRUTHS[1])
+        truth = CHI2_TRUTHS[1]
         for s in range(7000, 7040):
             yield f"{s}", sample_esn2(truth, 20_000, s), START
 
@@ -120,7 +122,7 @@ def main():
                 levels.update(dict(r.levels))
                 if name == "T":
                     failures += fails_bench_check(
-                        r, data, DpParams(*CHI2_TRUTHS[1]))
+                        r, data, CHI2_TRUTHS[1])
                 if args.records:
                     eig = np.linalg.eigvalsh(
                         observed_info(r.dp_hat, data).matrix)

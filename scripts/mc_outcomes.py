@@ -13,9 +13,7 @@ import argparse
 
 import numpy as np
 
-from esn2.validation import _check_einfo_vs_mc, _check_tau0_reduction
-
-CHECKS = (_check_einfo_vs_mc, _check_tau0_reduction)
+from esn2.validation import _MC_CHECKS, _check_mc
 
 
 def seed_range(text):
@@ -35,11 +33,11 @@ def main():
     parser.add_argument("--seeds", type=seed_range, default=seed_range("1-50"),
                         help="suite seeds A-B, inclusive (default 1-50)")
     args = parser.parse_args()
-    for check in CHECKS:
+    for spec in _MC_CHECKS:
         worst = []
         failed = []
         for s in args.seeds:
-            result = check(s)
+            result = _check_mc(s, *spec)
             worst.append(result.measured)
             if not result.passed:
                 failed.append(f"{s} ({result.measured:.2f}; {result.detail})")

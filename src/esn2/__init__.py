@@ -5,8 +5,7 @@ omega22, alpha1, alpha2, tau).
 """
 
 from .cubature import CubatureControls, CubatureNotConverged
-from .expectations import (ATerms, ExpectationSet, UDistribution, a_terms,
-                           expectation_set, lemma4_expectation,
+from .expectations import (a_terms, expectation_set, lemma4_expectation,
                            u_distribution)
 from .expected_info import (SweepRow, SweepSpec, block_structure_check,
                             conditional_independence, det_scan, expected_info)
@@ -21,11 +20,10 @@ from .validation import (CheckResult, FiniteDifferenceError, ValidationReport,
                          sample_esn2, sampler_chi2_pvalue)
 
 __all__ = [
-    "ATerms", "CheckResult", "CubatureControls", "CubatureNotConverged",
-    "Dataset", "DpParams", "ExpectationSet", "FiniteDifferenceError",
-    "FitResult", "InfoMatrix", "NonFiniteParameter", "NonFiniteStart",
-    "NonPositiveDefiniteScale", "PARAM_NAMES", "SweepRow", "SweepSpec",
-    "UDistribution", "ValidationReport", "a_terms",
+    "CheckResult", "CubatureControls", "CubatureNotConverged", "Dataset",
+    "DpParams", "FiniteDifferenceError", "FitResult", "InfoMatrix",
+    "NonFiniteParameter", "NonFiniteStart", "NonPositiveDefiniteScale",
+    "PARAM_NAMES", "SweepRow", "SweepSpec", "ValidationReport", "a_terms",
     "block_structure_check", "cgf_esn2", "conditional_independence",
     "density_esn1", "density_esn2", "det_scan", "expectation_set",
     "expected_info", "fd_gradient", "fd_hessian", "fit_mle",

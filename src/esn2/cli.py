@@ -72,22 +72,26 @@ def _load_table(path):
     header = False
     # utf-8-sig drops a byte-order mark, which would make row 1 a header
     with open(path, newline="", encoding="utf-8-sig") as handle:
-        for k, row in enumerate(filter(None, csv.reader(handle)), start=1):
-            if k == 1 and not any(map(_is_number, row)):
-                header = True
-                continue
-            if len(row) != 2:
-                raise click.UsageError(
-                    f"{path} row {k}: expected 2 columns, got {len(row)}")
-            try:
-                a, b = float(row[0]), float(row[1])
-            except ValueError as exc:
-                raise click.UsageError(f"{path} row {k}: {exc}") from None
-            if not (math.isfinite(a) and math.isfinite(b)):
-                raise click.UsageError(
-                    f"{path} row {k}: non-finite value")
-            y1.append(a)
-            y2.append(b)
+        try:
+            for k, row in enumerate(filter(None, csv.reader(handle)), start=1):
+                if k == 1 and not any(map(_is_number, row)):
+                    header = True
+                    continue
+                if len(row) != 2:
+                    raise click.UsageError(f"{path} row {k}: expected 2 "
+                                           f"columns, got {len(row)}")
+                try:
+                    a, b = float(row[0]), float(row[1])
+                except ValueError as exc:
+                    raise click.UsageError(f"{path} row {k}: {exc}") from None
+                if not (math.isfinite(a) and math.isfinite(b)):
+                    raise click.UsageError(
+                        f"{path} row {k}: non-finite value")
+                y1.append(a)
+                y2.append(b)
+        except UnicodeDecodeError as exc:
+            raise click.UsageError(
+                f"{path}: not UTF-8 text ({exc.reason})") from None
     if not y1:
         raise click.UsageError(
             f"{path}: no data rows after the header" if header
@@ -154,7 +158,8 @@ _DP = click.option("--dp", "dp_text", required=True, metavar="T",
                         "alpha1,alpha2,tau) order")
 _FORMAT = click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
                        default="json", help="output format")
-_DATA = click.option("--data", "data_path", type=click.Path(exists=True),
+_DATA = click.option("--data", "data_path",
+                     type=click.Path(exists=True, dir_okay=False),
                      required=True, help="two-column CSV of observations")
 
 
@@ -218,8 +223,13 @@ def det_scan_cmd(dp_text, sweep_param, start, stop, points, out_path):
         spec = SweepSpec(sweep_param, tuple(float(g) for g in grid), base)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from None
-    rows = det_scan(spec)
-    with click.open_file(out_path or "-", "w", encoding="utf-8") as out:
+    # opened before the scan, so that a path it cannot write fails at once
+    try:
+        out = click.open_file(out_path or "-", "w", encoding="utf-8")
+    except OSError as exc:
+        raise click.UsageError(f"--out {out_path}: {exc.strerror}") from None
+    with out:
+        rows = det_scan(spec)
         out.write("param,value,det,min_eig,converged\n")
         for row in rows:
             out.write(f"{sweep_param},{_fmt(row.param_value)},"

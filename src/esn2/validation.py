@@ -352,33 +352,31 @@ _UPPER_36 = [(r, c) for r in range(8) for c in range(r, 8)]
 _UPPER_28 = [(r, c) for r in range(7) for c in range(r, 7)]
 
 
-def _mc_sigmas(dp, seed, entries):
-    """_mc_info_sigmas of expected_info(dp) on _MC_DRAWS fresh draws."""
-    data = sample_esn2(dp, _MC_DRAWS, seed)
-    return _mc_info_sigmas(dp, expected_info(dp).matrix, data, entries)
+# name, points, entries, seed offset and detail of each Monte Carlo check:
+# expected_info against the mean -H at the suite's points, and the SN2
+# reduction's leading 7x7 block at tau = 0
+_MC_CHECKS = (
+    ("einfo_vs_mc", _DP_SET, _UPPER_36, 100,
+     f"{{over3}} entries beyond 3 sigma across {len(_DP_SET)} points"),
+    ("tau0_sn2_reduction", (replace(_DP_SET[0], tau=0.0),), _UPPER_28, 200,
+     "leading 7x7 block at tau=0, {over3} beyond 3 sigma"),
+)
 
 
-def _check_einfo_vs_mc(seed):
-    worst = 0.0
-    over3 = 0
-    for i, dp in enumerate(_DP_SET):
-        sig = _mc_sigmas(dp, _offset_seed(seed, 100 + i), _UPPER_36)
-        worst = max(worst, float(np.max(sig)))
-        over3 += int(np.sum(sig > 3.0))
-    passed = worst < 5.0 and over3 <= 2 * len(_DP_SET)
-    return CheckResult(
-        "einfo_vs_mc", passed, worst, 5.0,
-        f"{over3} entries beyond 3 sigma across {len(_DP_SET)} points")
-
-
-def _check_tau0_reduction(seed):
-    sig = _mc_sigmas(replace(_DP_SET[0], tau=0.0), _offset_seed(seed, 200),
-                     _UPPER_28)
+def _check_mc(seed, name, points, entries, offset, detail):
+    """One Monte Carlo check: _mc_info_sigmas of expected_info at each
+    point, on _MC_DRAWS fresh draws.  It passes when every sigma is below
+    5 and at most 2 per point, counted over all points, are beyond 3."""
+    sig = []
+    for i, dp in enumerate(points):
+        data = sample_esn2(dp, _MC_DRAWS, _offset_seed(seed, offset + i))
+        sig.append(_mc_info_sigmas(dp, expected_info(dp).matrix, data,
+                                   entries))
+    sig = np.concatenate(sig)
     worst = float(np.max(sig))
     over3 = int(np.sum(sig > 3.0))
-    passed = worst < 5.0 and over3 <= 2
-    return CheckResult("tau0_sn2_reduction", passed, worst, 5.0,
-                       f"leading 7x7 block at tau=0, {over3} beyond 3 sigma")
+    passed = worst < 5.0 and over3 <= 2 * len(points)
+    return CheckResult(name, passed, worst, 5.0, detail.format(over3=over3))
 
 
 def _cell_masses(dp, edges):
@@ -454,8 +452,7 @@ def run_validation_suite(seed=20260815, level="full"):
     seed = _checked_seed(seed)
     checks = [*_check_fd(seed), _check_lemma4(seed)]
     if level == "full":
-        checks.append(_check_einfo_vs_mc(seed))
-        checks.append(_check_tau0_reduction(seed))
+        checks += [_check_mc(seed, *spec) for spec in _MC_CHECKS]
         checks.append(_check_sampler_chi2(seed))
     checks.append(_check_singularities())
     return ValidationReport(tuple(checks))

@@ -157,14 +157,24 @@ def test_header_detected(runner, tmp_path):
      "{path} row 1: could not convert string to float: 'x'"),
     ("1.5,\n0.1,0.2\n",
      "{path} row 1: could not convert string to float: ''"),
+    # bytes that do not decode name the file, not a row
+    (b"0.1,0.2\n\xff,0.4\n", "{path}: not UTF-8 text (invalid start byte)"),
 ])
 def test_table_errors_name_the_file_and_row(runner, tmp_path, text, message):
     path = tmp_path / "d.csv"
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     result = runner.invoke(main, ["eval", "loglik", "--dp", IDENTITY,
                                   "--data", str(path)])
     assert result.exit_code == 2
     assert result.stderr.rstrip().endswith(message.format(path=path))
+
+
+def test_data_directory_rejected(runner, tmp_path):
+    result = runner.invoke(main, ["eval", "loglik", "--dp", IDENTITY,
+                                  "--data", str(tmp_path)])
+    assert result.exit_code == 2
+    last = result.stderr.rstrip().splitlines()[-1]
+    assert last.startswith("Error:") and str(tmp_path) in last
 
 
 def _bits(values):
@@ -313,6 +323,21 @@ def test_det_scan_writes_file(runner, tmp_path):
     assert result.output == ""
     lines = out.read_text(encoding="utf-8").strip().splitlines()
     assert len(lines) == 3
+
+
+def test_det_scan_rejects_an_unwritable_out_before_the_scan(
+        runner, tmp_path, monkeypatch):
+    def scan(spec):
+        raise AssertionError("the scan ran")
+
+    monkeypatch.setattr(cli, "det_scan", scan)
+    out = tmp_path / "missing" / "scan.csv"
+    result = runner.invoke(main, ["det-scan", "--dp", "0,0,1,0,1,1,0,0",
+                                  "--sweep", "tau", "--from", "0", "--to",
+                                  "1", "--points", "2", "--out", str(out)])
+    assert result.exit_code == 2
+    assert result.stderr.rstrip().splitlines()[-1] == (
+        f"Error: --out {out}: No such file or directory")
 
 
 def test_det_scan_rejects_scale_sweep(runner):

@@ -350,7 +350,7 @@ def test_paper_assembly_matches_gram_rule():
     rng = philox(20260815, 43)
     for dp in ([SLANTED] + [random_dp(rng) for _ in range(5)]
                + [DpParams(*p) for p in FIT_MC_POINTS]):
-        want = _assemble(dp, expectation_set(dp, TIGHT))
+        want = _assemble(dp, *expectation_set(dp, TIGHT))
         got = expected_info(dp, TIGHT).matrix
         d = np.sqrt(np.diag(want))
         assert np.max(np.abs(got - want) / np.outer(d, d)) <= 1e-10, dp
@@ -363,7 +363,7 @@ def test_paper_assembly_matches_gram_rule_extremes(p):
     # assembly is scaled by the rule's diagonal, which is never negative
     dp = DpParams(*p)
     want = expected_info(dp, TIGHT).matrix
-    got = _assemble(dp, expectation_set(dp, TIGHT))
+    got = _assemble(dp, *expectation_set(dp, TIGHT))
     assert np.max(_scaled(got, want)) <= 1e-7
 
 
@@ -372,10 +372,7 @@ def test_expected_score_vanishes(p):
     # the score coefficients, contracted with the closed-form
     # E[1, Z, Z Z'] and E[(1, Z) zeta1(T)]: E[s] = 0 without sampling
     dp = DpParams(*p)
-    es = expectation_set(dp)
-    e_s = _coefficients(dp).s_coef @ [
-        1.0, es.e_z1, es.e_z2, es.e_z1sq, es.e_z2sq, es.e_z1z2, es.e_zeta1,
-        es.e_z1_zeta1, es.e_z2_zeta1]
+    e_s = _coefficients(dp).s_coef @ expectation_set(dp)[0]
     e_s[7] -= zeta(1, dp.tau)
     assert np.max(np.abs(e_s)) <= 1e-13
 

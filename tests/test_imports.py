@@ -1,5 +1,6 @@
-"""No module of the package keeps a module-level import it does not use,
-nor a module-level name that nothing reads: a private one, or a public one
+"""No module of the package, the benchmark or the scripts keeps a
+module-level import it does not use.  No module of the package keeps a
+module-level name that nothing reads: a private one, or a public one
 that the package does not export.  Nor does the package export a name
 that neither it, the benchmark nor the scripts read, unless the name is a
 quantity of the paper.
@@ -33,13 +34,16 @@ def _unused_imports(path):
             name = alias.asname or alias.name.split(".")[0]
             bound.append((alias.lineno, name))
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    return [f"{path.name}:{line} {name}" for line, name in bound
-            if name not in used]
+    return [f"{path.relative_to(ROOT)}:{line} {name}"
+            for line, name in bound if name not in used]
 
 
 def test_no_unused_module_level_imports():
-    modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-    assert modules
+    # the benchmark's files are only read here
+    modules = [p for folder in (SRC, ROOT / "bench", ROOT / "scripts")
+               for p in sorted(folder.glob("*.py")) if p.name != "__init__.py"]
+    assert {p.parent for p in modules} == {SRC, ROOT / "bench",
+                                            ROOT / "scripts"}
     unused = [hit for path in modules for hit in _unused_imports(path)]
     assert unused == []
 

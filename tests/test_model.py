@@ -22,8 +22,10 @@ from esn2 import (
     observed_info,
     sample_esn2,
     score,
+    u_distribution,
 )
-from esn2.model import _alpha_star_sq, _lam, delta_vector
+from esn2.model import (_alpha_star_sq, _conditional_factor, _lam,
+                        delta_vector)
 
 IDENTITY = DpParams(0, 0, 1, 0, 1, 0, 0, 0)
 SLANTED = DpParams(0, 0, 1, 0.6, 1, 2, 3, 1)
@@ -46,11 +48,13 @@ def test_public_names_resolve():
     # adaptive cubature is SciPy's job (tests/oracles.py), so the package
     # exports none; fit_mle, sample_esn2 and the suite take plain values,
     # with no wrapper around them; scipy.special has phi and Phi, and
-    # construction validates every DpParams.  The attribute
-    # esn2.expected_info is the function, which hides the submodule
+    # construction validates every DpParams; the paper's expectations are
+    # plain arrays.  The attribute esn2.expected_info is the function,
+    # which hides the submodule
     import sys
     import esn2
     import esn2.cubature
+    import esn2.expectations
     import esn2.likelihood
     import esn2.model
     import esn2.special_fns
@@ -60,11 +64,12 @@ def test_public_names_resolve():
     for name in ("integrate_2d", "CubatureResult", "NonFiniteIntegrand",
                  "FitControls", "RngSeed", "ValidationConfig",
                  "std_normal_pdf", "std_normal_cdf", "standardize",
-                 "StandardizedState", "reparam_scalar_info", "validate"):
+                 "StandardizedState", "reparam_scalar_info", "validate",
+                 "ATerms", "ExpectationSet", "UDistribution"):
         assert name not in esn2.__all__
-        for module in (esn2, esn2.cubature, esn2.likelihood,
-                       esn2.validation, esn2.special_fns, esn2.model,
-                       sys.modules["esn2.expected_info"]):
+        for module in (esn2, esn2.cubature, esn2.expectations,
+                       esn2.likelihood, esn2.validation, esn2.special_fns,
+                       esn2.model, sys.modules["esn2.expected_info"]):
             assert not hasattr(module, name), (module.__name__, name)
 
 
@@ -185,6 +190,23 @@ def test_alpha_star_sq_matches_high_precision():
             got = _alpha_star_sq(lam, a1, a2)
             worst = max(worst, float(abs(got - want) / want))
     assert worst <= 1e-15
+
+
+@pytest.mark.parametrize("lam, a1, a2", [
+    (0.0, 1.0, 0.0), (0.6, 2.0, 3.0), (-0.4, -1.0, 2.0), (0.3, 1.2, -0.8),
+    (0.5, 1e4, 1e4), (0.0, 1e8, 1e8), (0.9999, 300.0, -50.0),
+])
+def test_conditional_factor_is_the_tilt_law(lam, a1, a2):
+    # the sampler's Z = delta V + L W: L L' is U's covariance C, entrywise
+    # on the scale sqrt(C_ii C_jj), and -tau delta is U's mean
+    d, l11, l21, l22 = _conditional_factor(lam, a1, a2)
+    tau = 0.7
+    mean, cov = u_distribution(lam, a1, a2, tau)
+    factor = np.array([[l11, 0.0], [l21, l22]])
+    scale = np.sqrt(np.diag(cov))
+    gap = np.abs(factor @ factor.T - cov) / np.outer(scale, scale)
+    assert np.max(gap) <= 1e-15
+    assert np.array_equal([-tau * d.delta1, -tau * d.delta2], mean)
 
 
 def test_density_identity_origin():
