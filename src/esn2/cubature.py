@@ -13,7 +13,8 @@ skew-normal with density phi(x) Phi(tau den + alpha_star x) / Phi(tau),
 den = sqrt(1 + alpha_star^2), and Y is N(0, 1), independent of X.  Both
 row functions depend on Z nonlinearly only through t = tau den +
 alpha_star X, which does not vary along Y.  So X carries all of
-zeta1(t) and gets Gauss-Legendre panels that grow from rule to rule,
+zeta1(t) and gets Gauss-Legendre panels that grow from rule to rule, and
+the zeta ladder runs once per X node and is handed to the row function,
 while along Y, b is a polynomial of degree <= 2: three Gauss-Hermite
 nodes integrate b b' there exactly.  One QR takes A to its triangular
 factor R, so E[b b'] = R'R, with no subtraction anywhere: diagonal
@@ -64,14 +65,16 @@ _SPAN_SQ = 80.0
 # zeta1(t) turns from linear to phi-like for t within _KNEE of 0, so the X
 # panels split where t = -_KNEE and t = _KNEE
 _KNEE = 8.0
-# the first rule has 24 nodes per X panel and each later rule 1.5 times as
-# many.  At the default tolerance the fit truths of bench/points.py kept
-# 10.3 digits from a first rule of 8 or 12 and 13.3 from 16 or 24; 24
-# converges with fewer nodes in all.  leggauss takes memory quadratic in
-# its node count, so no rule has more than _MAX_NODES per panel.  With at
-# most 3 X panels and 3 Y nodes, a rule has at most 3 x 400 x 3 = 3,600
-# rows, which _gram_factor takes in one QR
-_FIRST_NODES = 24
+# the first rule has 36 nodes per X panel and each later rule 1.5 times as
+# many.  Over 75 points (the benchmark's fit, Monte Carlo and scan points,
+# the tests' mirror and extreme points and 60 random ones) at each of the
+# four tolerances in use, no score rule stopped on a rule of 24 nodes
+# against one of 36: each stopped at 54, 81 or 183 nodes, or at the cap,
+# so a first rule of 24 only cost its nodes.  leggauss takes memory
+# quadratic in its node count, so no rule has more than _MAX_NODES per
+# panel.  With at most 3 X panels and 3 Y nodes, a rule has at most
+# 3 x 400 x 3 = 3,600 rows, which _gram_factor takes in one QR
+_FIRST_NODES = 36
 _GROWTH = 1.5
 _MAX_NODES = 400
 # Y ~ N(0, 1) gets the 3-node Gauss-Hermite rule: at fixed X, b b' is a
@@ -123,14 +126,17 @@ def _axes(dp):
 
 
 def _x_rule(tau, alpha_star, n):
-    """Nodes and log weights for X, whose density is phi(x) Phi(t) /
-    Phi(tau) with t = tau den + alpha_star x.
+    """Nodes, log weights, zeta1(t) and zeta1(t) - zeta1(tau) for X,
+    whose density is phi(x) Phi(t) / Phi(tau) with t = tau den +
+    alpha_star x.
 
     Gauss-Legendre with n nodes on each panel.  The interval is split
     where t = -_KNEE and t = _KNEE, wherever those points fall inside it,
     so that the knee of zeta1(t) gets panels of its own.  The weights are
     formed in log space, so a deep truncation (tau << 0) neither
-    underflows nor overflows.
+    underflows nor overflows.  t does not vary along Y, so this one pass
+    of the ladder (see zeta_pair) gives the log weights and the zeta1 of
+    every node on the X node's line.
     """
     den = math.sqrt(1.0 + alpha_star * alpha_star)
     delta, reach = alpha_star / den, math.sqrt(_SPAN_SQ) / den
@@ -140,29 +146,34 @@ def _x_rule(tau, alpha_star, n):
              if alpha_star > 0.0 else [])
     edges = np.array([lo, *(k for k in knees if lo < k < hi), hi])
     x, w = _panels(edges, n)
-    # zeta0(t) - zeta0(tau), with t - tau formed as _log_density forms it
+    # t - tau = tau (den - 1) + alpha_star x, den - 1 formed without
+    # cancellation
     h = tau * alpha_star * alpha_star / (1.0 + den) + alpha_star * x
-    return x, (np.log(w) - 0.5 * x * x - LOG_RT2PI
-               + zeta_pair(tau, h, 0)[1][0])
+    at, diff = zeta_pair(tau, h, 1)
+    return x, np.log(w) - 0.5 * x * x - LOG_RT2PI + diff[0], at[1], diff[1]
 
 
 def _gram_factor(dp, rows, x_rule, y_rule=_Y_RULE):
-    """Triangular R with R'R the rule's E[b b'] at dp, b = rows(dp, z1, z2).
+    """Triangular R with R'R the rule's E[b b'] at dp, b = rows(dp, z1,
+    z2, zeta1, diff1).
 
-    The rule is the X nodes and log weights x_rule times the Y nodes and
-    log weights y_rule: node j k + l, k = len(y_rule[0]), is X node j and
-    Y node l, at Z = p x_j + q y_l (see _axes).  rows returns one row of b
-    per node, and one QR of the weighted rows gives R.  At the mirror
-    image alpha -> -alpha, p and q change sign exactly, so every node is
-    mirrored exactly and the weights are unchanged.
+    The rule is the X nodes, log weights and zeta values x_rule (see
+    _x_rule) times the Y nodes and log weights y_rule: node j k + l,
+    k = len(y_rule[0]), is X node j and Y node l, at Z = p x_j + q y_l
+    (see _axes), and its zeta1(t) and zeta1(t) - zeta1(tau) are X node
+    j's.  rows returns one row of b per node, and one QR of the weighted
+    rows gives R.  At the mirror image alpha -> -alpha, p and q change
+    sign exactly, so every node is mirrored exactly and the weights and
+    zeta values are unchanged.
     """
     _, (p1, p2), (q1, q2) = _axes(dp)
-    (x, log_wx), (y, log_wy) = x_rule, y_rule
+    (x, log_wx, zeta1, diff1), (y, log_wy) = x_rule, y_rule
     z1 = (p1 * x[:, None] + q1 * y).ravel()
     z2 = (p2 * x[:, None] + q2 * y).ravel()
     root_w = np.exp(0.5 * (log_wx[:, None] + log_wy)).ravel()
-    a = rows(dp, z1, z2) * root_w[:, None]
-    return np.linalg.qr(a, mode="r")
+    k = len(y)
+    a = rows(dp, z1, z2, np.repeat(zeta1, k), np.repeat(diff1, k))
+    return np.linalg.qr(a * root_w[:, None], mode="r")
 
 
 @dataclass(frozen=True)
@@ -179,17 +190,29 @@ class _GramRule:
     nodes: int
 
 
+def _agree(gram, prev, controls):
+    """The largest entrywise gap between two rules' E[b b'], and whether
+    every entry is within max(abs_tol, rel_tol sqrt(M_ii M_jj)) of it, M
+    = gram, the finer rule's."""
+    diff = np.abs(gram - prev)
+    scale = np.sqrt(np.diag(gram))
+    bound = np.maximum(controls.abs_tol,
+                       controls.rel_tol * np.outer(scale, scale))
+    return float(diff.max()), bool(np.all(diff <= bound))
+
+
 def _gram_rule(dp, rows, controls=None):
-    """E[b b'] = R'R at dp, for b = rows(dp, z1, z2), to the controls.
+    """E[b b'] = R'R at dp, for b = rows(dp, z1, z2, zeta1, diff1), to the
+    controls (see _gram_factor).
 
     The rule integrates at dp as given.  Mirror images alpha -> -alpha
-    get exactly mirrored nodes and the same weights, so where rows(dp, z)
-    changes only by column signs S under the mirror, the mirror's R is
-    R S, bit for bit.  Rules grow by _GROWTH until two in a row agree in
-    every entry to within max(abs_tol, rel_tol sqrt(M_ii M_jj)), M the
-    finer one's R'R.  A rule that would take the node count past
-    max_evals, or its X panels past _MAX_NODES nodes, is not run, and the
-    result is then flagged unconverged with the last gap.
+    get exactly mirrored nodes, the same weights and the same zeta
+    values, so where rows changes only by column signs S under the
+    mirror, the mirror's R is R S, bit for bit.  Rules grow by _GROWTH
+    from _FIRST_NODES until two in a row agree (see _agree).  A rule that
+    would take the node count past max_evals, or its X panels past
+    _MAX_NODES nodes, is not run, and the result is then flagged
+    unconverged with the last gap.
     """
     controls = controls or CubatureControls()
     alpha_star = _axes(dp)[0]
@@ -206,12 +229,8 @@ def _gram_rule(dp, rows, controls=None):
         r = _gram_factor(dp, rows, x_rule)
         gram = r.T @ r
         if prev is not None:
-            diff = np.abs(gram - prev)
-            gap = float(diff.max())
-            scale = np.sqrt(np.diag(gram))
-            bound = np.maximum(controls.abs_tol,
-                               controls.rel_tol * np.outer(scale, scale))
-            if np.all(diff <= bound):
+            gap, converged = _agree(gram, prev, controls)
+            if converged:
                 return _GramRule(r, True, gap, used)
         prev = gram
         n = round(n * _GROWTH)

@@ -48,13 +48,10 @@ def u_distribution(lam, alpha1, alpha2, tau):
             np.array([[v11, v12], [v12, v22]]))
 
 
-def _zeta1_rows(dp, z1, z2):
-    """zeta1(T) (1, Z1, Z2), one row per node: the Gram rule's b for the
-    a-terms."""
-    alpha0 = dp.tau * math.sqrt(
-        1.0 + _alpha_star_sq(_lam(dp), dp.alpha1, dp.alpha2))
-    z = zeta(1, alpha0 + dp.alpha1 * z1 + dp.alpha2 * z2)
-    return np.column_stack([z, z * z1, z * z2])
+def _zeta1_rows(dp, z1, z2, zeta1, diff1):
+    """zeta1(T) (1, Z1, Z2), one row per node, from the rule's zeta1(T):
+    the Gram rule's b for the a-terms."""
+    return np.column_stack([zeta1, zeta1 * z1, zeta1 * z2])
 
 
 def a_terms(dp, tol=None):

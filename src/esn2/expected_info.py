@@ -60,12 +60,14 @@ def expected_info(dp, tol=None):
 
     tol drives the quadrature rule: rel_tol and abs_tol bound the gap
     between consecutive rules, max_evals the total node count.  The
-    matrix is the rule's R'R, except that I[3, 5] and I[3, 6], which
-    vanish identically at tau = 0, are returned there as exact zeros
-    rather than as the rule's rounding noise.  The mirror image
-    alpha -> -alpha has information S I S, S = diag(_FLIP_SIGNS): the
-    rule's nodes are mirrored exactly and its score rows change sign by
-    S, so this holds bit for bit by construction.
+    matrix is the rule's R'R, except that entries that vanish
+    identically are returned as exact zeros rather than as the rule's
+    rounding noise: I[3, 5] and I[3, 6] at tau = 0, and at alpha = 0,
+    where the law is symmetric under z -> -z, every entry that S flips.
+    The mirror image alpha -> -alpha has information S I S, S =
+    diag(_FLIP_SIGNS): the rule's nodes are mirrored exactly and its
+    score rows change sign by S, so this holds bit for bit by
+    construction.
 
     Raises
     ------
@@ -78,6 +80,8 @@ def expected_info(dp, tol=None):
     m = np.triu(m) + np.triu(m, 1).T
     if dp.tau == 0.0:
         m[3, 5:7] = m[5:7, 3] = 0.0
+    if dp.alpha1 == 0.0 and dp.alpha2 == 0.0:
+        m[np.outer(_FLIP_SIGNS, _FLIP_SIGNS) < 0.0] = 0.0
     return InfoMatrix(matrix=m, kind="expected")
 
 

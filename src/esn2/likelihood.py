@@ -9,10 +9,11 @@ The record holds what the log density reads and builds s_coef and lin on
 first use, so order-0 callers pay for neither and only order-2 callers
 pay for lin.
 
-`_score_rows` runs the zeta ladder once over the standardized residuals
-and returns the score rows, one per row of residuals: the b the Gram rule
-of expected_info integrates.  density_esn2 reads the log density alone,
-from `_log_density`.
+`_score_rows` returns the score rows, one per row of standardized
+residuals, from the zeta1(t) and zeta1(t) - zeta1(tau) it is handed: the
+b the Gram rule of expected_info integrates, whose nodes share t along
+lines and get the ladder once per line.  density_esn2 reads the log
+density alone, from `_log_density`.
 
 loglik, score, observed_info, fit_mle and, through observed_info, the
 Monte Carlo oracle in validation go through `_sums` instead.  It sums the
@@ -232,7 +233,7 @@ def _coefficients(dp):
 
 
 def _log_density(coef, z1, z2, order):
-    """What _score_rows and _sums both form per row, from the record coef.
+    """What _sums forms per row, from the record coef.
 
     Returns the log density (n,); the zeta ladder at t and its differences
     from tau to the given order (see zeta_pair); and z1^2, z2^2 and
@@ -248,23 +249,25 @@ def _log_density(coef, z1, z2, order):
     return log_f, at, diff, (z1sq, z2sq, z12)
 
 
-def _score_rows(dp, z1, z2):
+def _score_rows(dp, z1, z2, zeta1, diff1):
     """Per-observation score rows (n, 8), ordered as theta.
 
     z1 and z2 are 1-d arrays of standardized residuals (see
-    ``model._residuals``).  The rows serve the
-    caller that needs each observation, the Gram rule of expected_info.
+    ``model._residuals``), and zeta1 and diff1 zeta1(t) and zeta1(t) -
+    zeta1(tau) at each row's t (see zeta_pair).  The rows serve the
+    caller that needs each observation, the Gram rule of expected_info,
+    which forms zeta1 once per line of nodes along which t is constant.
     They are `_contract` applied to each row's basis 1, z1, z2, z1^2,
     z2^2, z1 z2, zeta1, z1 zeta1, z2 zeta1, as _sums applies it to the
     basis summed.  The basis spans all the rows given, so callers pass
     bounded blocks (at most 3,600 rows from one Gram rule).
     """
-    coef = _coefficients(dp)
-    _, at, diff, (z1sq, z2sq, z12) = _log_density(coef, z1, z2, 1)
-    zeta1 = at[1]
-    basis = np.stack([np.ones_like(z1), z1, z2, z1sq, z2sq, z12, zeta1,
-                      z1 * zeta1, z2 * zeta1])
-    return _contract(coef, basis, diff[1])[0].T
+    b = np.empty((9, len(z1)))
+    b[0], b[1], b[2], b[6] = 1.0, z1, z2, zeta1
+    np.multiply(b[1:3], b[1:3], out=b[3:5])
+    np.multiply(z1, z2, out=b[5])
+    np.multiply(b[1:3], zeta1, out=b[7:9])
+    return _contract(_coefficients(dp), b, diff1)[0].T
 
 
 def _contract(coef, m, diff1, zeta2=None):

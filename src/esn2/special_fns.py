@@ -121,8 +121,10 @@ def zeta(m, x):
 
 @functools.lru_cache(maxsize=16)
 def _at_tau(tau):
-    """zeta(0..2, tau) and the Taylor coefficients of zeta1 about a float
-    tau: zeta_pair's part that chunked callers repeat for every block."""
+    """zeta(0..2, tau) and, for j = 1 and 2, the Horner coefficients of
+    derivative j - 1 of the Taylor series sum c_k h^k of zeta1 about a
+    float tau, highest order first: zeta_pair's part that chunked callers
+    repeat for every block."""
     at_tau = [float(v[0]) for v in _ladder(np.array([tau]), 2)]
     c = at_tau[1:]
     for k in range(1, _SHIFT_TERMS):
@@ -130,7 +132,10 @@ def _at_tau(tau):
         rhs = (tau * c[k] + sum(c[i] * c[k - i] for i in range(k + 1))
                + c[k - 1])
         c.append(-rhs / (k + 1))
-    return tuple(at_tau), tuple(c)
+    horner = tuple(tuple(math.perm(k, j - 1) * c[k]
+                         for k in range(_SHIFT_TERMS, j - 1, -1))
+                   for j in (1, 2))
+    return tuple(at_tau), horner
 
 
 def zeta_pair(tau, h, order):
@@ -149,7 +154,7 @@ def zeta_pair(tau, h, order):
     """
     h = np.asarray(h, dtype=float)
     at = _ladder(tau + h, order)
-    at_tau, c = _at_tau(float(tau))
+    at_tau, horner = _at_tau(float(tau))
     diff = [a - b for a, b in zip(at, at_tau)]
     near = np.abs(h) <= _SHIFT_REACH / max(1.0, abs(tau))
     if order == 0 or not near.any():
@@ -158,7 +163,7 @@ def zeta_pair(tau, h, order):
     for j in range(1, order + 1):
         # zeta(j, t) - zeta(j, tau) is derivative j - 1 of sum c_k h^k
         series = np.zeros_like(hn)
-        for k in range(_SHIFT_TERMS, j - 1, -1):
-            series = series * hn + math.perm(k, j - 1) * c[k]
+        for coef in horner[j - 1]:
+            series = series * hn + coef
         diff[j][near] = series * hn
     return at, diff

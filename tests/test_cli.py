@@ -274,7 +274,7 @@ def test_einfo_not_converged_exits_3(runner):
     result = runner.invoke(main, ["eval", "einfo", "--dp", PANEL_CAP])
     assert result.exit_code == 3
     assert result.stdout == ""
-    assert ("expected-information rule not converged after 2322 nodes"
+    assert ("expected-information rule not converged after 2250 nodes"
             in result.stderr)
 
 
@@ -596,12 +596,13 @@ def test_check_rejects_seed_outside_64_bits(runner, seed):
 
 
 @pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize",
-                                    "scipy.linalg", "scipy.integrate"])
+                                    "scipy.linalg", "scipy.integrate",
+                                    "mpmath"])
 def test_import_leaves_out_scipy_stats(module):
     # scipy.stats costs about 0.4 s of every command's start-up, and
     # scipy.optimize, which only fit_mle uses, about 0.14 s; the Gram
     # rule's QR is numpy's, so nothing else needs scipy.linalg, and only
-    # the tests' cubature oracle reads scipy.integrate
+    # the tests' oracles read scipy.integrate and mpmath
     code = f"import sys, esn2.cli; print({module!r} in sys.modules)"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,

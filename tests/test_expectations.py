@@ -201,7 +201,7 @@ def test_a_terms_squared_integrands_nonnegative():
 def test_unconverged_budget_is_flagged_then_raises():
     # two rules fit in the budget, and they do not agree: the raise gives
     # their gap
-    starved = CubatureControls(rel_tol=1e-6, abs_tol=1e-30, max_evals=1_000)
+    starved = CubatureControls(rel_tol=1e-12, abs_tol=1e-30, max_evals=1_000)
     with pytest.raises(CubatureNotConverged) as caught:
         a_terms(SLANTED, tol=starved)
     gap = float(str(caught.value).split("gap ")[1].split()[0])

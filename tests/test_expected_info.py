@@ -35,10 +35,10 @@ from esn2 import (
     observed_info,
     sample_esn2,
 )
-from esn2.cubature import _axes, _gram_factor, _gram_rule, _x_rule
+from esn2.cubature import _agree, _axes, _gram_factor, _gram_rule, _x_rule
 from esn2.expectations import _assemble, _zeta1_rows
 from esn2.expected_info import _FLIP_SIGNS
-from esn2.likelihood import _coefficients, _score_rows
+from esn2.likelihood import _coefficients, _log_density, _score_rows
 from esn2.special_fns import LOG_RT2PI, zeta
 
 SEPARABLE = DpParams(0, 0, 1, 0, 1, 0.5, 0, -2)
@@ -151,6 +151,44 @@ def test_gram_factor_mirror(p):
         assert np.array_equal(mirrored.factor, rule.factor * signs)
 
 
+@pytest.mark.parametrize("p", FIT_MC_POINTS + EXTREME_POINTS + MIRROR_POINTS)
+def test_rows_share_the_ladder_along_y(p):
+    # the rule forms zeta1 once per X node and hands it to every node on
+    # that node's line along Y.  At each rule's own nodes, the score rows
+    # match rows whose zeta1 is taken at the node's own t = tau den_m1 +
+    # alpha'z, as _sums takes it: to 1e-14 of the row norm, plus the rows'
+    # slope in zeta1 times what two roundings move zeta1 by.  t's own, a
+    # few eps of the terms summed into it (|alpha| = 300 and z = 40 with t
+    # near 0), moves it by zeta2(t) times that; and phi / Phi is evaluated
+    # to about eps t^2 relative, for t above the tail cut at -10
+    dp = DpParams(*p)
+    coef = _coefficients(dp)
+    eps = np.finfo(float).eps
+    seen = []
+
+    def spy(dp, z1, z2, zeta1, diff1):
+        seen.append((z1, z2, _score_rows(dp, z1, z2, zeta1, diff1)))
+        return seen[-1][2]
+
+    _gram_rule(dp, spy)
+    assert seen
+    for z1, z2, shared in seen:
+        _, at, diff, _ = _log_density(coef, z1, z2, 2)
+        own = _score_rows(dp, z1, z2, at[1], diff[1])
+        # the rows are affine in (zeta1, diff1), which move together
+        one, zero = np.ones_like(z1), np.zeros_like(z1)
+        slope = np.abs(_score_rows(dp, z1, z2, one, one)
+                       - _score_rows(dp, z1, z2, zero, zero))
+        t = dp.tau + dp.tau * coef.den_m1 + dp.alpha1 * z1 + dp.alpha2 * z2
+        terms = (abs(dp.tau) + abs(dp.tau * coef.den_m1)
+                 + np.abs(dp.alpha1 * z1) + np.abs(dp.alpha2 * z2))
+        d_zeta1 = 4.0 * eps * (np.abs(at[2]) * terms
+                               + (1.0 + np.minimum(t * t, 100.0)) * at[1])
+        bound = (1e-14 * np.linalg.norm(own, axis=1)[:, None]
+                 + slope * d_zeta1[:, None])
+        assert np.all(np.abs(shared - own) <= bound)
+
+
 _SLANT = st.one_of(st.just(0.0), st.floats(-300.0, 300.0))
 
 
@@ -160,7 +198,7 @@ _SLANT = st.one_of(st.just(0.0), st.floats(-300.0, 300.0))
 def test_mirror_property(lam, alpha1, alpha2, tau):
     # I(-alpha) = S I(alpha) S, S = diag(_FLIP_SIGNS), bit for bit, or the
     # rule fails on both sides.  alpha = 0 is its own mirror, where the
-    # entries that S flips vanish only to rounding
+    # entries that S flips are exact zeros
     dp = DpParams(0.0, 0.0, 1.0, lam, 1.0, alpha1, alpha2, tau)
     mirror = replace(dp, alpha1=-alpha1, alpha2=-alpha2)
     try:
@@ -174,7 +212,7 @@ def test_mirror_property(lam, alpha1, alpha2, tau):
     signs = np.outer(_FLIP_SIGNS, _FLIP_SIGNS)
     if alpha1 == 0.0 and alpha2 == 0.0:
         assert np.array_equal(mf, m)
-        assert_allclose(m * signs, m, rtol=0, atol=1e-14 * np.max(m))
+        assert np.array_equal(m * signs, m)
     else:
         assert np.array_equal(mf, m * signs)
 
@@ -281,7 +319,7 @@ def test_det_scan_huge_information_is_inf():
 def test_det_scan_records_cubature_failure():
     base = DpParams(0, 0, 1, 0.6, 1, 2, 3, 1)
     spec = SweepSpec("alpha1", (2.0,), base)
-    starved = CubatureControls(rel_tol=1e-6, abs_tol=1e-30, max_evals=1_000)
+    starved = CubatureControls(rel_tol=1e-12, abs_tol=1e-30, max_evals=1_000)
     rows = det_scan(spec, tol=starved)
     assert len(rows) == 1
     assert not rows[0].converged
@@ -333,6 +371,22 @@ def test_scan_node_budget(p, tol):
     # the benchmark's scan is all Gram rule: a regression in its node count
     # fails here, not only in a timing
     assert _gram_rule(DpParams(*p), _score_rows, tol).nodes <= 2_500
+
+
+@pytest.mark.parametrize("p, tol", [(p, CubatureControls())
+                                    for p in FIT_MC_POINTS + EXTREME_POINTS]
+                         + SCAN_POINTS)
+def test_first_rules_of_24_and_36_never_agree(p, tol):
+    # why the rule starts at 36 X nodes per panel: a rule of 24 against one
+    # of 36 never meets the stopping rule for score rows, at the point's own
+    # tolerance or at criterion 7's, so a first rule of 24 would change no
+    # result and only cost its nodes
+    dp = DpParams(*p)
+    alpha_star = _axes(dp)[0]
+    r24, r36 = (_gram_factor(dp, _score_rows, _x_rule(dp.tau, alpha_star, n))
+                for n in (24, 36))
+    for controls in (tol, SWEEP_TOL):
+        assert not _agree(r36.T @ r36, r24.T @ r24, controls)[1]
 
 
 def test_expected_info_random_points_well_conditioned():

@@ -35,7 +35,7 @@ from esn2 import likelihood, model
 from esn2.cli import _default_starts
 from esn2.expected_info import _FLIP_SIGNS
 from esn2.likelihood import (_FLOOR, _ROWS, _UPPER, _coefficients, _handover,
-                             _levels, _score_rows)
+                             _levels, _log_density, _score_rows)
 from esn2.model import _alpha_star_sq, _lam, _residuals
 from oracles import kernel_rows
 
@@ -675,13 +675,21 @@ def test_sums_match_kernel_rows():
             assert np.all(np.abs(got - rows.sum(axis=0)) <= bound), (k, dp)
 
 
+def _own_t_score_rows(dp, z1, z2):
+    """_score_rows with zeta1 taken at each row's own t, as _sums takes
+    it."""
+    _, at, diff, _ = _log_density(_coefficients(dp), z1, z2, 1)
+    return _score_rows(dp, z1, z2, at[1], diff[1])
+
+
 @pytest.mark.parametrize("k", range(len(EXTREME_DPS)))
 def test_one_score_coefficient_source(k):
     # the Gram rule's score rows and kernel_rows read the same coefficients
     dp = EXTREME_DPS[k]
     data = sample_esn2(dp, 300, k + 1)
     z1, z2 = _residuals(dp, data.y1, data.y2)
-    assert np.array_equal(_score_rows(dp, z1, z2), kernel_rows(dp, z1, z2)[1])
+    assert np.array_equal(_own_t_score_rows(dp, z1, z2),
+                          kernel_rows(dp, z1, z2)[1])
 
 
 def test_only_order_two_builds_the_hessian_coefficients():
@@ -723,7 +731,7 @@ def test_kernel_score_rows_match_high_precision(k):
     mp = pytest.importorskip("mpmath").mp
     dp = EXTREME_DPS[k]
     data = sample_esn2(dp, 4, k + 1)
-    rows = _score_rows(dp, *_residuals(dp, data.y1, data.y2))
+    rows = _own_t_score_rows(dp, *_residuals(dp, data.y1, data.y2))
     with mp.workdps(50):
         theta = [mp.mpf(v) for v in dp.as_array()]
         for row, y1, y2 in zip(rows, data.y1, data.y2):
